@@ -13,6 +13,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "engine/engine.hpp"
 #include "heuristics/greedy.hpp"
 #include "support/error.hpp"
 #include "support/table.hpp"
@@ -22,13 +23,13 @@ using namespace fpsched::bench;
 
 namespace {
 
-/// Worker-local heuristic options: the engine decides the inner sweep
-/// threading (serial when it shards cells, all cores when it is serial).
-HeuristicOptions cell_options(const engine::ExperimentEngine& eng, std::size_t stride,
-                              EvaluatorWorkspace& ws) {
-  HeuristicOptions options = eng.worker_options(ws);
-  options.sweep.stride = stride;
-  return options;
+/// Worker-local heuristic options: sweeps run on the cell's workspace,
+/// joined by idle engine workers.
+HeuristicOptions cell_options(const engine::ExperimentEngine& eng, const FigureOptions& options,
+                              std::size_t stride, EvaluatorWorkspace& ws) {
+  HeuristicOptions heuristic = eng.worker_options(ws, options.eval_math);
+  heuristic.sweep.stride = stride;
+  return heuristic;
 }
 
 void stride_ablation(std::ostream& os, const FigureOptions& options,
@@ -52,7 +53,7 @@ void stride_ablation(std::ostream& os, const FigureOptions& options,
     const auto start = std::chrono::steady_clock::now();
     const HeuristicResult result =
         run_heuristic(evaluator, {LinearizeMethod::depth_first, CkptStrategy::by_weight},
-                      cell_options(eng, stride, ws));
+                      cell_options(eng, options, stride, ws));
     cells[i].ms =
         std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
             .count();
@@ -92,7 +93,7 @@ void outweight_ablation(std::ostream& os, const FigureOptions& options,
     const std::size_t size = sizes[i % sizes.size()];
     const TaskGraph graph = make_instance(kind, size, CostModel::proportional(0.1), options);
     const ScheduleEvaluator evaluator(graph, FailureModel(paper_lambda(kind), 0.0));
-    HeuristicOptions direct = cell_options(eng, options.stride, ws);
+    HeuristicOptions direct = cell_options(eng, options, options.stride, ws);
     direct.linearize.outweight = OutweightMode::direct;
     HeuristicOptions transitive = direct;
     transitive.linearize.outweight = OutweightMode::descendants;
@@ -134,7 +135,7 @@ void weight_cv_ablation(std::ostream& os, const FigureOptions& options,
     const ScheduleEvaluator evaluator(graph, FailureModel(1e-3, 0.0));
     for (std::size_t s = 0; s < strategies.size(); ++s) {
       ratios[i][s] = run_heuristic(evaluator, {LinearizeMethod::depth_first, strategies[s]},
-                                   cell_options(eng, options.stride, ws))
+                                   cell_options(eng, options, options.stride, ws))
                          .evaluation.ratio;
     }
   });
@@ -172,14 +173,13 @@ void greedy_extension(std::ostream& os, const FigureOptions& options,
     const TaskGraph graph = make_instance(kind, size, CostModel::proportional(0.1), options);
     const ScheduleEvaluator evaluator(graph, FailureModel(paper_lambda(kind), 0.0));
     const auto results =
-        run_heuristics(evaluator, all_heuristics(), cell_options(eng, options.stride, ws));
+        run_heuristics(evaluator, all_heuristics(), cell_options(eng, options, options.stride, ws));
     const HeuristicResult& best = results[best_result_index(results)];
     cells[i].best14 = best.evaluation.expected_makespan;
     cells[i].winner = best.spec.name();
 
     const auto order = linearize(graph.dag(), graph.weights(), LinearizeMethod::depth_first);
-    const GreedyResult greedy =
-        greedy_checkpoint_search(evaluator, order, {.threads = eng.inner_threads()});
+    const GreedyResult greedy = greedy_checkpoint_search(evaluator, order, {.threads = 1});
     cells[i].greedy = greedy.expected_makespan;
     cells[i].greedy_ckpts = greedy.schedule.checkpoint_count();
   });
@@ -210,7 +210,7 @@ int main(int argc, char** argv) {
   try {
     const auto options = parse_figure_options(cli, argc, argv);
     if (!options) return 0;
-    const engine::ExperimentEngine eng = make_engine(*options);
+    const engine::ExperimentEngine eng({.threads = options->threads});
     std::cout << "Design-choice ablations\n";
     stride_ablation(std::cout, *options, eng);
     outweight_ablation(std::cout, *options, eng);

@@ -1,13 +1,7 @@
 #include "bench_common.hpp"
 
-#include <algorithm>
-#include <iostream>
-#include <ostream>
-#include <vector>
-
 #include "engine/result_sink.hpp"
 #include "support/error.hpp"
-#include "support/socket.hpp"
 
 namespace fpsched::bench {
 
@@ -29,18 +23,12 @@ std::optional<FigureOptions> parse_figure_options(CliParser& cli, int argc,
   cli.add_option("seed", "42", "workflow generation seed");
   cli.add_option("weight-cv", "0.2", "coefficient of variation of task weights");
   cli.add_option("csv", "", "directory for CSV output (created files: <figure>.csv)");
-  cli.add_option("threads", "0", "scenario-shard worker threads (0 = all cores)");
-  cli.add_option("eval-threads", "1",
-                 "intra-evaluation k-block workers for the Theorem-3 evaluator (1 = serial, "
-                 "0 = all cores); takes effect when scenario sharding alone cannot fill the "
-                 "workers (scenarios < --threads, or --threads 1) and is ignored on the "
-                 "scenario-saturated path; output is bit-identical for every value");
+  cli.add_option("threads", "0",
+                 "worker threads (0 = all cores or FPSCHED_THREADS, 1 = serial); output is "
+                 "bit-identical for every value");
   cli.add_option("eval-math", "exact",
                  "evaluator transcendental backend: 'exact' (libm, bit-identical to prior "
                  "releases) or 'fast' (batched polynomial kernels, <= 4 ulp per call)");
-  cli.add_flag("no-instance-cache",
-               "re-generate and re-linearize the instance for every scenario "
-               "(the pre-cache engine path; results are identical)");
   cli.add_flag("quick", "small grid + strided sweep for a fast smoke run");
   if (!cli.parse(argc, argv)) return std::nullopt;
 
@@ -58,9 +46,7 @@ std::optional<FigureOptions> parse_figure_options(CliParser& cli, int argc,
   // output directory up front (creating it when missing).
   if (!options.csv_dir.empty()) engine::ensure_output_directory(options.csv_dir);
   options.threads = cli.get_count("threads");
-  options.eval_threads = cli.get_count("eval-threads");
   options.eval_math = parse_eval_math(cli.get_string("eval-math"));
-  options.instance_cache = !cli.get_flag("no-instance-cache");
   if (cli.has_option("tasks")) options.tasks = cli.get_count("tasks", 1);
   if (cli.has_option("trials")) options.trials = cli.get_count("trials", 1);
   if (cli.has_option("downtimes")) {
@@ -71,53 +57,6 @@ std::optional<FigureOptions> parse_figure_options(CliParser& cli, int argc,
   }
   if (cli.get_flag("quick")) engine::apply_quick_options(options);
   return options;
-}
-
-engine::ExperimentEngine make_engine(const FigureOptions& options) {
-  return engine::ExperimentEngine({.threads = options.threads,
-                                   .instance_cache = options.instance_cache,
-                                   .eval_threads = options.eval_threads,
-                                   .eval_math = options.eval_math});
-}
-
-void run_figure_experiment(std::ostream& os, const engine::Experiment& experiment,
-                           const FigureOptions& options) {
-  engine::TableSink table(os);
-  engine::AsciiChartSink chart(os);
-  std::optional<engine::CsvSink> csv;
-  std::vector<engine::ResultSink*> sinks{&table, &chart};
-  if (!options.csv_dir.empty()) {
-    csv.emplace(options.csv_dir, &os);
-    sinks.push_back(&*csv);
-  }
-  engine::run_experiment(experiment, options, sinks, &os);
-}
-
-int figure_main(const std::string& name, int argc, const char* const* argv) {
-  try {
-    ignore_sigpipe();  // `fig2_linearization | head` must not kill the run
-    const engine::Experiment& experiment = engine::ExperimentRegistry::global().find(name);
-    CliParser cli(experiment.summary);
-    // Only sweep figures take --tasks/--downtimes; the size-axis binaries
-    // keep rejecting them (a silently ignored option reads as a resized
-    // grid that never happened).
-    if (experiment.sweep_options) add_sweep_options(cli);
-    if (experiment.trial_options) add_trial_options(cli);
-    const auto options = parse_figure_options(cli, argc, argv);
-    if (!options) return 0;
-    run_figure_experiment(std::cout, experiment, *options);
-    // With SIGPIPE ignored a dead consumer surfaces as a failed stream;
-    // truncated figure output must not exit 0.
-    std::cout.flush();
-    if (!std::cout.good()) {
-      std::cerr << "error: stdout failed mid-write (closed pipe?)\n";
-      return 1;
-    }
-  } catch (const Error& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
-  }
-  return 0;
 }
 
 TaskGraph make_instance(WorkflowKind kind, std::size_t size, const CostModel& cost_model,

@@ -1,21 +1,17 @@
-// Shared CLI harness for the figure-reproduction benches — a thin
-// adapter over the experiment registry in src/engine/.
+// Shared CLI harness for the registry-driven binaries (fpsched_run,
+// fpsched_merge, the ablation bench) — a thin adapter over the
+// experiment registry in src/engine/.
 //
 // Every figure is registered declaratively in the engine
-// (engine::ExperimentRegistry::global()); the per-figure binaries shrink
-// to figure_main() shims that parse the shared CLI into
-// engine::FigureOptions and run the named experiment through the standard
-// sink stack (table + ASCII chart, plus CSV when requested). `--quick`
-// shrinks the grid for smoke runs; the default reproduces the paper's
-// full grid (sizes 50-700, exhaustive N-sweep). `--threads` controls the
-// scenario sharding (0 = all cores); results are identical for any
-// thread count. The fpsched_run driver shares this parser and adds
-// record-level output (NDJSON/JSON) and process sharding on top.
+// (engine::ExperimentRegistry::global()) and runs through
+// `fpsched_run <name>`. parse_figure_options maps the shared CLI onto
+// engine::FigureOptions: `--quick` shrinks the grid for smoke runs; the
+// default reproduces the paper's full grid (sizes 50-700, exhaustive
+// N-sweep). `--threads` sizes the engine (0 = all cores); results are
+// identical for any thread count.
 #pragma once
 
-#include <iosfwd>
 #include <optional>
-#include <string>
 
 #include "engine/experiment.hpp"
 #include "support/cli.hpp"
@@ -27,14 +23,13 @@ using engine::FigureOptions;
 using engine::PanelSpec;
 
 /// Registers the sweep-figure extras (`--tasks`, `--downtimes`) that
-/// fig7/downtime consume and the other figures ignore; figure_main and
-/// fpsched_run call this before parse_figure_options so every
-/// registry-driven binary exposes the same CLI.
+/// fig7/downtime consume and the other figures ignore; call it before
+/// parse_figure_options so every registry-driven binary exposes the same
+/// CLI.
 void add_sweep_options(CliParser& cli);
 
-/// Registers `--trials` (Monte-Carlo trials per simulated cell) for the
-/// experiments flagged trial_options (robustness); figure_main and
-/// fpsched_run call this so only those binaries expose the knob.
+/// Registers `--trials` (Monte-Carlo trials per simulated cell, consumed
+/// by the robustness experiment).
 void add_trial_options(CliParser& cli);
 
 /// Registers the shared options on `cli`, parses, and converts. Returns
@@ -44,19 +39,6 @@ void add_trial_options(CliParser& cli);
 /// Reads `--tasks` / `--downtimes` only when the binary registered them
 /// (add_sweep_options, or its own option of the same name).
 std::optional<FigureOptions> parse_figure_options(CliParser& cli, int argc, const char* const* argv);
-
-/// Engine configured from the shared options.
-engine::ExperimentEngine make_engine(const FigureOptions& options);
-
-/// Runs a registered experiment through the standard bench sinks: table
-/// and ASCII chart on `os`, plus CSV when options.csv_dir is set.
-void run_figure_experiment(std::ostream& os, const engine::Experiment& experiment,
-                           const FigureOptions& options);
-
-/// The whole main() of a per-figure binary: look up `name` in the global
-/// registry, parse the shared CLI, run through the standard sinks.
-/// Returns the process exit code.
-int figure_main(const std::string& name, int argc, const char* const* argv);
 
 /// Generates the paper's workflow instance for a size (cost model
 /// applied). tests/engine_test.cpp replicates this convention (seed +

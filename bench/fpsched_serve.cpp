@@ -8,9 +8,9 @@
 //
 // The record stream of a run is byte-identical to
 // `fpsched_run <experiment> --format ndjson`, so HTTP clients and batch
-// pipelines consume the same bytes. Runs execute on the in-process
-// ExperimentEngine (each saturating the machine's cores), queued in
-// submission order. SIGINT/SIGTERM shut the server down cleanly; a run
+// pipelines consume the same bytes. Runs execute on the server's one
+// in-process ExperimentEngine, whose thread pool FPSCHED_THREADS sizes
+// (default: all cores), queued in submission order. SIGINT/SIGTERM shut the server down cleanly; a run
 // already executing finishes first (kill again to abandon it).
 #include <csignal>
 #include <iostream>
@@ -29,7 +29,8 @@ int main(int argc, char** argv) {
   cli.add_option("port", "8080", "TCP port to listen on (0 = pick an ephemeral port)");
   cli.add_option("threads", "4",
                  "HTTP connection worker threads (also the max concurrent requests; record "
-                 "streams each occupy one)");
+                 "streams each occupy one); the experiment engine's pool is sized by "
+                 "FPSCHED_THREADS");
   cli.add_option("max-jobs", "64",
                  "max ACTIVE runs (queued + running); further submissions are rejected with "
                  "429 (finished runs are evicted by count/age, not counted)");

@@ -48,7 +48,7 @@ struct Row {
 Row study(const StudySpec& spec, EvaluatorWorkspace& ws, const engine::ExperimentEngine& eng) {
   const ScheduleEvaluator evaluator(spec.graph, spec.model);
   ExactSolverOptions exact_options;
-  exact_options.threads = eng.inner_threads();
+  exact_options.threads = 1;  // the engine already runs one study per worker
   Row row;
   if (spec.chain_dp_optimum) {
     // For chains the DP gives the true optimum over checkpoint sets.
@@ -66,8 +66,7 @@ Row study(const StudySpec& spec, EvaluatorWorkspace& ws, const engine::Experimen
   row.best14_name = best.spec.name();
   const auto order =
       linearize(spec.graph.dag(), spec.graph.weights(), LinearizeMethod::depth_first);
-  row.greedy = greedy_checkpoint_search(evaluator, order, {.threads = eng.inner_threads()})
-                   .expected_makespan;
+  row.greedy = greedy_checkpoint_search(evaluator, order, {.threads = 1}).expected_makespan;
   return row;
 }
 

@@ -1,15 +1,13 @@
 // Micro-benchmark for the Theorem-3 evaluation hot path, emitting
 // machine-readable JSON so the bench trajectory is tracked across PRs
-// (`BENCH_evaluator.json`: ns/eval by n, strategy, math backend and
-// thread count; tools/check_bench_schema.py validates the schema in CI).
+// (`BENCH_evaluator.json`: ns/eval by n, strategy and math backend;
+// tools/check_bench_schema.py validates the schema in CI).
 //
 //   $ perf_evaluator --quick
-//   $ perf_evaluator --sizes 100,200,400 --eval-threads 1,2,4 --repeats 5
+//   $ perf_evaluator --sizes 100,200,400 --repeats 5
 //
 // Strategies:
-//   serial      the optimized serial fast path (the sweep inner loop)
-//   kblock      the k-blocked parallel evaluation on a shared ThreadPool
-//               (one row per --eval-threads entry > 1)
+//   serial      the optimized evaluator (the sweep inner loop)
 //   algorithm1  the literal O(n^4) Algorithm-1 transcription (small n
 //               only — it exists as an executable specification)
 //
@@ -21,10 +19,9 @@
 //
 // Dependency-free by design (hand-rolled steady_clock timing, no
 // google-benchmark), so the bench always builds and its JSON is always
-// producible in CI. Every kblock measurement also asserts bit-identity
-// against the serial value of its backend, and every fast measurement
-// asserts 1e-10 relative agreement with exact — a perf run that silently
-// diverged would be worthless.
+// producible in CI. Every fast measurement asserts 1e-10 relative
+// agreement with exact — a perf run that silently diverged would be
+// worthless.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -49,7 +46,6 @@
 #include "support/error.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
-#include "support/threading.hpp"
 #include "workflows/generator.hpp"
 
 using namespace fpsched;
@@ -195,9 +191,7 @@ std::string to_json(const std::vector<BenchRow>& rows) {
 }
 
 void log_row(const BenchRow& row, double baseline_ns) {
-  std::cerr << "n=" << row.n << " " << row.strategy;
-  if (row.threads > 1) std::cerr << " x" << row.threads;
-  std::cerr << " [" << row.math << "]: " << row.ns_per_eval / 1e3 << " us/eval (median)";
+  std::cerr << "n=" << row.n << " " << row.strategy << " [" << row.math << "]: " << row.ns_per_eval / 1e3 << " us/eval (median)";
   if (baseline_ns > 0.0 && baseline_ns != row.ns_per_eval) {
     std::cerr << " (" << baseline_ns / row.ns_per_eval << "x vs exact serial)";
   }
@@ -208,12 +202,8 @@ void log_row(const BenchRow& row, double baseline_ns) {
 
 int main(int argc, char** argv) {
   CliParser cli("perf_evaluator — Theorem-3 evaluation micro-bench, JSON output "
-                "(serial fast path vs k-blocked parallel vs Algorithm 1, exact vs "
-                "fast math backends).");
+                "(optimized evaluator vs Algorithm 1, exact vs fast math backends).");
   cli.add_option("sizes", "50,100,200,400,800", "task-count grid (CyberShake fixture)");
-  cli.add_option("eval-threads", "1,2,4,8",
-                 "thread counts for the k-blocked strategy (1 entries are skipped — serial "
-                 "is always measured)");
   cli.add_option("math", "exact,fast", "evaluator math backends to measure");
   cli.add_option("naive-max", "100",
                  "largest n for the O(n^4) Algorithm-1 reference (0 disables it)");
@@ -246,17 +236,6 @@ int main(int argc, char** argv) {
     for (const auto s : cli.get_int_list("sizes")) {
       if (s < 1) throw InvalidArgument("option --sizes: task counts must be >= 1");
       sizes.push_back(static_cast<std::size_t>(s));
-    }
-    std::vector<std::size_t> thread_grid;
-    for (const auto t : cli.get_int_list("eval-threads")) {
-      if (t < 1) throw InvalidArgument("option --eval-threads: thread counts must be >= 1");
-      if (static_cast<std::size_t>(t) > kMaxPoolThreads) {
-        // Same ceiling the engine applies to CLI/HTTP thread counts: an
-        // absurd value must not exhaust the host's thread limit.
-        throw InvalidArgument("option --eval-threads: thread counts must be <= " +
-                              std::to_string(kMaxPoolThreads));
-      }
-      thread_grid.push_back(static_cast<std::size_t>(t));
     }
     std::vector<EvalMath> backends;
     for (const std::string& name : cli.get_string_list("math")) {
@@ -313,8 +292,7 @@ int main(int argc, char** argv) {
         BenchRow serial{n, "serial", to_string(math), 1, 0.0, 0.0, 0, repeats, 0.0, std::nullopt};
         const Measurement m =
             measure(repeats, min_time_ms, max_evals, serial.expected_makespan, [&] {
-              return evaluator.expected_makespan(fixture.schedule, ws, /*validate=*/false,
-                                                 {.math = math});
+              return evaluator.expected_makespan(fixture.schedule, ws, /*validate=*/false, math);
             });
         serial.ns_per_eval = m.median_ns;
         serial.ns_per_eval_min = m.min_ns;
@@ -334,30 +312,6 @@ int main(int argc, char** argv) {
         }
         rows.push_back(serial);
         log_row(serial, exact_serial_ns);
-
-        for (const std::size_t threads : thread_grid) {
-          if (threads <= 1) continue;
-          // Pool width threads - 1: the measuring thread helps through
-          // the TaskGroup wait, exactly like an engine worker would.
-          ThreadPool pool(threads - 1);
-          const EvalParallel parallel{threads, &pool, math};
-          BenchRow row{n, "kblock", to_string(math), threads, 0.0, 0.0, 0, repeats, 0.0, std::nullopt};
-          const Measurement km =
-              measure(repeats, min_time_ms, max_evals, row.expected_makespan, [&] {
-                return evaluator.expected_makespan(fixture.schedule, ws, /*validate=*/false,
-                                                   parallel);
-              });
-          row.ns_per_eval = km.median_ns;
-          row.ns_per_eval_min = km.min_ns;
-          row.evals = km.evals;
-          if (row.expected_makespan != serial.expected_makespan) {
-            throw Error("k-blocked evaluation diverged from the serial path (n=" +
-                        std::to_string(n) + ", threads=" + std::to_string(threads) +
-                        ", math=" + to_string(math) + ")");
-          }
-          rows.push_back(row);
-          log_row(row, exact_serial_ns);
-        }
       }
 
       if (naive_max > 0 && n <= naive_max) {

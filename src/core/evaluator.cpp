@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 #include "core/math_kernels.hpp"
 #include "obs/metrics.hpp"
-#include "support/error.hpp"
-#include "support/threading.hpp"
 
 namespace fpsched {
 
@@ -19,23 +15,15 @@ namespace {
 struct EvalMetrics {
   obs::Counter& runs;
   obs::Counter& sweeps;
-  obs::Counter& parallel_runs;
-  obs::Histogram& kblock_passes;
 };
 
 EvalMetrics& eval_metrics() {
   static EvalMetrics* metrics = [] {
-    static constexpr double kBlockBounds[] = {1.0,  2.0,   4.0,   8.0,   16.0,  32.0,
-                                              64.0, 128.0, 256.0, 512.0, 1024.0, 4096.0};
     obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
     return new EvalMetrics{
         reg.counter("fpsched_eval_runs_total", "Theorem 3 evaluator invocations"),
         reg.counter("fpsched_eval_kernel_sweeps_total",
-                    "batched exp/expm1 kernel sweeps issued by the evaluator"),
-        reg.counter("fpsched_eval_parallel_runs_total",
-                    "evaluator invocations that split passes into parallel k-blocks"),
-        reg.histogram("fpsched_eval_kblock_passes",
-                      "k-pass count per parallel evaluator block", kBlockBounds)};
+                    "batched exp/expm1 kernel sweeps issued by the evaluator")};
   }();
   return *metrics;
 }
@@ -56,62 +44,6 @@ void EvaluatorWorkspace::resize(std::size_t n, std::size_t edges) {
   self_loss.assign(n, 0.0);
 }
 
-std::vector<std::size_t> eval_block_boundaries(std::size_t n, std::size_t blocks) {
-  blocks = std::max<std::size_t>(1, std::min(blocks, std::max<std::size_t>(n, 1)));
-  std::vector<std::size_t> bounds(blocks + 1, 0);
-  // Pass k's inner loop runs n - k times, so equal-count k ranges would
-  // leave the first block with almost all the work; balance by the
-  // triangular weight instead.
-  const double total = 0.5 * static_cast<double>(n) * static_cast<double>(n + 1);
-  std::size_t k = 0;
-  double cum = 0.0;
-  for (std::size_t b = 1; b < blocks; ++b) {
-    const double target = total * static_cast<double>(b) / static_cast<double>(blocks);
-    while (k < n && cum < target) {
-      cum += static_cast<double>(n - k);
-      ++k;
-    }
-    bounds[b] = k;
-  }
-  bounds[blocks] = n;
-  return bounds;
-}
-
-WorkspacePool::Lease::~Lease() {
-  if (workspace_ != nullptr) {
-    const LockGuard lock(pool_->mutex_);
-    pool_->free_.push_back(std::move(workspace_));
-    --pool_->outstanding_;
-  }
-}
-
-WorkspacePool::~WorkspacePool() {
-  const LockGuard lock(mutex_);
-  if (outstanding_ != 0) {
-    // A live Lease would unlock a destroyed mutex and push into a
-    // destroyed vector; fail loudly instead (see the header contract).
-    std::fprintf(stderr,
-                 "WorkspacePool destroyed with %zu outstanding lease(s); "
-                 "every Lease must be returned before the pool dies\n",
-                 outstanding_);
-    std::abort();
-  }
-}
-
-WorkspacePool::Lease WorkspacePool::acquire() {
-  std::unique_ptr<EvaluatorWorkspace> workspace;
-  {
-    const LockGuard lock(mutex_);
-    if (!free_.empty()) {
-      workspace = std::move(free_.back());
-      free_.pop_back();
-    }
-    ++outstanding_;
-  }
-  if (workspace == nullptr) workspace = std::make_unique<EvaluatorWorkspace>();
-  return Lease(this, std::move(workspace));
-}
-
 ScheduleEvaluator::ScheduleEvaluator(const TaskGraph& graph, FailureModel model)
     : graph_(&graph), model_(model) {}
 
@@ -121,11 +53,11 @@ Evaluation ScheduleEvaluator::evaluate(const Schedule& schedule) const {
 }
 
 Evaluation ScheduleEvaluator::evaluate(const Schedule& schedule, EvaluatorWorkspace& ws,
-                                       const EvalParallel& parallel) const {
+                                       EvalMath math) const {
   validate_schedule(*graph_, schedule);
   Evaluation result;
   result.per_task_expected.clear();
-  result.expected_makespan = run(schedule, ws, &result.per_task_expected, parallel);
+  result.expected_makespan = run(schedule, ws, &result.per_task_expected, math);
   result.total_weight = graph_->total_weight();
   result.checkpoint_count = schedule.checkpoint_count();
   double fault_free = 0.0;
@@ -139,14 +71,13 @@ Evaluation ScheduleEvaluator::evaluate(const Schedule& schedule, EvaluatorWorksp
 }
 
 double ScheduleEvaluator::expected_makespan(const Schedule& schedule, EvaluatorWorkspace& ws,
-                                            bool validate, const EvalParallel& parallel) const {
+                                            bool validate, EvalMath math) const {
   if (validate) validate_schedule(*graph_, schedule);
-  return run(schedule, ws, nullptr, parallel);
+  return run(schedule, ws, nullptr, math);
 }
 
 double ScheduleEvaluator::run(const Schedule& schedule, EvaluatorWorkspace& ws,
-                              std::vector<double>* per_task,
-                              const EvalParallel& parallel) const {
+                              std::vector<double>* per_task, EvalMath math) const {
   const std::size_t n = graph_->task_count();
   if (per_task) per_task->assign(n, 0.0);
   if (n == 0) return 0.0;
@@ -198,11 +129,14 @@ double ScheduleEvaluator::run(const Schedule& schedule, EvaluatorWorkspace& ws,
   // non-checkpointed predecessors. `recovered_at[j] == k` marks tasks that
   // already entered some T|k_l with l <= i (their output is back in
   // memory), which both deduplicates the DFS and implements the exclusion
-  // rule of Definition 1. The scratch arrays are parameters so parallel
-  // k-blocks can walk with private state.
-  const auto lost_work = [&](std::size_t i, std::int32_t k,
-                             std::vector<std::int32_t>& recovered_at,
-                             std::vector<std::uint32_t>& stack) -> double {
+  // rule of Definition 1.
+  EvaluatorWorkspace::PassScratch& pass = ws.pass;
+  pass.recovered_at.assign(n, -1);
+  pass.dfs_stack.clear();
+  pass.dfs_stack.reserve(n);
+  const auto lost_work = [&](std::size_t i, std::size_t pass_k) -> double {
+    const auto k = static_cast<std::int32_t>(pass_k);
+    std::vector<std::uint32_t>& stack = pass.dfs_stack;
     double lost = 0.0;
     stack.clear();
     stack.push_back(static_cast<std::uint32_t>(i));
@@ -212,8 +146,8 @@ double ScheduleEvaluator::run(const Schedule& schedule, EvaluatorWorkspace& ws,
       for (std::uint32_t e = ws.pred_offsets[node]; e < ws.pred_offsets[node + 1]; ++e) {
         const std::uint32_t j = ws.pred_list[e];
         if (static_cast<std::int32_t>(j) >= k) continue;  // executed after the failure
-        if (recovered_at[j] == k) continue;               // already recovered/re-executed
-        recovered_at[j] = k;
+        if (pass.recovered_at[j] == k) continue;          // already recovered/re-executed
+        pass.recovered_at[j] = k;
         if (ws.flag[j]) {
           lost += ws.recovery[j];  // reload the checkpoint; stop the walk here
         } else {
@@ -241,22 +175,20 @@ double ScheduleEvaluator::run(const Schedule& schedule, EvaluatorWorkspace& ws,
   // contiguous buffers and handed to the batched kernels (math_kernels.hpp)
   // in one sweep each; the exact backend makes this bit-identical to the
   // historical element-wise loop.
-  const EvalMath math = parallel.math;
-  EvaluatorWorkspace::EvalBlockScratch& serial_blk = ws.pass_scratch;
-  serial_blk.q.resize(n);
-  serial_blk.a.resize(n);
-  serial_blk.b.resize(n);
+  pass.q.resize(n);
+  pass.a.resize(n);
+  pass.b.resize(n);
   {
     double elapsed = 0.0;  // sum of w_j + delta_j c_j, j < i
     for (std::size_t i = 0; i < n; ++i) {
       ws.expm1_wc[i] = lambda * (ws.work[i] + ws.ckpt[i]);
-      serial_blk.q[i] = elapsed;
+      pass.q[i] = elapsed;
       elapsed += ws.work[i] + ws.ckpt[i];
     }
     vexpm1(ws.expm1_wc.data(), ws.expm1_wc.data(), n, math);
-    vexp_neg_mul(lambda, serial_blk.q.data(), serial_blk.q.data(), n, math);
+    vexp_neg_mul(lambda, pass.q.data(), pass.q.data(), n, math);
     for (std::size_t i = 0; i < n; ++i) {
-      const double p = serial_blk.q[i];
+      const double p = pass.q[i];
       if (p > 0.0) {
         ws.accum[i] += p * ws.expm1_wc[i];
         ws.sum_prob[i] += p;
@@ -265,151 +197,76 @@ double ScheduleEvaluator::run(const Schedule& schedule, EvaluatorWorkspace& ws,
   }
 
   // --- Passes k = 0..n-1: last failure during X_k. ----------------------
-  //
-  // Phase A of pass k (stage_pass): walk the lost-work DFS, stage every
-  // record's kernel arguments — S^i_k in q, L^i_k in a — then batch the
-  // pass's transcendentals as three sweeps: q <- e^{-lambda q} for all
-  // records, and for the compacted L > 0 subset a <- e^{-lambda L},
-  // b <- expm1(lambda (L + w_i + delta_i c_i)). The staged expressions and
-  // guards mirror the historical element-wise code token for token, so
-  // the combine consumes bit-identical factors under the exact backend.
-  // Returns one past the last record written.
-  const auto stage_pass = [&](std::size_t k, EvaluatorWorkspace::EvalBlockScratch& blk,
-                              std::size_t r0) -> std::size_t {
+  std::size_t staged_passes = 0;  // each staged pass issues 3 kernel sweeps
+  for (std::size_t k = 0; k < n; ++k) {
+    // P(Z^{k+1}_k) = 1 - sum over earlier failure positions (property B).
+    // It is final before pass k starts, so a dead pass (probability mass
+    // exhausted, or k == n-1 with no later tasks) skips staging entirely:
+    // only L^k_k is still needed, and the skipped DFS epoch marks are
+    // never read again.
+    const double base = k + 1 < n ? std::clamp(1.0 - ws.sum_prob[k + 1], 0.0, 1.0) : 0.0;
+    if (!(base > 0.0)) {
+      ws.self_loss[k] = lost_work(k, k);
+      continue;
+    }
+
+    // Stage: walk the lost-work DFS, stage every record's kernel
+    // arguments — S^i_k in q, L^i_k in a — then batch the pass's
+    // transcendentals as three sweeps: q <- e^{-lambda q} for all records,
+    // and for the compacted L > 0 subset a <- e^{-lambda L},
+    // b <- expm1(lambda (L + w_i + delta_i c_i)). The staged expressions
+    // and guards mirror the historical element-wise code token for token,
+    // so the combine consumes bit-identical factors under the exact
+    // backend.
     double span = 0.0;  // S^i_k = sum_{k<j<i} (L^j_k + w_j + delta_j c_j)
-    std::size_t r = r0;
+    std::size_t records = 0;
     for (std::size_t i = k; i < n; ++i) {
-      const double lost =
-          lost_work(i, static_cast<std::int32_t>(k), blk.recovered_at, blk.dfs_stack);
+      const double lost = lost_work(i, k);
       if (i == k) {
-        ws.self_loss[k] = lost;  // L^k_k; blocks never overlap on k
+        ws.self_loss[k] = lost;  // L^k_k
         continue;
       }
-      blk.q[r] = span;  // staged argument, swept in place below
-      blk.a[r] = lost;  // staged L, rewritten by the compaction below
-      ++r;
+      pass.q[records] = span;  // staged argument, swept in place below
+      pass.a[records] = lost;  // staged L, rewritten by the compaction below
+      ++records;
       span += lost + ws.work[i] + ws.ckpt[i];
     }
-    vexp_neg_mul(lambda, blk.q.data() + r0, blk.q.data() + r0, r - r0, math);
-    blk.lost_idx.clear();
-    blk.arg_a.clear();
-    blk.arg_b.clear();
-    for (std::size_t j = r0; j < r; ++j) {
-      const double lost = blk.a[j];
+    vexp_neg_mul(lambda, pass.q.data(), pass.q.data(), records, math);
+    pass.lost_idx.clear();
+    pass.arg_a.clear();
+    pass.arg_b.clear();
+    for (std::size_t r = 0; r < records; ++r) {
+      const double lost = pass.a[r];
       if (lost == 0.0) {
-        blk.a[j] = -1.0;  // sentinel: combine reuses the memoized expm1_wc[i]
-        blk.b[j] = 0.0;
-      } else if (blk.q[j] > 0.0) {
-        const std::size_t i = k + 1 + (j - r0);
-        blk.lost_idx.push_back(static_cast<std::uint32_t>(j));
-        blk.arg_a.push_back(lost);
-        blk.arg_b.push_back(lambda * (lost + ws.work[i] + ws.ckpt[i]));
+        pass.a[r] = -1.0;  // sentinel: combine reuses the memoized expm1_wc[i]
+        pass.b[r] = 0.0;
+      } else if (pass.q[r] > 0.0) {
+        const std::size_t i = k + 1 + r;
+        pass.lost_idx.push_back(static_cast<std::uint32_t>(r));
+        pass.arg_a.push_back(lost);
+        pass.arg_b.push_back(lambda * (lost + ws.work[i] + ws.ckpt[i]));
       } else {
-        blk.a[j] = 0.0;  // q == 0 forces p == 0; never read
-        blk.b[j] = 0.0;
+        pass.a[r] = 0.0;  // q == 0 forces p == 0; never read
+        pass.b[r] = 0.0;
       }
     }
-    vexp_neg_mul(lambda, blk.arg_a.data(), blk.arg_a.data(), blk.arg_a.size(), math);
-    vexpm1(blk.arg_b.data(), blk.arg_b.data(), blk.arg_b.size(), math);
-    for (std::size_t j = 0; j < blk.lost_idx.size(); ++j) {
-      blk.a[blk.lost_idx[j]] = blk.arg_a[j];
-      blk.b[blk.lost_idx[j]] = blk.arg_b[j];
+    vexp_neg_mul(lambda, pass.arg_a.data(), pass.arg_a.data(), pass.arg_a.size(), math);
+    vexpm1(pass.arg_b.data(), pass.arg_b.data(), pass.arg_b.size(), math);
+    for (std::size_t j = 0; j < pass.lost_idx.size(); ++j) {
+      pass.a[pass.lost_idx[j]] = pass.arg_a[j];
+      pass.b[pass.lost_idx[j]] = pass.arg_b[j];
     }
-    return r;
-  };
 
-  // Accumulation of pass k from its staged factors, in the fixed serial
-  // order (k-major, i ascending) — the same sequence of floating-point
-  // operations regardless of how phase A was scheduled.
-  // P(Z^{k+1}_k) = 1 - sum over earlier failure positions (property B).
-  const auto combine_pass = [&](std::size_t k,
-                                const EvaluatorWorkspace::EvalBlockScratch& blk,
-                                std::size_t r0) -> std::size_t {
-    const double base = k + 1 < n ? std::clamp(1.0 - ws.sum_prob[k + 1], 0.0, 1.0) : 0.0;
-    std::size_t r = r0;
-    for (std::size_t i = k + 1; i < n; ++i, ++r) {
-      if (base > 0.0) {
-        const double p = blk.q[r] * base;
-        if (p > 0.0) {
-          ws.accum[i] += blk.a[r] < 0.0 ? p * ws.expm1_wc[i] : p * blk.a[r] * blk.b[r];
-          ws.sum_prob[i] += p;
-        }
+    // Accumulate the pass from its staged factors, i ascending.
+    for (std::size_t r = 0; r < records; ++r) {
+      const std::size_t i = k + 1 + r;
+      const double p = pass.q[r] * base;
+      if (p > 0.0) {
+        ws.accum[i] += pass.a[r] < 0.0 ? p * ws.expm1_wc[i] : p * pass.a[r] * pass.b[r];
+        ws.sum_prob[i] += p;
       }
     }
-    return r;
-  };
-
-  const std::size_t eval_threads = std::min(parallel.threads, n);
-  std::size_t staged_passes = 0;  // each staged pass issues 3 kernel sweeps
-  if (eval_threads <= 1) {
-    EvaluatorWorkspace::EvalBlockScratch& blk = serial_blk;
-    blk.recovered_at.assign(n, -1);
-    blk.dfs_stack.clear();
-    blk.dfs_stack.reserve(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      // In the serial order base is already final before pass k starts,
-      // so a dead pass (probability mass exhausted, or k == n-1 with no
-      // later tasks) can skip staging entirely: only L^k_k is still
-      // needed, and the skipped DFS epoch marks are never read again.
-      const double base =
-          k + 1 < n ? std::clamp(1.0 - ws.sum_prob[k + 1], 0.0, 1.0) : 0.0;
-      if (base == 0.0) {
-        ws.self_loss[k] =
-            lost_work(k, static_cast<std::int32_t>(k), blk.recovered_at, blk.dfs_stack);
-        continue;
-      }
-      stage_pass(k, blk, 0);
-      combine_pass(k, blk, 0);
-      ++staged_passes;
-    }
-  } else {
-    // Parallel k-blocks. Everything a pass computes except the final
-    // accumulation — the lost-work walks, S^i_k, and the exp/expm1
-    // factors — is independent of other passes (base is the only
-    // cross-pass input, and it only scales the accumulation), so phase A
-    // evaluates whole passes concurrently on private scratch.
-    const std::vector<std::size_t> bounds = eval_block_boundaries(n, eval_threads);
-    const std::size_t block_count = bounds.size() - 1;
-    staged_passes = n;  // parallel phase A stages every pass, dead or not
-    eval_metrics().parallel_runs.add(1);
-    for (std::size_t bi = 0; bi < block_count; ++bi) {
-      eval_metrics().kblock_passes.observe(static_cast<double>(bounds[bi + 1] - bounds[bi]));
-    }
-    ws.blocks.resize(block_count);
-    const auto run_block = [&](std::size_t bi) {
-      EvaluatorWorkspace::EvalBlockScratch& blk = ws.blocks[bi];
-      blk.k_begin = bounds[bi];
-      blk.k_end = bounds[bi + 1];
-      std::size_t records = 0;
-      for (std::size_t k = blk.k_begin; k < blk.k_end; ++k) records += n - 1 - k;
-      blk.q.resize(records);
-      blk.a.resize(records);
-      blk.b.resize(records);
-      blk.recovered_at.assign(n, -1);
-      blk.dfs_stack.clear();
-      blk.dfs_stack.reserve(n);
-      std::size_t r = 0;
-      for (std::size_t k = blk.k_begin; k < blk.k_end; ++k) r = stage_pass(k, blk, r);
-    };
-    if (parallel.pool != nullptr) {
-      TaskGroup group(*parallel.pool);
-      for (std::size_t bi = 0; bi < block_count; ++bi) group.run([&run_block, bi] { run_block(bi); });
-      group.wait();
-    } else {
-      parallel_for(0, block_count, run_block, block_count);
-    }
-
-    // Serial fixed-order combine: replay the contributions in exactly the
-    // serial pass order (k-major, i ascending), so every accum[i] and
-    // sum_prob[i] — and through sum_prob every base — is produced by the
-    // same sequence of floating-point operations as the serial loop
-    // above. Bit-identical for any thread or block count by construction;
-    // no transcendentals left here, so this O(n^2) tail stays cheap.
-    for (std::size_t bi = 0; bi < block_count; ++bi) {
-      const EvaluatorWorkspace::EvalBlockScratch& blk = ws.blocks[bi];
-      std::size_t r = 0;
-      for (std::size_t k = blk.k_begin; k < blk.k_end; ++k) r = combine_pass(k, blk, r);
-    }
+    ++staged_passes;
   }
 
   // --- Combine: E[X_i] = e^{lambda L^i_i} (1/lambda + D) accum[i]. ------

@@ -28,23 +28,12 @@
 // The paper-faithful O(n^4) transcription lives in evaluator_naive.hpp and
 // the two are cross-checked on randomized DAGs by the test suite.
 //
-// Intra-evaluation parallelism (EvalParallel): the k-major passes of the
-// double loop are independent of each other *except* for the scalar
-// multiplier P(Z^{k+1}_k), which folds in earlier passes' contributions to
-// sum_prob. The parallel mode therefore splits k into contiguous blocks
-// (balanced by the triangular per-pass cost, see eval_block_boundaries),
-// computes every pass's base-independent factors on private scratch in
-// parallel, and then replays the accumulation serially in exactly the
-// serial pass order — the same sequence of floating-point operations, so
-// the result is bit-identical to the serial fast path for any thread or
-// block count, by construction.
+// Every evaluation is serial: the engine parallelizes over scenarios and
+// budget candidates, which already fill the cores (see engine.hpp).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
-
-#include "support/sync.hpp"
 
 #include "core/failure_model.hpp"
 #include "core/math_kernels.hpp"
@@ -52,8 +41,6 @@
 #include "workflows/task_graph.hpp"
 
 namespace fpsched {
-
-class ThreadPool;
 
 /// Result of evaluating one schedule.
 struct Evaluation {
@@ -71,32 +58,8 @@ struct Evaluation {
   std::vector<double> per_task_expected;
 };
 
-/// How to run the k-major accumulation of one evaluation.
-struct EvalParallel {
-  /// k-block workers; <= 1 keeps the serial fast path. The result is
-  /// bit-identical for every value (see the header comment).
-  std::size_t threads = 1;
-  /// Shared pool to run the blocks on (a TaskGroup per evaluation, safe
-  /// to join from inside another pool task). When null, transient threads
-  /// are spawned per evaluation — fine for benches, expensive inside a
-  /// sweep's inner loop.
-  ThreadPool* pool = nullptr;
-  /// Transcendental backend for the batched sweeps (see math_kernels.hpp).
-  /// `exact` (the default) is bit-identical to the historical element-wise
-  /// libm output; `fast` trades <= 4 ulp per kernel call for throughput
-  /// and is still deterministic for any thread count.
-  EvalMath math = EvalMath::exact;
-};
-
-/// Contiguous k-block partition of [0, n) into at most `blocks` ranges,
-/// balanced by the triangular per-pass cost (pass k's inner loop runs
-/// n - k times). Returns the boundaries (size blocks' + 1, first 0, last
-/// n); blocks need not divide n and trailing blocks may be empty when
-/// blocks > n. Exposed for the parallel-evaluator tests.
-std::vector<std::size_t> eval_block_boundaries(std::size_t n, std::size_t blocks);
-
-/// Scratch buffers reused across evaluations; one per thread when
-/// evaluating in parallel.
+/// Scratch buffers reused across evaluations; concurrent evaluations
+/// need distinct workspaces.
 class EvaluatorWorkspace {
  public:
   EvaluatorWorkspace() = default;
@@ -104,20 +67,16 @@ class EvaluatorWorkspace {
  private:
   friend class ScheduleEvaluator;
 
-  /// Private scratch of one k-block of a parallel evaluation — and, via
-  /// `pass_scratch`, of the per-pass staging of the serial path: the DFS
-  /// state plus the densely stored base-independent factors of every
-  /// (k, i) pair of the block, in pass order. q = e^{-lambda S^i_k}; for
-  /// L^i_k == 0 the combine reuses the memoized expm1_wc[i] (a < 0 is the
-  /// sentinel), otherwise a = e^{-lambda L^i_k} and
+  /// Per-pass staging: the DFS state plus the base-independent factors of
+  /// every (k, i) pair of one pass. q = e^{-lambda S^i_k}; for L^i_k == 0
+  /// the combine reuses the memoized expm1_wc[i] (a < 0 is the sentinel),
+  /// otherwise a = e^{-lambda L^i_k} and
   /// b = expm1(lambda (L^i_k + w_i + delta_i c_i)). Each pass stages its
   /// kernel arguments into q/a in place and gathers the L > 0 subset into
   /// the compact lost_idx/arg_a/arg_b triple, so the transcendentals run
   /// as three batched sweeps per pass (see math_kernels.hpp) instead of
   /// element-wise libm calls.
-  struct EvalBlockScratch {
-    std::size_t k_begin = 0;
-    std::size_t k_end = 0;
+  struct PassScratch {
     std::vector<std::int32_t> recovered_at;
     std::vector<std::uint32_t> dfs_stack;
     std::vector<double> q;
@@ -139,54 +98,9 @@ class EvaluatorWorkspace {
   std::vector<double> sum_prob;          // sum over processed k of P(Z^i_k)
   std::vector<double> expm1_wc;          // expm1(lambda (w_i + delta_i c_i))
   std::vector<double> self_loss;         // L^i_i
-  std::vector<EvalBlockScratch> blocks;  // parallel mode only
-  EvalBlockScratch pass_scratch;         // serial path: one pass at a time
+  PassScratch pass;
 
   void resize(std::size_t n, std::size_t edges);
-};
-
-/// Thread-safe free list of evaluator workspaces, for task-parallel
-/// callers whose tasks run on whichever pool worker is idle (so a fixed
-/// per-worker workspace array cannot be indexed). acquire() pops a free
-/// workspace or creates one; the Lease returns it on destruction. A
-/// workspace is only ever leased to one task at a time, so the usual
-/// exclusive-use contract of EvaluatorWorkspace holds.
-///
-/// Lifetime contract: every Lease must be destroyed before its pool —
-/// the Lease destructor takes the pool mutex to return the workspace, so
-/// a lease outliving the pool is a use-after-free. In the engine this
-/// holds because leases live only inside pool tasks that are joined
-/// (TaskGroup::wait) before the PoolToken's WorkspacePool dies, but the
-/// ordering is easy to break silently when restructuring teardown; the
-/// pool destructor therefore counts outstanding leases and aborts with a
-/// diagnostic instead of letting the stale unlock corrupt memory. (An
-/// assert would vanish under NDEBUG, which is exactly when the corruption
-/// would go unnoticed.)
-class WorkspacePool {
- public:
-  class Lease {
-   public:
-    Lease(WorkspacePool* pool, std::unique_ptr<EvaluatorWorkspace> workspace)
-        : pool_(pool), workspace_(std::move(workspace)) {}
-    ~Lease();
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-
-    EvaluatorWorkspace& get() { return *workspace_; }
-
-   private:
-    WorkspacePool* pool_;
-    std::unique_ptr<EvaluatorWorkspace> workspace_;
-  };
-
-  ~WorkspacePool();
-
-  Lease acquire();
-
- private:
-  Mutex mutex_;
-  std::vector<std::unique_ptr<EvaluatorWorkspace>> free_ GUARDED_BY(mutex_);
-  std::size_t outstanding_ GUARDED_BY(mutex_) = 0;  // leases not yet returned
 };
 
 /// Evaluates schedules for one (task graph, failure model) pair. The
@@ -199,22 +113,24 @@ class ScheduleEvaluator {
   const TaskGraph& graph() const { return *graph_; }
   const FailureModel& model() const { return model_; }
 
-  /// Full evaluation (validates the schedule). `parallel` selects the
-  /// k-block split and math backend exactly as for expected_makespan.
+  /// Full evaluation (validates the schedule). `math` selects the
+  /// transcendental backend exactly as for expected_makespan.
   Evaluation evaluate(const Schedule& schedule) const;
   Evaluation evaluate(const Schedule& schedule, EvaluatorWorkspace& ws,
-                      const EvalParallel& parallel = {}) const;
+                      EvalMath math = EvalMath::exact) const;
 
   /// Fast path returning only E[makespan]; used by the heuristic sweeps.
   /// `validate` can be disabled when the caller constructed the schedule
-  /// from a known-valid linearization. `parallel` opts into the k-blocked
-  /// evaluation (bit-identical to the serial path for any thread count).
+  /// from a known-valid linearization. `math` picks the backend of the
+  /// batched exp/expm1 sweeps: `exact` (the default) is bit-identical to
+  /// element-wise libm; `fast` trades <= 4 ulp per kernel call for
+  /// throughput (see math_kernels.hpp).
   double expected_makespan(const Schedule& schedule, EvaluatorWorkspace& ws,
-                           bool validate = true, const EvalParallel& parallel = {}) const;
+                           bool validate = true, EvalMath math = EvalMath::exact) const;
 
  private:
   double run(const Schedule& schedule, EvaluatorWorkspace& ws, std::vector<double>* per_task,
-             const EvalParallel& parallel) const;
+             EvalMath math) const;
 
   const TaskGraph* graph_;
   FailureModel model_;

@@ -20,8 +20,9 @@
 //    carry no branches or strided accesses, so -O3 can vectorize them.
 //
 // The fast backend is an explicit opt-in threaded through the whole stack
-// (EvalParallel::math -> EngineOptions/FigureOptions eval_math -> CLI
-// --eval-math -> HTTP eval_math); nothing selects it implicitly.
+// (the evaluator's `math` argument <- SweepOptions::eval <- the engine
+// run's math argument <- FigureOptions::eval_math <- CLI --eval-math /
+// HTTP eval_math); nothing selects it implicitly.
 #pragma once
 
 #include <cstddef>

@@ -18,13 +18,6 @@ namespace fpsched::engine {
 
 namespace {
 
-/// Thread counts come straight from CLI flags and HTTP query parameters;
-/// clamp them to the shared kMaxPoolThreads ceiling.
-std::size_t resolve_workers(std::size_t requested) {
-  const std::size_t resolved = requested == 0 ? default_thread_count() : requested;
-  return std::clamp<std::size_t>(resolved, 1, kMaxPoolThreads);
-}
-
 // Telemetry only (see obs/metrics.hpp for the contract). busy_ns sums the
 // wall time of every scenario across all workers — together with
 // run_seconds it yields worker utilization (busy / (wall * threads)).
@@ -64,37 +57,28 @@ EngineMetrics& engine_metrics() {
 }  // namespace
 
 ExperimentEngine::ExperimentEngine(EngineOptions options)
-    : threads_(resolve_workers(options.threads)),
-      instance_cache_(options.instance_cache),
-      eval_threads_(resolve_workers(options.eval_threads)),
-      eval_math_(options.eval_math) {}
+    : threads_(options.threads == 0 ? default_thread_count()
+                                    : std::min(options.threads, kMaxPoolThreads)),
+      pool_(threads_ > 1 ? std::make_unique<ThreadPool>(threads_ - 1) : nullptr) {}
+
+ExperimentEngine::~ExperimentEngine() = default;
 
 HeuristicOptions ExperimentEngine::worker_options(EvaluatorWorkspace& workspace,
-                                                  const PoolToken& token) const {
+                                                  EvalMath math) const {
   HeuristicOptions options;
-  if (token.pool != nullptr) {
-    // Nested mode: budget candidates and k-blocks go to the shared pool;
-    // the workspace still serves the sweep's serial bits (non-budgeted
-    // strategies, single-candidate paths).
-    options.sweep.pool = token.pool;
-    options.sweep.eval = {token.eval_threads, token.pool, eval_math_};
-    options.sweep.threads = 1;
-  } else {
-    options.sweep.threads = inner_threads();
-    options.sweep.eval.math = eval_math_;
-  }
-  options.sweep.workspace = &workspace;  // honored whenever the sweep is serial
+  options.sweep.workspace = &workspace;
+  options.sweep.pool = pool_.get();
+  options.sweep.eval = math;
   return options;
 }
 
 namespace {
 
-/// The policy-selection logic shared by both run_scenario overloads.
-/// `run_one(heuristic)` must behave as run_heuristic for that heuristic on
-/// the scenario's evaluator; the overloads differ only in whether the
-/// linearization comes from an InstanceCache or is computed from scratch.
-/// `graph` is the scenario's instance (needed by simulated_best, which
-/// replays the winning schedule through the fault simulator).
+/// The policy-selection logic of run_scenario. `run_one(heuristic)` must
+/// behave as run_heuristic for that heuristic on the scenario's
+/// evaluator. `graph` is the scenario's instance (needed by
+/// simulated_best, which replays the winning schedule through the fault
+/// simulator).
 template <typename RunFn>
 ScenarioResult execute_policy(const ScenarioSpec& spec, const TaskGraph& graph, RunFn&& run_one) {
   ScenarioResult result;
@@ -168,43 +152,22 @@ ScenarioResult execute_policy(const ScenarioSpec& spec, const TaskGraph& graph, 
   return result;
 }
 
-HeuristicOptions scenario_options(const ExperimentEngine& engine, const ScenarioSpec& spec,
-                                  EvaluatorWorkspace& workspace, const PoolToken& token) {
-  ensure(spec.stride >= 1, "scenario stride must be >= 1 (" + spec.label() + ")");
-  HeuristicOptions options = engine.worker_options(workspace, token);
-  options.linearize = spec.linearize;
-  options.sweep.stride = spec.stride;
-  return options;
-}
-
 }  // namespace
 
-ScenarioResult ExperimentEngine::run_scenario(const ScenarioSpec& spec,
-                                              EvaluatorWorkspace& workspace,
-                                              const PoolToken& token) const {
-  EngineMetrics& metrics = engine_metrics();
-  const obs::ScopedTimer timer(&metrics.scenario_seconds, &metrics.busy_ns);
-  const obs::TraceSpan span([&] { return "scenario " + spec.label(); });
-  metrics.scenarios.add(1);
-  const TaskGraph graph = spec.instantiate();
-  const ScheduleEvaluator evaluator(graph, spec.model);
-  const HeuristicOptions options = scenario_options(*this, spec, workspace, token);
-  return execute_policy(spec, graph, [&](const HeuristicSpec& heuristic) {
-    return run_heuristic(evaluator, heuristic, options);
-  });
-}
-
 ScenarioResult ExperimentEngine::run_scenario(const ScenarioSpec& spec, InstanceCache& cache,
-                                              const PoolToken& token) const {
+                                              EvalMath math) const {
   ensure(cache.key() == InstanceKey::of(spec),
          "instance cache does not match the scenario (" + spec.label() + ")");
+  ensure(spec.stride >= 1, "scenario stride must be >= 1 (" + spec.label() + ")");
   EngineMetrics& metrics = engine_metrics();
   const obs::ScopedTimer timer(&metrics.scenario_seconds, &metrics.busy_ns);
   const obs::TraceSpan span([&] { return "scenario " + spec.label(); });
   metrics.scenarios.add(1);
   const TaskGraph& graph = cache.graph_for(spec.cost_model);
   const ScheduleEvaluator evaluator(graph, spec.model);
-  const HeuristicOptions options = scenario_options(*this, spec, cache.workspace(), token);
+  HeuristicOptions options = worker_options(cache.workspace(), math);
+  options.linearize = spec.linearize;
+  options.sweep.stride = spec.stride;
   return execute_policy(spec, graph, [&](const HeuristicSpec& heuristic) {
     return run_heuristic(evaluator, heuristic, cache.order(heuristic.linearization), options);
   });
@@ -279,7 +242,8 @@ class OrderedEmitter {
 }  // namespace
 
 std::vector<ScenarioResult> ExperimentEngine::run(std::span<const ScenarioSpec> specs,
-                                                  const ResultCallback& on_result) const {
+                                                  const ResultCallback& on_result,
+                                                  EvalMath math) const {
   EngineMetrics& metrics = engine_metrics();
   metrics.runs.add(1);
   const obs::ScopedTimer run_timer(metrics.run_seconds);
@@ -288,77 +252,14 @@ std::vector<ScenarioResult> ExperimentEngine::run(std::span<const ScenarioSpec> 
   });
   std::vector<ScenarioResult> results(specs.size());
   OrderedEmitter emitter(on_result, results);
-
-  // Nested scheduling: with fewer scenarios than workers (or a serial
-  // engine that was given eval-threads), scenario sharding alone would
-  // leave workers idle. One shared pool runs scenario tasks, stolen
-  // budget-sweep tasks and k-blocks side by side; the calling thread
-  // participates through the groups' cooperative waits, so the pool needs
-  // width - 1 workers. Every task writes only slot-owned state and each
-  // evaluation recombines in serial pass order, so the records are
-  // bit-identical to the serial and scenario-parallel paths.
-  const bool nested = threads_ > 1 && !specs.empty() && specs.size() < threads_;
-  const bool eval_boost = threads_ <= 1 && eval_threads_ > 1 && !specs.empty();
-  if (nested || eval_boost) {
-    const std::size_t width = nested ? threads_ : eval_threads_;
-    ThreadPool pool(width - 1);
-    const PoolToken token{&pool, eval_threads_};
-    const auto run_one = [&](std::size_t index) {
-      // Scenario tasks run on arbitrary threads here, so each owns its
-      // instance materialization outright instead of sharing a per-worker
-      // memo; with scenarios < workers the lost reuse is bounded by the
-      // worker count (and results do not depend on the cache either way).
-      const ScenarioSpec& spec = specs[index];
-      if (instance_cache_) {
-        InstanceCache cache(spec);
-        results[index] = run_scenario(spec, cache, token);
-      } else {
-        EvaluatorWorkspace workspace;
-        results[index] = run_scenario(spec, workspace, token);
-      }
-      emitter.complete(index);
-    };
-    if (nested) {
-      TaskGroup scenarios(pool);
-      for (std::size_t index = 0; index < specs.size(); ++index) {
-        scenarios.run([&run_one, index] { run_one(index); });
-      }
-      scenarios.wait();
-    } else {
-      for (std::size_t index = 0; index < specs.size(); ++index) run_one(index);
-    }
-    return results;
-  }
-
-  if (!instance_cache_) {
-    for_each(specs.size(), [&](std::size_t index, EvaluatorWorkspace& workspace) {
-      results[index] = run_scenario(specs[index], workspace);
-      emitter.complete(index);
-    });
-    return results;
-  }
-
-  // Instance-sharing plan: same scenario sharding as the uncached path,
-  // with a per-worker instance memo. Every result is a pure function of
-  // its spec (the cached state is a pure function of the key), so the
-  // output — written to input-order slots — is identical for any thread
-  // count or work distribution.
-  if (threads_ <= 1 || specs.size() <= 1) {
-    WorkerInstanceCaches caches;
-    for (std::size_t index = 0; index < specs.size(); ++index) {
-      results[index] = run_scenario(specs[index], caches.for_spec(specs[index]));
-      emitter.complete(index);
-    }
-    return results;
-  }
-  std::vector<WorkerInstanceCaches> worker_caches(std::min(threads_, specs.size()));
-  parallel_for_workers(
-      0, specs.size(),
-      [&](std::size_t index, std::size_t worker) {
-        results[index] = run_scenario(specs[index], worker_caches[worker].for_spec(specs[index]));
-        emitter.complete(index);
-      },
-      threads_);
+  // Every result is a pure function of its spec (the cached instance is a
+  // pure function of its key) and lands in its input-order slot, so the
+  // output is identical for any thread count or work distribution.
+  std::vector<WorkerInstanceCaches> caches(std::min(worker_slots(pool_.get()), specs.size()));
+  parallel_for_workers(pool_.get(), 0, specs.size(), [&](std::size_t index, std::size_t worker) {
+    results[index] = run_scenario(specs[index], caches[worker].for_spec(specs[index]), math);
+    emitter.complete(index);
+  });
   return results;
 }
 
@@ -369,29 +270,18 @@ std::vector<ScenarioResult> ExperimentEngine::run(const ScenarioGrid& grid) cons
 
 void ExperimentEngine::for_each(
     std::size_t count, const std::function<void(std::size_t, EvaluatorWorkspace&)>& body) const {
-  if (count == 0) return;
-  if (threads_ <= 1) {
-    EvaluatorWorkspace workspace;
-    for (std::size_t i = 0; i < count; ++i) body(i, workspace);
-    return;
-  }
-  std::vector<EvaluatorWorkspace> workspaces(std::min(threads_, count));
-  parallel_for_workers(
-      0, count,
-      [&](std::size_t index, std::size_t worker) { body(index, workspaces[worker]); }, threads_);
+  std::vector<EvaluatorWorkspace> workspaces(std::min(worker_slots(pool_.get()), count));
+  parallel_for_workers(pool_.get(), 0, count,
+                       [&](std::size_t index, std::size_t worker) { body(index, workspaces[worker]); });
 }
 
 std::vector<HeuristicResult> ExperimentEngine::run_heuristics(
     const ScheduleEvaluator& evaluator, const std::vector<HeuristicSpec>& specs,
     HeuristicOptions options) const {
-  if (threads_ <= 1) {
-    // Serial engine: keep the inner sweep's own parallelism settings.
-    return fpsched::run_heuristics(evaluator, specs, options);
-  }
   std::vector<HeuristicResult> results(specs.size());
+  options.sweep.pool = pool_.get();
   for_each(specs.size(), [&](std::size_t index, EvaluatorWorkspace& workspace) {
     HeuristicOptions local = options;
-    local.sweep.threads = inner_threads();
     local.sweep.workspace = &workspace;
     results[index] = run_heuristic(evaluator, specs[index], local);
   });

@@ -1,30 +1,23 @@
-// ExperimentEngine: sharded parallel execution of scenario lists.
+// ExperimentEngine: parallel execution of scenario lists on one pool.
 //
-// The bench binaries used to run their figure grids as serial loops, with
-// parallelism confined to the innermost checkpoint-budget sweep. The
-// engine inverts that: the *flattened scenario list* is sharded across
-// workers via parallel_for_workers, each worker reuses a private
-// EvaluatorWorkspace, and the inner sweep runs serially inside its
-// scenario. Every scenario's result depends only on its ScenarioSpec
-// (instance seeds and RNG streams are part of the spec), so results are
-// bit-for-bit identical regardless of the thread count.
-//
-// Nested scheduling: scenario-granularity sharding alone caps the speedup
-// at the number of scenarios, so whenever the slice has fewer scenarios
-// than workers, run() switches to one shared ThreadPool for the whole
-// run and hands every scenario worker a PoolToken. The worker's inner
-// budget sweep then submits each candidate as a task on the same pool
-// (and, with eval_threads > 1, each evaluation additionally splits its
-// Theorem-3 k-blocks onto it), so idle scenario workers steal work from
-// in-flight scenarios instead of parking. When scenarios >= workers the
-// engine keeps today's scenario-parallel path. Both paths — and every
-// thread-count / eval-thread combination — produce bit-identical results:
-// every task writes only slot-owned state and the k-block evaluator
-// recombines in serial pass order.
+// The engine owns one ThreadPool for its whole lifetime (threads - 1
+// workers; none for a serial engine) and runs every loop it parallelizes
+// through parallel_for_workers on that pool: the scenarios of run(), the
+// items of for_each, the heuristics of run_heuristics, and — nested in
+// each of those — every budget sweep. The calling thread is worker 0 of
+// the outer loop and pool workers join as helpers while they are idle, so
+// a batch with fewer scenarios than workers still fills the cores from
+// its in-flight sweeps, while a saturated pool posts no sweep helpers at
+// all. The worker index picks per-worker scratch: the instance memo of a
+// scenario worker, the workspace of a sweep helper. Every scenario's
+// result depends only on its ScenarioSpec (instance seeds and RNG
+// streams are part of the spec), so results are bit-for-bit identical
+// for any thread count.
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -36,42 +29,12 @@
 namespace fpsched::engine {
 
 struct EngineOptions {
-  /// Worker threads for scenario sharding. 0 = default_thread_count()
-  /// (honors FPSCHED_THREADS); 1 = serial. Clamped to a hard ceiling of
-  /// 256 real OS threads — thread counts arrive from CLI flags and HTTP
-  /// query parameters, and an absurd request must degrade to "as wide as
-  /// is useful", not exhaust the host's thread limit.
+  /// Worker threads (the caller plus threads - 1 pool workers). 0 =
+  /// default_thread_count() (honors FPSCHED_THREADS); 1 = serial, with no
+  /// pool and no thread besides the caller. Clamped to kMaxPoolThreads —
+  /// an absurd request must degrade to "as wide as is useful", not
+  /// exhaust the host's thread limit.
   std::size_t threads = 0;
-  /// Share one materialized instance (TaskGraph + memoized linearizations
-  /// + workspace) across all scenarios with equal InstanceKeys: each
-  /// run(specs) worker generates and linearizes an instance at most once
-  /// and replays it for every policy/lambda/downtime/cost cell it is
-  /// handed (sharding stays per scenario, so parallelism is unaffected).
-  /// Results are bit-identical either way; disabling this (the
-  /// --no-instance-cache escape hatch of the benches) restores the
-  /// cache-free path, which the equivalence tests compare against.
-  bool instance_cache = true;
-  /// Intra-evaluation k-block workers for the Theorem-3 evaluator (CLI:
-  /// --eval-threads). 1 (default) keeps every evaluation serial; 0 = all
-  /// cores. Takes effect in nested mode (scenarios < workers) and with a
-  /// serial engine (threads == 1), where scenario sharding alone cannot
-  /// fill the machine; the scenario-saturated path ignores it. Results
-  /// are bit-identical for every value.
-  std::size_t eval_threads = 1;
-  /// Transcendental backend for every Theorem-3 evaluation this engine
-  /// runs (CLI: --eval-math; HTTP: eval_math). `exact` reproduces the
-  /// historical libm output bit for bit; `fast` opts into the batched
-  /// polynomial kernels (<= 4 ulp per call, see math_kernels.hpp), still
-  /// deterministic across all thread counts.
-  EvalMath eval_math = EvalMath::exact;
-};
-
-/// Shared-pool token handed to workers in nested mode: the inner budget
-/// sweep submits its candidates to `pool`, and each candidate evaluation
-/// splits into `eval_threads` k-blocks on the same pool.
-struct PoolToken {
-  ThreadPool* pool = nullptr;
-  std::size_t eval_threads = 1;
 };
 
 /// Outcome of one scenario.
@@ -89,23 +52,20 @@ struct ScenarioResult {
 class ExperimentEngine {
  public:
   explicit ExperimentEngine(EngineOptions options = {});
+  ~ExperimentEngine();
+
+  ExperimentEngine(const ExperimentEngine&) = delete;
+  ExperimentEngine& operator=(const ExperimentEngine&) = delete;
 
   /// Effective worker count (>= 1).
   std::size_t thread_count() const { return threads_; }
 
-  /// Thread count nested algorithms (sweeps, exact solvers, greedy
-  /// scans, Monte-Carlo trials) should use inside one of this engine's
-  /// workers: 1 when the engine shards in parallel (a nested pool would
-  /// oversubscribe), 0 (= all cores) when the engine itself is serial.
-  std::size_t inner_threads() const { return threads_ > 1 ? 1 : 0; }
-
   /// Heuristic options for code running inside one of this engine's
-  /// workers: inner sweep threads from inner_threads(), reusing the
-  /// worker's workspace when serial. Callers layer their stride /
-  /// linearization on top. With an active `token` (nested mode) the sweep
-  /// gets the shared pool and eval-thread width instead.
+  /// workers: sweeps evaluate on `workspace` and may be joined by idle
+  /// workers of the engine's pool, with `math` as the backend. Callers
+  /// layer their stride / linearization on top.
   HeuristicOptions worker_options(EvaluatorWorkspace& workspace,
-                                  const PoolToken& token = {}) const;
+                                  EvalMath math = EvalMath::exact) const;
 
   /// Streaming hook for run(): called once per scenario with its input
   /// index and result. Deliveries are serialized and strictly ordered —
@@ -114,55 +74,43 @@ class ExperimentEngine {
   /// still computing on other workers.
   using ResultCallback = std::function<void(std::size_t, const ScenarioResult&)>;
 
-  /// Runs every scenario; results come back in input order and are
-  /// independent of the thread count. A non-null `on_result` receives
-  /// each result in input order as soon as its ordered prefix completes.
+  /// Runs every scenario with `math` as the evaluator backend; results
+  /// come back in input order and are independent of the thread count. A
+  /// non-null `on_result` receives each result in input order as soon as
+  /// its ordered prefix completes. Safe to call concurrently.
   std::vector<ScenarioResult> run(std::span<const ScenarioSpec> specs,
-                                  const ResultCallback& on_result = {}) const;
+                                  const ResultCallback& on_result = {},
+                                  EvalMath math = EvalMath::exact) const;
 
   /// Enumerates and runs a grid.
   std::vector<ScenarioResult> run(const ScenarioGrid& grid) const;
 
-  /// Sharded execution of `count` custom work items: body(index,
-  /// workspace) runs once per index on some worker, with a per-worker
-  /// scratch workspace. The body must write only index-owned state.
-  /// Building block for the study benches whose scenarios are not plain
-  /// kind x size grids (theory instances, ablations, exact solvers).
+  /// Parallel execution of `count` custom work items: body(index,
+  /// workspace) runs once per index on some worker, with one stable
+  /// scratch workspace per worker. The body must write only index-owned
+  /// state. Building block for the study benches whose scenarios are not
+  /// plain kind x size grids (theory instances, ablations, exact solvers).
   void for_each(std::size_t count,
                 const std::function<void(std::size_t, EvaluatorWorkspace&)>& body) const;
 
-  /// Parallel drop-in for fpsched::run_heuristics: shards the heuristic
-  /// list across workers (serializing each inner sweep) and returns the
-  /// numerically identical results in the same order. When the engine
-  /// shards (thread_count() > 1), `options.sweep`'s threads/workspace
-  /// fields are overridden; a serial engine forwards them untouched so
-  /// the inner sweep keeps the caller's own parallelism settings.
+  /// Parallel drop-in for fpsched::run_heuristics: runs the heuristic
+  /// list on the engine's workers (each inner sweep on the worker's
+  /// workspace, joinable by idle workers) and returns the numerically
+  /// identical results in the same order. `options.sweep`'s workspace and
+  /// pool are overridden.
   std::vector<HeuristicResult> run_heuristics(const ScheduleEvaluator& evaluator,
                                               const std::vector<HeuristicSpec>& specs,
                                               HeuristicOptions options = {}) const;
 
-  /// Runs one scenario on the given workspace (the cache-disabled worker
-  /// path: the instance is generated and linearized from scratch).
-  ScenarioResult run_scenario(const ScenarioSpec& spec, EvaluatorWorkspace& workspace,
-                              const PoolToken& token = {}) const;
-
   /// Runs one scenario against a materialized instance. `cache.key()` must
-  /// equal InstanceKey::of(spec); the graph/linearizations are replayed
-  /// from the cache, bit-identical to the workspace overload.
+  /// equal InstanceKey::of(spec); the graph and linearizations are
+  /// replayed from the cache, bit-identical to generating them afresh.
   ScenarioResult run_scenario(const ScenarioSpec& spec, InstanceCache& cache,
-                              const PoolToken& token = {}) const;
-
-  /// Resolved EngineOptions::eval_threads (>= 1).
-  std::size_t eval_threads() const { return eval_threads_; }
-
-  /// The math backend every evaluation of this engine uses.
-  EvalMath eval_math() const { return eval_math_; }
+                              EvalMath math = EvalMath::exact) const;
 
  private:
   std::size_t threads_;
-  bool instance_cache_;
-  std::size_t eval_threads_;
-  EvalMath eval_math_;
+  std::unique_ptr<ThreadPool> pool_;  // null when threads_ == 1
 };
 
 }  // namespace fpsched::engine

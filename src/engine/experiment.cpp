@@ -124,10 +124,7 @@ void run_experiment(const Experiment& experiment, const FigureOptions& options,
   if (text && !plan.heading.empty()) *text << plan.heading << "\n";
 
   const auto [begin, end] = shard_range(specs.size(), shard);
-  const ExperimentEngine engine({.threads = options.threads,
-                                 .instance_cache = options.instance_cache,
-                                 .eval_threads = options.eval_threads,
-                                 .eval_math = options.eval_math});
+  const ExperimentEngine engine({.threads = options.threads});
 
   // Level 1: every scenario result as a record, in flattened order —
   // streamed live through the engine's ordered callback, so a record
@@ -143,7 +140,8 @@ void run_experiment(const Experiment& experiment, const FigureOptions& options,
         while (panel_index + 1 < offsets.size() && i >= offsets[panel_index + 1]) ++panel_index;
         const ResultRecord record{experiment.name, plan.panels[panel_index].slug, result};
         for (ResultSink* sink : sinks) sink->record(record);
-      });
+      },
+      options.eval_math);
 
   // Level 2: assembled panels — only when this process ran the whole
   // grid (a shard's slice does not cover whole panels).

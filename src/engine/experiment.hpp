@@ -1,5 +1,5 @@
 // First-class experiments: the declarative registry behind fpsched_run
-// and the per-figure binaries.
+// and the HTTP service.
 //
 // The paper's evaluation is one big scenario grid, but the repo used to
 // expose it as ten near-identical figure binaries hand-wiring PanelSpecs.
@@ -28,22 +28,14 @@
 namespace fpsched::engine {
 
 /// The shared experiment knobs every figure builder consumes (the CLI of
-/// the bench binaries maps onto this 1:1).
+/// fpsched_run maps onto this 1:1).
 struct FigureOptions {
   std::vector<std::size_t> sizes{50, 100, 200, 300, 400, 500, 600, 700};
   std::size_t stride = 1;   // N-sweep stride (1 = exhaustive, as the paper)
   std::uint64_t seed = 42;  // workflow generation seed
   double weight_cv = 0.2;
   std::string csv_dir;       // empty = no CSV output
-  std::size_t threads = 0;   // scenario-shard workers; 0 = all cores
-  /// Intra-evaluation k-block workers for the Theorem-3 evaluator
-  /// (--eval-threads / eval_threads query param). 1 = serial evaluations
-  /// (default), 0 = all cores; kicks in when scenario sharding alone
-  /// cannot fill the workers. Output is bit-identical for every value.
-  std::size_t eval_threads = 1;
-  /// Share materialized instances across the scenarios of a figure
-  /// (--no-instance-cache disables it; results are identical either way).
-  bool instance_cache = true;
+  std::size_t threads = 0;   // engine workers (CLI --threads); 0 = all cores
   /// Evaluator math backend (--eval-math / eval_math query param):
   /// `exact` (default, bit-identical to libm) or `fast` (batched
   /// polynomial kernels, <= 4 ulp per call — see math_kernels.hpp).
@@ -78,17 +70,8 @@ struct FigurePlan {
 /// a figure or study by name.
 struct Experiment {
   std::string name;     // registry key, e.g. "fig2"
-  std::string summary;  // one-liner for --list and the shims' --help
+  std::string summary;  // one-liner for --list
   std::function<FigurePlan(const FigureOptions&)> build;
-  /// Whether the builder consumes FigureOptions::tasks/downtimes. The
-  /// per-figure shims register `--tasks`/`--downtimes` only when true, so
-  /// a size-axis binary keeps rejecting them instead of silently
-  /// ignoring a flag the user thinks took effect (fpsched_run registers
-  /// them always — it can run any mix of experiments).
-  bool sweep_options = false;
-  /// Whether the builder consumes FigureOptions::trials — same contract
-  /// as sweep_options, for the `--trials` flag of the simulated studies.
-  bool trial_options = false;
 };
 
 /// Name -> Experiment map with registration-order listing. Lookup of an

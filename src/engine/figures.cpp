@@ -2,10 +2,9 @@
 //
 // Each figure that used to be a hand-written bench main is declared here
 // as data: a name, a summary, and a FigurePlan builder over the shared
-// FigureOptions. The per-figure binaries (bench/fig*.cpp) and the
-// fpsched_run driver both resolve these through
-// ExperimentRegistry::global(), so their output is byte-identical by
-// construction.
+// FigureOptions. The fpsched_run driver and the HTTP service both resolve
+// these through ExperimentRegistry::global(), so their output is
+// byte-identical by construction.
 #include <cctype>
 
 #include "engine/experiment.hpp"
@@ -273,8 +272,7 @@ FigurePlan build_theory(const FigureOptions& options) {
 }
 
 FigurePlan build_robustness(const FigureOptions& options) {
-  // The old bench/robustness_weibull study as a registered experiment:
-  // for each workflow, pick the best schedule across ALL heuristics under
+  // The robustness study: for each workflow, pick the best schedule across ALL heuristics under
   // the exponential model, then re-score that same schedule under (i) the
   // analytic expectation (baseline), (ii) simulated exponential failures
   // (model sanity — must agree with the baseline within Monte-Carlo
@@ -326,16 +324,16 @@ void register_paper_figures(ExperimentRegistry& registry) {
   registry.add({"fig5", "Figure 5: checkpointing strategies, c = 0.01 w", build_fig5});
   registry.add({"fig6", "Figure 6: checkpointing strategies, c = 5 s", build_fig6});
   registry.add({"fig7", "Figure 7: ratio vs failure rate at a fixed size, c = 0.1 w",
-                build_fig7, /*sweep_options=*/true});
+                build_fig7});
   registry.add({"downtime",
                 "Downtime sweep: ratio vs per-failure downtime D at a fixed size, c = 0.1 w",
-                build_downtime, /*sweep_options=*/true});
+                build_downtime});
   registry.add({"theory",
                 "Theory validation: Theorem-3 evaluator grid at exhaustively checkable sizes",
                 build_theory});
   registry.add({"robustness",
                 "Robustness: exponential-optimized schedules under simulated Weibull failures",
-                build_robustness, /*sweep_options=*/true, /*trial_options=*/true});
+                build_robustness});
 }
 
 }  // namespace fpsched::engine

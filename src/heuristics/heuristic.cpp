@@ -44,10 +44,9 @@ HeuristicResult run_heuristic(const ScheduleEvaluator& evaluator, const Heuristi
   result.spec = spec;
   result.best_budget = sweep.best_budget;
   result.curve = std::move(sweep.curve);
-  // Re-evaluate the winner with the sweep's own parallel/math settings so
-  // the recorded Evaluation comes from the same backend as the sweep that
-  // selected it (for the exact backend this is bit-identical to a plain
-  // evaluate()).
+  // Re-evaluate the winner with the sweep's math backend so the recorded
+  // Evaluation comes from the same backend as the sweep that selected it
+  // (for the exact backend this is bit-identical to a plain evaluate()).
   EvaluatorWorkspace local_ws;
   EvaluatorWorkspace& ws = options.sweep.workspace ? *options.sweep.workspace : local_ws;
   result.evaluation = evaluator.evaluate(sweep.best_schedule, ws, options.sweep.eval);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "support/env.hpp"
 #include "support/error.hpp"
 #include "support/threading.hpp"
 
@@ -24,13 +23,13 @@ SweepResult sweep_checkpoint_budget(const ScheduleEvaluator& evaluator,
   validate_schedule(graph, make_schedule(order));
 
   EvaluatorWorkspace local_ws;
-  EvaluatorWorkspace& serial_ws = options.workspace ? *options.workspace : local_ws;
+  EvaluatorWorkspace& caller_ws = options.workspace ? *options.workspace : local_ws;
 
   SweepResult result;
   if (!is_budgeted(strategy)) {
     Schedule schedule = make_heuristic_schedule(graph, order, strategy, 0);
     result.best_expected_makespan =
-        evaluator.expected_makespan(schedule, serial_ws, /*validate=*/false, options.eval);
+        evaluator.expected_makespan(schedule, caller_ws, /*validate=*/false, options.eval);
     result.best_budget = schedule.checkpoint_count();
     result.curve.push_back(
         {result.best_budget, schedule.checkpoint_count(), result.best_expected_makespan});
@@ -51,39 +50,18 @@ SweepResult sweep_checkpoint_budget(const ScheduleEvaluator& evaluator,
   std::vector<SweepPoint> points(budgets.size());
   std::vector<Schedule> schedules(budgets.size());
 
-  const std::size_t worker_count =
-      options.threads == 0 ? default_thread_count() : options.threads;
-  const auto evaluate_budget = [&](std::size_t idx, EvaluatorWorkspace& ws) {
+  // Worker 0 is this thread on the caller's workspace; each helper gets
+  // its own.
+  const std::size_t helpers = std::min(worker_slots(options.pool), budgets.size()) - 1;
+  std::vector<EvaluatorWorkspace> helper_ws(helpers);
+  parallel_for_workers(options.pool, 0, budgets.size(), [&](std::size_t idx, std::size_t worker) {
+    EvaluatorWorkspace& ws = worker == 0 ? caller_ws : helper_ws[worker - 1];
     Schedule schedule = make_heuristic_schedule(graph, order, strategy, budgets[idx]);
     const double expected =
         evaluator.expected_makespan(schedule, ws, /*validate=*/false, options.eval);
     points[idx] = {budgets[idx], schedule.checkpoint_count(), expected};
     schedules[idx] = std::move(schedule);
-  };
-  if (options.pool != nullptr) {
-    // Shared-pool token: one task per budget, executed by whichever pool
-    // worker (or this thread, via the cooperative wait) is idle. Tasks run
-    // on arbitrary threads, so workspaces come from a free list instead of
-    // a per-worker array; every candidate still writes only its own slot,
-    // so any interleaving yields the same bits.
-    WorkspacePool workspaces;
-    TaskGroup group(*options.pool);
-    for (std::size_t idx = 0; idx < budgets.size(); ++idx) {
-      group.run([&, idx] {
-        WorkspacePool::Lease lease = workspaces.acquire();
-        evaluate_budget(idx, lease.get());
-      });
-    }
-    group.wait();
-  } else if (worker_count <= 1) {
-    for (std::size_t idx = 0; idx < budgets.size(); ++idx) evaluate_budget(idx, serial_ws);
-  } else {
-    std::vector<EvaluatorWorkspace> workspaces(worker_count);
-    parallel_for_workers(
-        0, budgets.size(),
-        [&](std::size_t idx, std::size_t worker) { evaluate_budget(idx, workspaces[worker]); },
-        worker_count);
-  }
+  });
 
   std::size_t best = 0;
   for (std::size_t i = 1; i < points.size(); ++i) {

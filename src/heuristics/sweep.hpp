@@ -3,20 +3,15 @@
 // The budgeted strategies (CkptW/C/D/Per) fix the number of checkpoints N
 // and the paper searches N = 1..n-1 exhaustively, evaluating each
 // candidate schedule with the Theorem-3 evaluator and keeping the best.
-// The sweep is embarrassingly parallel over N; each worker reuses a
-// private evaluator workspace. A stride > 1 subsamples the N grid — an
-// ablation bench quantifies the quality loss.
+// A stride > 1 subsamples the N grid — an ablation bench quantifies the
+// quality loss.
 //
-// Three execution modes, all producing bit-identical results (every
-// candidate writes to its own slot and each evaluation is a pure function
-// of its schedule):
-//  * serial (threads == 1): one workspace, optionally caller-owned;
-//  * standalone parallel (threads != 1, no pool): transient threads via
-//    parallel_for_workers, as before;
-//  * shared-pool (options.pool set — the engine's nested mode): each
-//    budget becomes a task on the shared ThreadPool, joined with a
-//    cooperative TaskGroup so the calling scenario worker evaluates
-//    candidates itself while *idle* pool workers steal the rest.
+// The candidates run through parallel_for_workers on `pool`: the caller
+// evaluates budgets itself (worker 0, on the caller's workspace) while
+// idle pool workers join on private workspaces. Without a pool, or when
+// the pool is busy, the sweep is serial. Every candidate writes only its
+// own slot and each evaluation is a pure function of its schedule, so
+// the result is bit-identical however the budgets were distributed.
 #pragma once
 
 #include <cstdint>
@@ -33,25 +28,17 @@ class ThreadPool;
 struct SweepOptions {
   /// Evaluate budgets 1, 1+stride, 1+2*stride, ...; n-1 is always included.
   std::size_t stride = 1;
-  /// 0 = default_thread_count(); 1 = serial. Ignored when `pool` is set
-  /// (the pool's width governs).
-  std::size_t threads = 0;
   /// Also evaluate N = 0 (no checkpoints). The paper sweeps 1..n-1 only;
   /// keeping 0 off by default stays faithful.
   bool include_zero = false;
-  /// Optional caller-owned scratch reused when the sweep runs serially
-  /// (threads == 1) and for the non-budgeted single-candidate path — lets
-  /// an outer scenario shard keep one workspace per worker. Budget tasks
-  /// of parallel sweeps use pooled workspaces instead.
+  /// Optional caller-owned scratch for the caller's own evaluations (and
+  /// the single candidate of a non-budgeted strategy) — lets an outer
+  /// scenario worker keep one workspace across sweeps.
   EvaluatorWorkspace* workspace = nullptr;
-  /// Shared-pool token (the engine's nested mode): when set, budget
-  /// candidates are submitted to this pool as a TaskGroup instead of the
-  /// sweep spinning its own threads, so idle scenario workers steal them.
+  /// Pool whose idle workers may join the sweep (null = serial).
   ThreadPool* pool = nullptr;
-  /// Intra-evaluation k-block parallelism for every candidate evaluation
-  /// (forwarded to ScheduleEvaluator::expected_makespan). With `pool` set
-  /// the k-block tasks land on the same shared pool.
-  EvalParallel eval = {};
+  /// Transcendental backend of every candidate evaluation.
+  EvalMath eval = EvalMath::exact;
 
   /// Throws InvalidArgument unless the options are well formed
   /// (stride >= 1; 0 would loop forever on the budget grid).

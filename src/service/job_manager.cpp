@@ -4,7 +4,6 @@
 #include <span>
 #include <utility>
 
-#include "engine/engine.hpp"
 #include "engine/result_sink.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -491,31 +490,26 @@ void JobManager::run_job(const std::shared_ptr<Job>& job) {
       }
     };
 
-    if (!miss_specs.empty()) {
-      const engine::ExperimentEngine engine({.threads = job->request.options.threads,
-                                             .instance_cache = job->request.options.instance_cache,
-                                             .eval_threads = job->request.options.eval_threads,
-                                             .eval_math = math});
-      // The ordered callback serializes deliveries in miss order; cached
-      // positions between two misses are interleaved here so the stream
-      // grows strictly in flatten-plan order, live.
-      engine.run(miss_specs, [&](std::size_t index, const engine::ScenarioResult& result) {
-        const std::size_t pos = miss_positions[index];
-        if (live) emit_hits_up_to(pos);
-        const ResultCacheKey key = ResultCacheKey::of(result.spec, math);
-        const std::string body = engine::record_body_json(result);
-        // Insert BEFORE appending (a deleted job still warms the cache):
-        // every buffered line is replayable the moment it exists.
-        cache_.insert(key, body);
-        if (!live) return;
-        std::string line =
-            engine::record_json_prefix(job->request.experiment, job->slugs[job->positions[pos].slug]);
-        line += body;
-        line += '\n';
-        live = append_line(job, std::move(line));
-        if (live) emitted = pos + 1;
-      });
-    }
+    // The engine's ordered callback serializes deliveries in miss order;
+    // cached positions between two misses are interleaved here so the
+    // stream grows strictly in flatten-plan order, live.
+    const auto on_miss = [&](std::size_t index, const engine::ScenarioResult& result) {
+      const std::size_t pos = miss_positions[index];
+      if (live) emit_hits_up_to(pos);
+      const ResultCacheKey key = ResultCacheKey::of(result.spec, math);
+      const std::string body = engine::record_body_json(result);
+      // Insert BEFORE appending (a deleted job still warms the cache):
+      // every buffered line is replayable the moment it exists.
+      cache_.insert(key, body);
+      if (!live) return;
+      std::string line =
+          engine::record_json_prefix(job->request.experiment, job->slugs[job->positions[pos].slug]);
+      line += body;
+      line += '\n';
+      live = append_line(job, std::move(line));
+      if (live) emitted = pos + 1;
+    };
+    if (!miss_specs.empty()) engine_.run(miss_specs, on_miss, math);
     if (live) emit_hits_up_to(job->positions.size());
     if (replay_failed) {
       throw Error(

@@ -4,8 +4,10 @@
 // validates the request against the registry — including building the
 // plan, so a bad option fails the POST, not the worker — then enqueues
 // it. A fixed set of executor threads (one by default: each job already
-// parallelizes across cores inside the ExperimentEngine) pops jobs in
-// submission order. The executor flattens the job's plan, looks every
+// parallelizes across cores) pops jobs in submission order and runs them
+// on the manager's one ExperimentEngine, built at start-up and sized by
+// default_thread_count() (FPSCHED_THREADS) — the server owns its compute
+// pool, no request sizes it. The executor flattens the job's plan, looks every
 // scenario up in the shared content-addressed ResultCache, and runs only
 // the misses through the engine — cached records are replayed and merged
 // into the stream at their flatten-plan positions, so a cache-served
@@ -40,6 +42,7 @@
 #include <thread>
 #include <vector>
 
+#include "engine/engine.hpp"
 #include "engine/experiment.hpp"
 #include "service/result_cache.hpp"
 #include "support/error.hpp"
@@ -110,8 +113,9 @@ struct JobManagerOptions {
   /// retained for inspection and evicted by count/age below.
   std::size_t max_jobs = 64;
   /// Executor threads. 1 serializes jobs — usually right, since each
-  /// job saturates the machine through the engine's own sharding. 0 is
-  /// allowed for tests: jobs queue but never run until deleted.
+  /// job saturates the machine through the engine's pool (shared by all
+  /// executors). 0 is allowed for tests: jobs queue but never run until
+  /// deleted.
   std::size_t executors = 1;
   /// Largest per-instance task count a request may ask for. Instance
   /// memory is O(tasks + edges), so without a ceiling one untrusted
@@ -253,6 +257,8 @@ class JobManager {
   const engine::ExperimentRegistry& registry_;
   Options options_;
   ResultCache cache_;
+  /// Runs every job's cache misses; safe to share across executors.
+  const engine::ExperimentEngine engine_;
 
   mutable Mutex mutex_;
   /// Signals every state change: new records, state transitions, new

@@ -92,10 +92,6 @@ JobRequest parse_job_request(const std::map<std::string, std::string>& params) {
       request.options.seed = parse_u64(key, value);
     } else if (key == "weight_cv") {
       request.options.weight_cv = parse_number(key, value);
-    } else if (key == "threads") {
-      request.options.threads = static_cast<std::size_t>(parse_u64(key, value));
-    } else if (key == "eval_threads") {
-      request.options.eval_threads = static_cast<std::size_t>(parse_u64(key, value));
     } else if (key == "eval_math") {
       request.options.eval_math = parse_eval_math(value);
     } else if (key == "tasks") {
@@ -115,13 +111,12 @@ JobRequest parse_job_request(const std::map<std::string, std::string>& params) {
       request.options.trials = static_cast<std::size_t>(trials);
     } else if (key == "quick") {
       quick = parse_bool(key, value);
-    } else if (key == "instance_cache") {
-      request.options.instance_cache = parse_bool(key, value);
     } else {
-      throw InvalidArgument(
-          "unknown parameter '" + key +
-          "' (known: experiment, sizes, stride, seed, weight_cv, threads, eval_threads, "
-          "eval_math, tasks, downtimes, trials, quick, instance_cache)");
+      // Server resources (threads) are not request parameters: the
+      // server's engine is sized once, by FPSCHED_THREADS.
+      throw InvalidArgument("unknown parameter '" + key +
+                            "' (known: experiment, sizes, stride, seed, weight_cv, eval_math, "
+                            "tasks, downtimes, trials, quick)");
     }
   }
   if (request.experiment.empty()) {

@@ -36,11 +36,13 @@
 namespace fpsched::service {
 
 /// Request params -> run request. Requires "experiment"; understands the
-/// FigureOptions surface of the CLI: sizes, stride, seed, weight_cv,
-/// threads, tasks, downtimes, quick, instance_cache. Unknown keys are
-/// rejected (a typo must not silently run the default grid). Boolean
-/// values accept 1/0, true/false, yes/no, on/off, and the bare-key form
-/// ("?quick"). Like --quick, quick=1 overrides sizes/stride.
+/// FigureOptions surface of the CLI except server resources: sizes,
+/// stride, seed, weight_cv, eval_math, tasks, downtimes, trials, quick.
+/// Unknown keys — including `threads` — are rejected (a typo must not
+/// silently run the default grid, and a client must not size the
+/// server's pool). Boolean values accept 1/0, true/false, yes/no, on/off,
+/// and the bare-key form ("?quick"). Like --quick, quick=1 overrides
+/// sizes/stride.
 JobRequest parse_job_request(const std::map<std::string, std::string>& params);
 
 /// Flat JSON object -> params map, for POST /runs bodies: values may be

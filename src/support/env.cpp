@@ -1,5 +1,7 @@
 #include "support/env.hpp"
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <thread>
 
@@ -13,16 +15,22 @@ std::optional<std::string> env_string(const std::string& name) {
 
 std::size_t env_size(const std::string& name, std::size_t fallback) {
   const auto raw = env_string(name);
-  if (!raw || raw->empty()) return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(raw->c_str(), &end, 10);
-  if (end == raw->c_str() || *end != '\0') return fallback;
+  // strtoull alone would accept leading whitespace and a sign, silently
+  // wrapping "-1" to 2^64 - 1.
+  if (!raw || raw->empty() || raw->find_first_not_of("0123456789") != std::string::npos) {
+    return fallback;
+  }
+  errno = 0;
+  const unsigned long long parsed = std::strtoull(raw->c_str(), nullptr, 10);
+  if (errno == ERANGE) return fallback;
   return static_cast<std::size_t>(parsed);
 }
 
 std::size_t default_thread_count() {
-  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-  return env_size("FPSCHED_THREADS", hw);
+  const std::size_t hw =
+      std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1, kMaxPoolThreads);
+  const std::size_t requested = env_size("FPSCHED_THREADS", hw);
+  return requested == 0 ? hw : std::min(requested, kMaxPoolThreads);
 }
 
 }  // namespace fpsched

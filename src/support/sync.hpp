@@ -1,11 +1,11 @@
 // Annotated synchronization primitives for Clang's thread-safety
 // analysis (-Wthread-safety).
 //
-// The engine runs three nested levels of hand-rolled parallelism
-// (scenario workers -> budget TaskGroups -> k-block evaluator splits)
-// plus a multithreaded HTTP service, and its core promise — byte-identical
-// output under every threads x eval-threads x shard combination — depends
-// on strict lock discipline around the little shared state that exists.
+// The engine nests parallel loops on one shared pool (scenario workers ->
+// budget sweeps joined through cooperative TaskGroups) next to a
+// multithreaded HTTP service, and its core promise — byte-identical
+// output under every thread count and shard combination — depends on
+// strict lock discipline around the little shared state that exists.
 // TSan only sees the interleavings that actually execute; these wrappers
 // let Clang prove lock discipline at compile time instead:
 //

@@ -1,16 +1,16 @@
 #include "support/threading.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
+#include <optional>
 #include <utility>
 
-#include "support/env.hpp"
 #include "support/error.hpp"
 
 namespace fpsched {
 
-ThreadPool::ThreadPool(std::size_t num_threads) {
+ThreadPool::ThreadPool(std::size_t num_threads)
+    : idle_(static_cast<std::ptrdiff_t>(num_threads)) {
   ensure(num_threads >= 1, "thread pool needs at least one worker");
   workers_.reserve(num_threads);
   try {
@@ -42,21 +42,17 @@ ThreadPool::~ThreadPool() {
 std::future<void> ThreadPool::submit(std::function<void()> task) {
   std::packaged_task<void()> packaged(std::move(task));
   std::future<void> future = packaged.get_future();
-  {
-    const LockGuard lock(mutex_);
-    ensure(!stopping_, "submit on a stopping pool");
-    queue_.push_back({std::move(packaged), nullptr});
-  }
-  cv_.notify_one();
+  enqueue({std::move(packaged), {}});
   return future;
 }
 
-void ThreadPool::enqueue_ticket(std::shared_ptr<GroupState> group) {
+void ThreadPool::enqueue(Item item) {
   {
     const LockGuard lock(mutex_);
-    ensure(!stopping_, "TaskGroup::run on a stopping pool");
-    queue_.push_back({{}, std::move(group)});
+    ensure(!stopping_, "enqueue on a stopping pool");
+    queue_.push_back(std::move(item));
   }
+  idle_.fetch_sub(1, std::memory_order_relaxed);
   cv_.notify_one();
 }
 
@@ -97,13 +93,13 @@ void ThreadPool::worker_loop() {
       item = std::move(queue_.front());
       queue_.pop_front();
     }
-    if (item.group) {
-      // Stale tickets (the waiter already ran the task itself) are
-      // dropped by run_one returning false.
-      item.group->run_one();
-    } else {
+    if (item.task.valid()) {
       item.task();  // exceptions are captured in the packaged_task's future
+    } else if (const std::shared_ptr<GroupState> group = item.group.lock()) {
+      // A ticket whose task the waiter already ran finds nothing to claim.
+      group->run_one();
     }
+    idle_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -125,7 +121,7 @@ void TaskGroup::run(std::function<void()> task) {
     state_->tasks.push_back(std::move(task));
     ++state_->outstanding;
   }
-  pool_->enqueue_ticket(state_);
+  pool_->enqueue({{}, state_});
 }
 
 void TaskGroup::wait() {
@@ -147,66 +143,79 @@ void TaskGroup::wait() {
   }
 }
 
-namespace {
-
-void run_indexed(std::size_t begin, std::size_t end,
-                 const std::function<void(std::size_t, std::size_t)>& body,
-                 std::size_t num_threads) {
+void parallel_for_workers(ThreadPool* pool, std::size_t begin, std::size_t end,
+                          const std::function<void(std::size_t, std::size_t)>& body) {
   if (begin >= end) return;
-  const std::size_t n = end - begin;
-  std::size_t threads = num_threads == 0 ? default_thread_count() : num_threads;
-  threads = std::min(threads, n);
-  if (threads <= 1) {
+  const std::size_t max_helpers = pool == nullptr ? 0 : std::min(pool->size(), end - begin - 1);
+  if (max_helpers == 0) {
     for (std::size_t i = begin; i < end; ++i) body(i, 0);
     return;
   }
 
-  // Dynamic chunking over a shared atomic cursor: good load balance when
-  // per-index cost varies (e.g. evaluator cost grows with checkpoint count).
   std::atomic<std::size_t> cursor{begin};
-  const std::size_t chunk = std::max<std::size_t>(1, n / (threads * 8));
-  std::exception_ptr first_error;
+  std::atomic<std::size_t> next_worker{1};
   Mutex error_mutex;
-
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (std::size_t worker = 0; worker < threads; ++worker) {
-    pool.emplace_back([&, worker] {
-      for (;;) {
-        const std::size_t lo = cursor.fetch_add(chunk);
-        if (lo >= end) return;
-        const std::size_t hi = std::min(end, lo + chunk);
-        for (std::size_t i = lo; i < hi; ++i) {
-          try {
-            body(i, worker);
-          } catch (...) {
-            const LockGuard lock(error_mutex);
-            if (!first_error) first_error = std::current_exception();
-            return;
-          }
-        }
-        {
-          const LockGuard lock(error_mutex);
-          if (first_error) return;
-        }
+  std::exception_ptr first_error;
+  // Runs one index; on a throw records the first error and drains the
+  // cursor so every worker stops claiming.
+  const auto run_index = [&](std::size_t index, std::size_t worker) {
+    try {
+      body(index, worker);
+      return true;
+    } catch (...) {
+      {
+        const LockGuard lock(error_mutex);
+        if (!first_error) first_error = std::current_exception();
       }
-    });
+      cursor.store(end);
+      return false;
+    }
+  };
+  const auto helper = [&] {
+    const std::size_t worker = next_worker.fetch_add(1);
+    for (std::size_t i = cursor.fetch_add(1); i < end; i = cursor.fetch_add(1)) {
+      if (!run_index(i, worker)) return;
+    }
+  };
+
+  std::optional<TaskGroup> helpers;  // created by the first post
+  std::size_t posted = 0;
+  // Whether an unclaimed index is left for one more helper on top of the
+  // posted ones that have not started yet.
+  const auto work_for_another_helper = [&] {
+    const std::size_t pending = posted - (next_worker.load() - 1);
+    return cursor.load() + pending < end;
+  };
+  for (std::size_t i = cursor.fetch_add(1); i < end; i = cursor.fetch_add(1)) {
+    // Before each index, hand every idle pool worker a helper.
+    while (posted < max_helpers && pool->has_idle_worker() && work_for_another_helper()) {
+      if (!helpers) helpers.emplace(*pool);
+      helpers->run(helper);
+      ++posted;
+    }
+    if (!run_index(i, 0)) break;
   }
-  for (auto& t : pool) t.join();
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-}  // namespace
-
-void parallel_for(std::size_t begin, std::size_t end, const std::function<void(std::size_t)>& body,
-                  std::size_t num_threads) {
-  run_indexed(begin, end, [&](std::size_t i, std::size_t) { body(i); }, num_threads);
+  if (helpers) helpers->wait();
+  std::exception_ptr error;
+  {
+    const LockGuard lock(error_mutex);
+    error = first_error;
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 void parallel_for_workers(std::size_t begin, std::size_t end,
                           const std::function<void(std::size_t, std::size_t)>& body,
                           std::size_t num_threads) {
-  run_indexed(begin, end, body, num_threads);
+  const std::size_t requested = num_threads == 0 ? default_thread_count() : num_threads;
+  const std::size_t threads =
+      std::min({requested, end > begin ? end - begin : std::size_t{0}, kMaxPoolThreads});
+  if (threads <= 1) {
+    parallel_for_workers(nullptr, begin, end, body);
+    return;
+  }
+  ThreadPool pool(threads - 1);
+  parallel_for_workers(&pool, begin, end, body);
 }
 
 }  // namespace fpsched

@@ -1,22 +1,23 @@
-// Shared-memory parallelism helpers: a fixed thread pool, nested task
-// groups, and parallel_for.
+// Shared-memory parallelism: a fixed thread pool, cooperative task
+// groups, and parallel_for_workers — the one loop every parallel caller
+// runs.
 //
-// The heuristics' exhaustive N-sweeps and the Monte-Carlo trial runner are
-// embarrassingly parallel; we follow the "think in tasks, not threads"
-// guideline: callers submit index ranges, workers own private scratch
-// space, and results are written to disjoint slots so no locking is needed
-// on the hot path.
+// We follow the "think in tasks, not threads" guideline: callers hand an
+// index range to parallel_for_workers, per-worker scratch is picked by
+// the worker index, and results go to disjoint slots so the hot path
+// needs no locking.
 //
-// TaskGroup extends the pool with *nested* parallelism: a task already
-// running on a pool worker can fan out subtasks onto the same pool and
-// join them without deadlock, because wait() helps — it executes the
-// group's own queued tasks on the calling thread and only blocks when
-// every remaining task of the group is being executed by another thread.
-// Idle pool workers pull queued group tasks exactly like plain submitted
-// tasks, which is what lets an idle scenario worker steal budget-sweep or
-// k-block tasks from an in-flight scenario.
+// The loop's caller is worker 0 and claims indices one at a time from a
+// shared atomic cursor. Before each index it posts one helper per idle
+// pool worker (ThreadPool::has_idle_worker, a relaxed counter) as long as
+// unclaimed indices remain for them; a helper claims indices from the
+// same cursor until it runs dry. A saturated pool therefore posts nothing, and a worker that frees
+// up joins an in-flight loop within one body call. Helpers are TaskGroup
+// tasks, so a loop nested in another loop's body (a budget sweep inside a
+// scenario) joins through the cooperative wait and cannot deadlock.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <deque>
 #include <functional>
@@ -25,17 +26,10 @@
 #include <thread>
 #include <vector>
 
+#include "support/env.hpp"
 #include "support/sync.hpp"
 
 namespace fpsched {
-
-/// Hard ceiling on real OS threads a single component should spawn from a
-/// user-supplied count (CLI flag, HTTP query parameter): beyond a few
-/// hundred workers there is no hardware left to fill, only scheduler
-/// pressure — and an unbounded `threads=10^9` request must degrade to
-/// "as wide as is useful", not exhaust the host's thread limit. Shared by
-/// the experiment engine's worker resolution and the perf bench.
-inline constexpr std::size_t kMaxPoolThreads = 256;
 
 /// A fixed-size pool of worker threads consuming a FIFO of tasks.
 class ThreadPool {
@@ -53,13 +47,18 @@ class ThreadPool {
   /// raised.
   std::future<void> submit(std::function<void()> task);
 
+  /// Whether some worker is neither running a task nor spoken for by a
+  /// queued one. A relaxed snapshot: a scheduling hint, never an input to
+  /// correctness.
+  bool has_idle_worker() const { return idle_.load(std::memory_order_relaxed) > 0; }
+
  private:
   friend class TaskGroup;
 
-  /// Shared state of one TaskGroup. The pool queue holds shared_ptr
-  /// tickets to it: a ticket popped after the group's waiter already
-  /// executed the task itself is simply stale and dropped, so tickets can
-  /// safely outlive the TaskGroup object.
+  /// Shared state of one TaskGroup, owned by the group. The pool queue
+  /// holds weak tickets to it: a ticket popped after the group's waiter
+  /// already ran the task itself (or after the group is gone) is simply
+  /// dropped, and it never keeps a finished group's state alive.
   struct GroupState {
     Mutex mutex;
     CondVar done;
@@ -74,13 +73,14 @@ class ThreadPool {
     void finish_one() EXCLUDES(mutex);
   };
 
-  /// One queue entry: a plain submitted task or a group ticket.
+  /// One queue entry: a plain submitted task, or (task invalid) a group
+  /// ticket.
   struct Item {
     std::packaged_task<void()> task;
-    std::shared_ptr<GroupState> group;
+    std::weak_ptr<GroupState> group;
   };
 
-  void enqueue_ticket(std::shared_ptr<GroupState> group);
+  void enqueue(Item item);
   void worker_loop();
 
   std::vector<std::thread> workers_;
@@ -88,16 +88,18 @@ class ThreadPool {
   CondVar cv_;
   std::deque<Item> queue_ GUARDED_BY(mutex_);
   bool stopping_ GUARDED_BY(mutex_) = false;
+  /// Workers minus running tasks minus queued entries.
+  std::atomic<std::ptrdiff_t> idle_;
 };
 
 /// A batch of subtasks executed on a shared ThreadPool and joined with a
 /// cooperative wait. Single owner: only the constructing thread may call
 /// run()/wait(). Tasks must not call run() on their own group, but they
 /// may create *their own* TaskGroups on the same pool — wait() helps with
-/// the calling group's tasks only, so nesting (scenario -> budget sweep ->
-/// k-blocks) is deadlock-free by induction: a waiter can always execute
-/// its group's queued tasks itself, and the tasks it waits on only ever
-/// wait on deeper groups.
+/// the calling group's tasks only, so nesting (scenario -> budget sweep)
+/// is deadlock-free by induction: a waiter can always execute its group's
+/// queued tasks itself, and the tasks it waits on only ever wait on
+/// deeper groups.
 class TaskGroup {
  public:
   explicit TaskGroup(ThreadPool& pool);
@@ -121,18 +123,28 @@ class TaskGroup {
   std::shared_ptr<ThreadPool::GroupState> state_;
 };
 
-/// Runs body(i) for every i in [begin, end) across up to `num_threads`
-/// threads (0 = default_thread_count()). Indices are processed in chunks;
-/// the call returns when all indices completed. Exceptions from any chunk
-/// are rethrown (first one wins). body must be safe to call concurrently
-/// for distinct indices. Falls back to a serial loop for small ranges.
-void parallel_for(std::size_t begin, std::size_t end, const std::function<void(std::size_t)>& body,
-                  std::size_t num_threads = 0);
+/// Upper bound (exclusive) on the worker index parallel_for_workers
+/// passes on `pool`: the caller plus one helper per pool thread. Size
+/// per-worker scratch with it (capped by the index count).
+inline std::size_t worker_slots(const ThreadPool* pool) {
+  return pool == nullptr ? 1 : pool->size() + 1;
+}
 
-/// Variant passing (index, worker_id) so callers can maintain per-worker
-/// scratch state; worker_id < effective thread count.
+/// Runs body(index, worker) once for every index in [begin, end) on the
+/// calling thread (worker 0) plus helpers posted onto `pool` while it has
+/// idle workers (see the header comment); a null pool runs the loop
+/// inline. Concurrently running bodies always see distinct worker indices,
+/// each below min(worker_slots(pool), end - begin). Returns when every
+/// claimed index finished; the first exception any body threw stops
+/// further claims and is rethrown. Safe to call from inside another
+/// loop's body on the same pool.
+void parallel_for_workers(ThreadPool* pool, std::size_t begin, std::size_t end,
+                          const std::function<void(std::size_t, std::size_t)>& body);
+
+/// The same loop on a transient pool of up to `num_threads` threads
+/// (0 = default_thread_count()), for callers that own no pool.
 void parallel_for_workers(std::size_t begin, std::size_t end,
                           const std::function<void(std::size_t, std::size_t)>& body,
-                          std::size_t num_threads = 0);
+                          std::size_t num_threads);
 
 }  // namespace fpsched

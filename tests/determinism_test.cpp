@@ -1,8 +1,8 @@
 // Determinism audit: the NDJSON record stream of a registered experiment
-// must be byte-identical across every thread-count / eval-thread / cache
-// combination, including the FPSCHED_THREADS environment default. This
-// promotes the CI `cmp` legs into tier-1: a nondeterministic scheduler or
-// a reassociated reduction fails here, with no CI round-trip.
+// must be byte-identical across every thread count and shard split,
+// including the FPSCHED_THREADS environment default. This promotes the CI
+// `cmp` legs into tier-1: a nondeterministic scheduler or a reassociated
+// reduction fails here, with no CI round-trip.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -58,7 +58,11 @@ class ScopedEnv {
   std::optional<std::string> saved_;
 };
 
-TEST(DeterminismAudit, Fig2BytesInvariantAcrossThreadCombinations) {
+/// The thread counts every audit sweeps: serial, narrow, the usual
+/// width, and engines with more workers than the slice has scenarios.
+constexpr std::size_t kThreadCounts[] = {1, 2, 4, 32, 100};
+
+TEST(DeterminismAudit, Fig2BytesInvariantAcrossThreadCounts) {
   const FigureOptions baseline = audit_options();
   const std::string serial = [&] {
     FigureOptions options = baseline;
@@ -68,25 +72,10 @@ TEST(DeterminismAudit, Fig2BytesInvariantAcrossThreadCombinations) {
   ASSERT_FALSE(serial.empty());
   ASSERT_EQ(serial.back(), '\n');
 
-  const struct {
-    std::size_t threads;
-    std::size_t eval_threads;
-    bool instance_cache;
-  } combos[] = {
-      {4, 1, true},   // scenario-parallel
-      {4, 1, false},  // ... without the instance cache
-      {1, 4, true},   // serial engine, k-blocked evaluations
-      {64, 3, true},  // nested: scenarios < workers, budgets + k-blocks stolen
-      {64, 1, false},
-  };
-  for (const auto& combo : combos) {
+  for (const std::size_t threads : kThreadCounts) {
     FigureOptions options = baseline;
-    options.threads = combo.threads;
-    options.eval_threads = combo.eval_threads;
-    options.instance_cache = combo.instance_cache;
-    EXPECT_EQ(serial, run_ndjson("fig2", options))
-        << "threads=" << combo.threads << " eval_threads=" << combo.eval_threads
-        << " cache=" << combo.instance_cache;
+    options.threads = threads;
+    EXPECT_EQ(serial, run_ndjson("fig2", options)) << "threads=" << threads;
   }
 }
 
@@ -103,31 +92,18 @@ TEST(DeterminismAudit, ExplicitExactMathMatchesDefaultBytes) {
 
 TEST(DeterminismAudit, FastMathIsThreadInvariantToo) {
   // The fast backend trades cross-host byte stability for speed, but
-  // within one process the determinism contract is unchanged: threads,
-  // eval-threads and the instance cache must not move a byte.
+  // within one process the determinism contract is unchanged: the thread
+  // count must not move a byte.
   FigureOptions baseline = audit_options();
   baseline.eval_math = EvalMath::fast;
   FigureOptions serial_options = baseline;
   serial_options.threads = 1;
   const std::string serial = run_ndjson("fig2", serial_options);
   ASSERT_FALSE(serial.empty());
-  const struct {
-    std::size_t threads;
-    std::size_t eval_threads;
-    bool instance_cache;
-  } combos[] = {
-      {4, 1, true},
-      {1, 4, true},
-      {64, 3, false},
-  };
-  for (const auto& combo : combos) {
+  for (const std::size_t threads : {4, 32}) {
     FigureOptions options = baseline;
-    options.threads = combo.threads;
-    options.eval_threads = combo.eval_threads;
-    options.instance_cache = combo.instance_cache;
-    EXPECT_EQ(serial, run_ndjson("fig2", options))
-        << "threads=" << combo.threads << " eval_threads=" << combo.eval_threads
-        << " cache=" << combo.instance_cache;
+    options.threads = threads;
+    EXPECT_EQ(serial, run_ndjson("fig2", options)) << "threads=" << threads;
   }
 }
 
@@ -136,30 +112,32 @@ TEST(DeterminismAudit, HonorsFpschedThreadsEnvDefault) {
   FigureOptions serial_options = baseline;
   serial_options.threads = 1;
   const std::string serial = run_ndjson("fig2", serial_options);
-  for (const char* threads : {"5", "64"}) {
+  for (const char* threads : {"1", "2", "5", "64", "-1"}) {
     const ScopedEnv env("FPSCHED_THREADS", threads);
     FigureOptions options = baseline;  // threads = 0: resolve from the environment
     EXPECT_EQ(serial, run_ndjson("fig2", options)) << "FPSCHED_THREADS=" << threads;
   }
 }
 
-TEST(DeterminismAudit, ShardsConcatenateUnderNestedScheduling) {
-  // Process sharding composed with nested scheduling: each shard's slice
-  // has few scenarios, so a wide engine goes nested inside every shard —
-  // the concatenated shard streams must still equal the unsharded bytes.
+TEST(DeterminismAudit, ShardsConcatenateAtEveryThreadCount) {
+  // Process sharding composed with the engine's scheduling: a shard's
+  // slice has few scenarios, so wide engines fill their workers from the
+  // in-flight budget sweeps — the concatenated shard streams must still
+  // equal the unsharded bytes.
   const FigureOptions baseline = audit_options();
   FigureOptions serial_options = baseline;
   serial_options.threads = 1;
   const std::string serial = run_ndjson("fig2", serial_options);
-  FigureOptions wide = baseline;
-  wide.threads = 32;
-  wide.eval_threads = 2;
-  std::string merged;
-  const std::size_t shards = 3;
-  for (std::size_t index = 1; index <= shards; ++index) {
-    merged += run_ndjson("fig2", wide, {index, shards});
+  for (const std::size_t threads : kThreadCounts) {
+    FigureOptions options = baseline;
+    options.threads = threads;
+    std::string merged;
+    const std::size_t shards = 3;
+    for (std::size_t index = 1; index <= shards; ++index) {
+      merged += run_ndjson("fig2", options, {index, shards});
+    }
+    EXPECT_EQ(serial, merged) << "threads=" << threads;
   }
-  EXPECT_EQ(serial, merged);
 }
 
 TEST(DeterminismAudit, TelemetryAndTracingNeverTouchRecordBytes) {
@@ -203,7 +181,6 @@ TEST(DeterminismAudit, RobustnessSimulationIsThreadInvariant) {
   EXPECT_NE(serial.find("\"policy_kind\":\"simulated_best\""), std::string::npos);
   EXPECT_NE(serial.find("\"sim_distribution\":\"weibull\""), std::string::npos);
   options.threads = 8;
-  options.eval_threads = 2;
   EXPECT_EQ(serial, run_ndjson("robustness", options));
 }
 
@@ -216,7 +193,6 @@ TEST(DeterminismAudit, Fig7SweepExperimentIsInvariantToo) {
   const std::string serial = run_ndjson("fig7", options);
   ASSERT_FALSE(serial.empty());
   options.threads = 64;
-  options.eval_threads = 2;
   EXPECT_EQ(serial, run_ndjson("fig7", options));
 }
 

@@ -16,6 +16,8 @@
 #include "engine/scenario.hpp"
 #include "heuristics/heuristic.hpp"
 #include "support/error.hpp"
+#include "support/threading.hpp"
+#include "test_util.hpp"
 #include "workflows/generator.hpp"
 
 namespace fpsched::engine {
@@ -168,13 +170,13 @@ TEST(SweepOptionsTest, CallerWorkspaceMatchesPooledSweep) {
   const auto order = linearize(graph.dag(), graph.weights(), LinearizeMethod::depth_first);
 
   SweepOptions serial;
-  serial.threads = 1;
   EvaluatorWorkspace ws;
   serial.workspace = &ws;
   const SweepResult reused = sweep_checkpoint_budget(evaluator, order, CkptStrategy::by_weight,
                                                      serial);
+  ThreadPool pool(3);
   const SweepResult pooled = sweep_checkpoint_budget(evaluator, order, CkptStrategy::by_weight,
-                                                     {.threads = 4});
+                                                     {.pool = &pool});
   EXPECT_EQ(reused.best_budget, pooled.best_budget);
   EXPECT_EQ(reused.best_expected_makespan, pooled.best_expected_makespan);
   ASSERT_EQ(reused.curve.size(), pooled.curve.size());
@@ -375,37 +377,88 @@ TEST(InstanceCacheTest, ReplaysGraphAndOrdersAcrossCostModels) {
   }
 }
 
-TEST(ExperimentEngineTest, InstanceCachePathMatchesUncachedBitForBit) {
+/// The test-local serial reference for one best-linearization scenario:
+/// spec.instantiate() -> linearize -> run_heuristic, from scratch for
+/// every linearization, keeping the strictly smaller ratio in method
+/// order (CkptNvr / CkptAlws use DF only).
+ScenarioResult serial_best_lin_scenario(const ScenarioSpec& spec) {
+  const TaskGraph graph = spec.instantiate();
+  const ScheduleEvaluator evaluator(graph, spec.model);
+  HeuristicOptions options;
+  options.linearize = spec.linearize;
+  options.sweep.stride = spec.stride;
+  ScenarioResult result;
+  result.spec = spec;
+  const CkptStrategy strategy = spec.policy.strategy;
+  if (!is_budgeted(strategy)) {
+    const HeuristicResult run =
+        run_heuristic(evaluator, {LinearizeMethod::depth_first, strategy}, options);
+    result.evaluation = run.evaluation;
+    result.best_budget = run.best_budget;
+    return result;
+  }
+  double best = std::numeric_limits<double>::infinity();
+  for (const LinearizeMethod lin : all_linearize_methods()) {
+    const HeuristicResult run = run_heuristic(evaluator, {lin, strategy}, options);
+    if (run.evaluation.ratio < best) {
+      best = run.evaluation.ratio;
+      result.evaluation = run.evaluation;
+      result.linearization = lin;
+      result.best_budget = run.best_budget;
+    }
+  }
+  return result;
+}
+
+TEST(ExperimentEngineTest, InstanceSharingMatchesAFromScratchSerialReference) {
   // A grid that stresses sharing: several policies, lambdas, downtimes and
-  // cost models all mapping onto the same two instances.
+  // cost models all mapping onto the same two instances. The engine's
+  // per-worker instance memo must reproduce, bit for bit, a reference
+  // that regenerates and relinearizes every scenario from scratch.
   ScenarioGrid grid = small_fig3_grid();
   grid.sizes = {50, 60};
   grid.lambdas = {1e-3, 5e-3};
   grid.downtimes = {0.0, 300.0};
   grid.cost_models = {CostModel::proportional(0.1), CostModel::constant(2.0)};
   const std::vector<ScenarioSpec> specs = grid.enumerate();
-
-  const ExperimentEngine reference({.threads = 1, .instance_cache = false});
-  const std::vector<ScenarioResult> expected = reference.run(specs);
+  std::vector<ScenarioResult> expected;
+  for (const ScenarioSpec& spec : specs) expected.push_back(serial_best_lin_scenario(spec));
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    for (const bool cache : {true, false}) {
-      const ExperimentEngine engine({.threads = threads, .instance_cache = cache});
-      const std::vector<ScenarioResult> results = engine.run(specs);
-      ASSERT_EQ(results.size(), expected.size());
-      for (std::size_t i = 0; i < results.size(); ++i) {
-        EXPECT_EQ(results[i].evaluation.expected_makespan,
-                  expected[i].evaluation.expected_makespan)
-            << "threads=" << threads << " cache=" << cache << " " << specs[i].label();
-        EXPECT_EQ(results[i].evaluation.ratio, expected[i].evaluation.ratio);
-        EXPECT_EQ(results[i].evaluation.fault_free_time, expected[i].evaluation.fault_free_time);
-        EXPECT_EQ(results[i].evaluation.checkpoint_count,
-                  expected[i].evaluation.checkpoint_count);
-        EXPECT_EQ(results[i].linearization, expected[i].linearization);
-        EXPECT_EQ(results[i].best_budget, expected[i].best_budget);
-      }
+    const ExperimentEngine engine({.threads = threads});
+    const std::vector<ScenarioResult> results = engine.run(specs);
+    ASSERT_EQ(results.size(), expected.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      EXPECT_EQ(results[i].evaluation.expected_makespan,
+                expected[i].evaluation.expected_makespan)
+          << "threads=" << threads << " " << specs[i].label();
+      EXPECT_EQ(results[i].evaluation.ratio, expected[i].evaluation.ratio);
+      EXPECT_EQ(results[i].evaluation.fault_free_time, expected[i].evaluation.fault_free_time);
+      EXPECT_EQ(results[i].evaluation.checkpoint_count,
+                expected[i].evaluation.checkpoint_count);
+      EXPECT_EQ(results[i].linearization, expected[i].linearization);
+      EXPECT_EQ(results[i].best_budget, expected[i].best_budget);
     }
   }
+}
+
+TEST(ExperimentEngineTest, SerialEngineStartsNoThread) {
+  // threads = 1 means serial: no pool, and no budget sweep fanning out
+  // to the cores behind the caller's back.
+  ScenarioGrid grid = small_fig3_grid();
+  grid.sizes = {60, 100};
+  grid.stride = 1;
+  const std::vector<ScenarioSpec> specs = grid.enumerate();
+  const long before = testing::process_thread_count();
+  ASSERT_GT(before, 0) << "no /proc/self/status";
+  long peak = 0;
+  {
+    const testing::ThreadCountSampler sampler;
+    const ExperimentEngine engine({.threads = 1});
+    EXPECT_EQ(engine.run(specs).size(), specs.size());
+    peak = sampler.peak();
+  }
+  EXPECT_EQ(peak, before);
 }
 
 TEST(ExperimentEngineTest, CachedRunScenarioRejectsMismatchedCache) {

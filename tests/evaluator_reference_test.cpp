@@ -3,7 +3,9 @@
 // randomized DAGs, schedules, and checkpoint patterns.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "core/evaluator.hpp"
 #include "core/evaluator_naive.hpp"
@@ -82,6 +84,44 @@ TEST(EvaluatorReference, ChainsForksJoins) {
     graph.apply_cost_model(CostModel::proportional(0.2));
     for (int rep = 0; rep < 5; ++rep)
       expect_evaluators_agree(graph, model, random_schedule(graph, rng, 0.4));
+  }
+}
+
+TEST(EvaluatorReference, TinyChains) {
+  // n = 1..5: the degenerate pass structure (a single pass, no later
+  // tasks for the last pass) at the smallest sizes.
+  Rng rng(5);
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 5u}) {
+    TaskGraph graph = make_uniform_chain(n, 4.0);
+    graph.apply_cost_model(CostModel::constant(0.5));
+    for (int rep = 0; rep < 3; ++rep)
+      expect_evaluators_agree(graph, FailureModel(1e-2, 0.0), random_schedule(graph, rng, 0.5));
+  }
+}
+
+TEST(EvaluatorReference, FailureDominatedChainsNeverYieldNaN) {
+  // Huge lambda drives Eq. (1) into overflow/underflow territory — the
+  // regime where the zero-probability skips matter: the value must be
+  // finite or +inf, never NaN, and agree with Algorithm 1 when finite.
+  TaskGraph graph = make_uniform_chain(48, 50.0);
+  graph.apply_cost_model(CostModel::proportional(0.1));
+  Rng rng(3);
+  const struct {
+    FailureModel model;
+    double ckpt_probability;
+  } cases[] = {{FailureModel(0.5, 0.0), 0.2}, {FailureModel(2.0, 1.0), 0.6}};
+  for (const auto& c : cases) {
+    for (int rep = 0; rep < 3; ++rep) {
+      const Schedule schedule = random_schedule(graph, rng, c.ckpt_probability);
+      const double value =
+          ScheduleEvaluator(graph, c.model).evaluate(schedule).expected_makespan;
+      ASSERT_FALSE(std::isnan(value)) << "lambda=" << c.model.lambda();
+      ASSERT_TRUE(std::isfinite(value) || value == std::numeric_limits<double>::infinity());
+      if (std::isfinite(value)) {
+        assert_rel_near(evaluate_reference(graph, c.model, schedule), value, 1e-9,
+                        "failure-dominated chain vs Algorithm 1");
+      }
+    }
   }
 }
 

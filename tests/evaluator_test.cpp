@@ -269,41 +269,6 @@ TEST(Evaluator, WorkspaceReuseIsIdempotent) {
   EXPECT_NE(a1, b1);
 }
 
-TEST(WorkspacePool, LeasesAreExclusiveAndRecycled) {
-  WorkspacePool pool;
-  EvaluatorWorkspace* first = nullptr;
-  EvaluatorWorkspace* second = nullptr;
-  {
-    WorkspacePool::Lease a = pool.acquire();
-    WorkspacePool::Lease b = pool.acquire();
-    first = &a.get();
-    second = &b.get();
-    EXPECT_NE(first, second);  // concurrent leases never share a workspace
-  }
-  {
-    // Returned workspaces are recycled (LIFO — `a` is returned last,
-    // so it comes back first), keeping warmed buffers instead of
-    // re-allocating.
-    WorkspacePool::Lease lease = pool.acquire();
-    EXPECT_EQ(first, &lease.get());
-  }
-}
-
-TEST(WorkspacePoolDeathTest, AbortsWhenALeaseOutlivesThePool) {
-  // The Lease destructor takes the pool mutex, so a lease that outlives
-  // its pool is a use-after-free. The pool destructor turns that silent
-  // corruption into a loud abort (see the lifetime contract in the
-  // header); this pins the diagnostic down as a regression test.
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  EXPECT_DEATH(
-      {
-        auto pool = std::make_unique<WorkspacePool>();
-        WorkspacePool::Lease lease = pool->acquire();
-        pool.reset();  // dies with the lease still outstanding
-      },
-      "outstanding");
-}
-
 TEST(Evaluator, RejectsInvalidSchedules) {
   const TaskGraph graph = make_uniform_chain(3, 1.0);
   const ScheduleEvaluator evaluator(graph, FailureModel(0.01, 0.0));

@@ -30,11 +30,6 @@ TEST(ExperimentRegistryTest, GlobalRegistryKnowsThePaperFigures) {
     EXPECT_EQ(registry.find(name).name, name);
   }
   EXPECT_GE(registry.experiments().size(), 8u);
-  // Only the sweep figures consume --tasks/--downtimes; the shims use
-  // this to keep strict CLIs on the size-axis binaries.
-  EXPECT_TRUE(registry.find("fig7").sweep_options);
-  EXPECT_TRUE(registry.find("downtime").sweep_options);
-  EXPECT_FALSE(registry.find("fig2").sweep_options);
 }
 
 TEST(ExperimentRegistryTest, UnknownNameErrorListsRegisteredNames) {

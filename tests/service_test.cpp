@@ -18,6 +18,7 @@
 #include "engine/result_sink.hpp"
 #include "http_test_util.hpp"
 #include "support/error.hpp"
+#include "test_util.hpp"
 
 namespace fpsched::service {
 namespace {
@@ -36,23 +37,34 @@ TEST(ParseJobRequestTest, MapsTheFigureOptionsSurface) {
                                                 {"stride", "8"},
                                                 {"seed", "7"},
                                                 {"weight_cv", "0.5"},
-                                                {"threads", "2"},
-                                                {"eval_threads", "4"},
                                                 {"eval_math", "fast"},
                                                 {"tasks", "123"},
                                                 {"downtimes", "0,60"},
-                                                {"instance_cache", "false"}});
+                                                {"trials", "9"}});
   EXPECT_EQ(request.experiment, "fig7");
   EXPECT_EQ(request.options.sizes, (std::vector<std::size_t>{50, 100}));
   EXPECT_EQ(request.options.stride, 8u);
   EXPECT_EQ(request.options.seed, 7u);
   EXPECT_DOUBLE_EQ(request.options.weight_cv, 0.5);
-  EXPECT_EQ(request.options.threads, 2u);
-  EXPECT_EQ(request.options.eval_threads, 4u);
   EXPECT_EQ(request.options.eval_math, EvalMath::fast);
   EXPECT_EQ(request.options.tasks, 123u);
   EXPECT_EQ(request.options.downtimes, (std::vector<double>{0, 60}));
-  EXPECT_FALSE(request.options.instance_cache);
+  EXPECT_EQ(request.options.trials, 9u);
+  EXPECT_EQ(request.options.threads, engine::FigureOptions{}.threads);  // server-owned
+}
+
+TEST(ParseJobRequestTest, RejectsServerResourceKeys) {
+  // The server sizes its own engine; a client may not.
+  for (const std::string key : {"threads", "eval_threads", "instance_cache"}) {
+    try {
+      parse_job_request({{"experiment", "fig2"}, {key, "2"}});
+      FAIL() << key << " must be rejected";
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("unknown parameter '" + key + "'"), std::string::npos) << what;
+      EXPECT_EQ(what.find("threads,"), std::string::npos) << "listed as known: " << what;
+    }
+  }
 }
 
 TEST(ParseJobRequestTest, QuickMatchesTheCliShrink) {
@@ -382,6 +394,25 @@ TEST(JobManagerTest, BoundedBuffersTrimWithoutStreamersAndReplayFromCache) {
   EXPECT_EQ(drain_job(manager, id), reference_ndjson(registry, tiny_options()));
 }
 
+TEST(JobManagerTest, RunningJobStartsNoThread) {
+  // The server owns its compute: the executor and the engine's pool
+  // exist from construction, and a running job adds no thread to them.
+  const engine::ExperimentRegistry registry = tiny_registry();
+  JobManager manager(registry);
+  const long before = fpsched::testing::process_thread_count();
+  ASSERT_GT(before, 0) << "no /proc/self/status";
+  engine::FigureOptions options;
+  options.sizes = {100, 200, 300};
+  long peak = 0;
+  {
+    const fpsched::testing::ThreadCountSampler sampler;
+    const std::uint64_t id = manager.submit({"tiny", options});
+    EXPECT_FALSE(drain_job(manager, id).empty());
+    peak = sampler.peak();
+  }
+  EXPECT_EQ(peak, before);
+}
+
 TEST(JobManagerTest, BackpressureBlocksProducersWithoutDeadlock) {
   const engine::ExperimentRegistry registry = tiny_registry();
   // A one-line buffer with an attached (slow) streamer: the producer
@@ -468,8 +499,7 @@ TEST_F(ExperimentServiceTest, MetricsExposesEveryInstrumentedLayer) {
 TEST_F(ExperimentServiceTest, ConcurrentScrapesDuringARunStayWellFormed) {
   ASSERT_EQ(http_status(http_exchange(
                 port(),
-                "POST /runs?experiment=tiny&sizes=50%2C60&threads=2 HTTP/1.1\r\nHost: "
-                "t\r\n\r\n")),
+                "POST /runs?experiment=tiny&sizes=50%2C60 HTTP/1.1\r\nHost: t\r\n\r\n")),
             201);
   // Scrape repeatedly while the job executes; every response must be a
   // complete 200 exposition (the registry lock only guards snapshots).
@@ -511,7 +541,7 @@ TEST_F(ExperimentServiceTest, RunStatsReportTimingAndCounterDeltas) {
 TEST_F(ExperimentServiceTest, SubmittedRunStreamsReferenceBytes) {
   const std::string post = http_exchange(
       port(),
-      "POST /runs?experiment=tiny&sizes=50%2C60&threads=2 HTTP/1.1\r\nHost: t\r\n\r\n");
+      "POST /runs?experiment=tiny&sizes=50%2C60 HTTP/1.1\r\nHost: t\r\n\r\n");
   ASSERT_EQ(http_status(post), 201) << post;
   EXPECT_NE(http_body(post).find("\"id\":1"), std::string::npos) << post;
 
@@ -527,9 +557,9 @@ TEST_F(ExperimentServiceTest, SubmittedRunStreamsReferenceBytes) {
 }
 
 TEST_F(ExperimentServiceTest, AcceptsJsonBodiesWithQueryOverride) {
-  const std::string body = R"({"experiment":"tiny","sizes":[50,60],"threads":1})";
+  const std::string body = R"({"experiment":"tiny","sizes":[50,60],"seed":7})";
   const std::string post = http_exchange(
-      port(), "POST /runs?threads=2 HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n"
+      port(), "POST /runs?seed=42 HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n"
               "Content-Length: " +
                   std::to_string(body.size()) + "\r\n\r\n" + body);
   ASSERT_EQ(http_status(post), 201) << post;
@@ -543,6 +573,9 @@ TEST_F(ExperimentServiceTest, ErrorPathsMapToHttpStatuses) {
             400);
   EXPECT_EQ(http_status(http_exchange(
                 port(), "POST /runs?experiment=tiny&bogus=1 HTTP/1.1\r\nHost: t\r\n\r\n")),
+            400);
+  EXPECT_EQ(http_status(http_exchange(
+                port(), "POST /runs?experiment=tiny&threads=2 HTTP/1.1\r\nHost: t\r\n\r\n")),
             400);
   EXPECT_EQ(http_status(http_get(port(), "/runs/7")), 404);
   EXPECT_EQ(http_status(http_get(port(), "/runs/7/records")), 404);

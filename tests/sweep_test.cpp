@@ -44,62 +44,41 @@ TEST(Sweep, BestMatchesTheCurveMinimum) {
                   result.best_expected_makespan, 1e-12);
 }
 
-TEST(Sweep, ParallelAndSerialAgree) {
-  TaskGraph graph = generate_ligo({.task_count = 44, .seed = 2});
-  const ScheduleEvaluator evaluator(graph, FailureModel(1e-3, 1.0));
-  const auto order = linearize(graph.dag(), graph.weights(), LinearizeMethod::breadth_first);
-  const SweepResult serial =
-      sweep_checkpoint_budget(evaluator, order, CkptStrategy::by_weight, {.threads = 1});
-  const SweepResult parallel =
-      sweep_checkpoint_budget(evaluator, order, CkptStrategy::by_weight, {.threads = 8});
-  EXPECT_EQ(serial.best_budget, parallel.best_budget);
-  EXPECT_DOUBLE_EQ(serial.best_expected_makespan, parallel.best_expected_makespan);
-  ASSERT_EQ(serial.curve.size(), parallel.curve.size());
-  for (std::size_t i = 0; i < serial.curve.size(); ++i)
-    EXPECT_DOUBLE_EQ(serial.curve[i].expected_makespan, parallel.curve[i].expected_makespan);
-}
-
-TEST(Sweep, PoolTokenPathMatchesSerialBitwise) {
-  // The engine's nested mode: budget candidates submitted to a shared
-  // ThreadPool as a TaskGroup. Curve, winner and schedule must be the
-  // same bits as the serial sweep, for pools narrower and wider than the
-  // budget count, and with intra-evaluation k-blocks stacked on top.
+TEST(Sweep, PoolPathMatchesSerialBitwise) {
+  // Budget candidates shared with idle pool workers: curve, winner and
+  // schedule must be the same bits as the serial sweep, for pools
+  // narrower and wider than the budget count.
   TaskGraph graph = generate_cybershake({.task_count = 37, .seed = 21});
   const ScheduleEvaluator evaluator(graph, FailureModel(1e-3, 1.0));
   const auto order = linearize(graph.dag(), graph.weights(), LinearizeMethod::depth_first);
-  const SweepResult serial =
-      sweep_checkpoint_budget(evaluator, order, CkptStrategy::by_weight, {.threads = 1});
-  for (const std::size_t workers : {1u, 3u, 8u}) {
+  const SweepResult serial = sweep_checkpoint_budget(evaluator, order, CkptStrategy::by_weight);
+  for (const std::size_t workers : {1u, 3u, 8u, 64u}) {
     ThreadPool pool(workers);
-    for (const std::size_t eval_threads : {1u, 3u}) {
-      const SweepResult pooled = sweep_checkpoint_budget(
-          evaluator, order, CkptStrategy::by_weight,
-          {.pool = &pool, .eval = {eval_threads, &pool}});
-      EXPECT_EQ(serial.best_budget, pooled.best_budget);
-      EXPECT_EQ(serial.best_expected_makespan, pooled.best_expected_makespan);
-      EXPECT_EQ(serial.best_schedule.checkpointed, pooled.best_schedule.checkpointed);
-      ASSERT_EQ(serial.curve.size(), pooled.curve.size());
-      for (std::size_t i = 0; i < serial.curve.size(); ++i) {
-        EXPECT_EQ(serial.curve[i].expected_makespan, pooled.curve[i].expected_makespan);
-        EXPECT_EQ(serial.curve[i].checkpoints, pooled.curve[i].checkpoints);
-      }
+    const SweepResult pooled =
+        sweep_checkpoint_budget(evaluator, order, CkptStrategy::by_weight, {.pool = &pool});
+    EXPECT_EQ(serial.best_budget, pooled.best_budget);
+    EXPECT_EQ(serial.best_expected_makespan, pooled.best_expected_makespan);
+    EXPECT_EQ(serial.best_schedule.checkpointed, pooled.best_schedule.checkpointed);
+    ASSERT_EQ(serial.curve.size(), pooled.curve.size());
+    for (std::size_t i = 0; i < serial.curve.size(); ++i) {
+      EXPECT_EQ(serial.curve[i].expected_makespan, pooled.curve[i].expected_makespan);
+      EXPECT_EQ(serial.curve[i].checkpoints, pooled.curve[i].checkpoints);
     }
   }
 }
 
-TEST(Sweep, PoolTokenHonorsCallerWorkspace) {
-  // SweepOptions::workspace (the outer scenario shard's per-worker
-  // scratch) must keep working under the token path: the serial bits of
-  // the sweep reuse it, repeated sweeps through one workspace stay
-  // consistent, and non-budgeted strategies (which evaluate exactly once,
-  // on the caller's workspace) agree with the serial path.
+TEST(Sweep, PoolPathHonorsCallerWorkspace) {
+  // SweepOptions::workspace (the outer scenario worker's scratch) must
+  // keep working with a pool: the caller's own evaluations reuse it,
+  // repeated sweeps through one workspace stay consistent, and
+  // non-budgeted strategies (which evaluate exactly once, on the caller's
+  // workspace) agree with the serial path.
   TaskGraph graph = generate_montage({.task_count = 30, .seed = 4});
   const ScheduleEvaluator evaluator(graph, FailureModel(1e-3, 0.0));
   const auto order = linearize(graph.dag(), graph.weights(), LinearizeMethod::depth_first);
   ThreadPool pool(4);
   EvaluatorWorkspace caller_ws;
-  const SweepResult serial =
-      sweep_checkpoint_budget(evaluator, order, CkptStrategy::by_cost, {.threads = 1});
+  const SweepResult serial = sweep_checkpoint_budget(evaluator, order, CkptStrategy::by_cost);
   for (int rep = 0; rep < 3; ++rep) {
     const SweepResult pooled = sweep_checkpoint_budget(
         evaluator, order, CkptStrategy::by_cost,
@@ -107,8 +86,7 @@ TEST(Sweep, PoolTokenHonorsCallerWorkspace) {
     EXPECT_EQ(serial.best_budget, pooled.best_budget);
     EXPECT_EQ(serial.best_expected_makespan, pooled.best_expected_makespan);
   }
-  const SweepResult never_serial =
-      sweep_checkpoint_budget(evaluator, order, CkptStrategy::never, {.threads = 1});
+  const SweepResult never_serial = sweep_checkpoint_budget(evaluator, order, CkptStrategy::never);
   const SweepResult never_pooled = sweep_checkpoint_budget(
       evaluator, order, CkptStrategy::never, {.workspace = &caller_ws, .pool = &pool});
   EXPECT_EQ(never_serial.best_expected_makespan, never_pooled.best_expected_makespan);

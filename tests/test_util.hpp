@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <fstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/schedule.hpp"
@@ -39,5 +45,49 @@ inline Schedule topo_schedule_with_ckpts(const TaskGraph& graph,
   for (const VertexId v : ckpts) schedule.checkpointed[v] = 1;
   return schedule;
 }
+
+/// This process's thread count (the "Threads:" line of
+/// /proc/self/status; 0 where procfs is unavailable).
+inline long process_thread_count() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "Threads:") {
+      long count = 0;
+      status >> count;
+      return count;
+    }
+  }
+  return 0;
+}
+
+/// Samples process_thread_count() every millisecond while alive; peak()
+/// excludes the sampler's own thread.
+class ThreadCountSampler {
+ public:
+  ThreadCountSampler() : thread_([this] { loop(); }) {}
+  ~ThreadCountSampler() {
+    stop_.store(true);
+    thread_.join();
+  }
+  ThreadCountSampler(const ThreadCountSampler&) = delete;
+  ThreadCountSampler& operator=(const ThreadCountSampler&) = delete;
+
+  /// Includes a sample taken now, so a run too short for the sampler
+  /// thread to get scheduled still yields a count.
+  long peak() const { return std::max(peak_.load(), process_thread_count()) - 1; }
+
+ private:
+  void loop() {
+    while (!stop_.load()) {
+      peak_.store(std::max(peak_.load(), process_thread_count()));
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+  std::atomic<bool> stop_{false};
+  std::atomic<long> peak_{0};
+  std::thread thread_;
+};
 
 }  // namespace fpsched::testing

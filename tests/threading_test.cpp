@@ -1,4 +1,5 @@
-// Tests for the thread pool, nested task groups, and parallel_for helpers.
+// Tests for the thread pool, nested task groups, the pool-backed
+// parallel_for_workers loop, and the thread-count default.
 #include "support/threading.hpp"
 
 #include <gtest/gtest.h>
@@ -9,11 +10,14 @@
 #include <future>
 #include <iostream>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "engine/engine.hpp"
 #include "engine/result_sink.hpp"
+#include "support/env.hpp"
 #include "support/error.hpp"
 
 namespace fpsched {
@@ -125,8 +129,8 @@ TEST(TaskGroup, NestedGroupsOnOneWorkerDoNotDeadlock) {
 }
 
 TEST(TaskGroup, ThreeLevelNestingUnderContention) {
-  // Scenario -> budget-sweep -> k-block shaped nesting, more groups than
-  // workers at every level, joined from inside pool tasks throughout.
+  // Three levels of nesting, more groups than workers at every level,
+  // joined from inside pool tasks throughout.
   expect_finishes_within(60, [] {
     ThreadPool pool(3);
     std::atomic<int> leaves{0};
@@ -163,57 +167,188 @@ TEST(TaskGroup, MixesWithPlainSubmits) {
   EXPECT_EQ(grouped.load(), 16);
 }
 
-TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  const std::size_t n = 10000;
-  std::vector<std::atomic<int>> hits(n);
-  parallel_for(0, n, [&](std::size_t i) { hits[i].fetch_add(1); }, 8);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+TEST(TaskGroup, StaleTicketOutlivingItsGroupIsDropped) {
+  // The single worker is parked on a gate while a group's waiter runs
+  // the group's task itself; the worker later pops the leftover ticket of
+  // a group that no longer exists and must simply drop it.
+  ThreadPool pool(1);
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  auto blocker = pool.submit([opened] { opened.wait(); });
+  int ran = 0;
+  {
+    TaskGroup group(pool);
+    group.run([&ran] { ++ran; });
+    group.wait();
+  }
+  EXPECT_EQ(ran, 1);
+  gate.set_value();
+  blocker.get();
+  auto ok = pool.submit([] {});
+  EXPECT_NO_THROW(ok.get());
 }
 
-TEST(ParallelFor, EmptyAndSingleRanges) {
+TEST(ThreadPool, IdleWorkersAreVisibleUntilClaimed) {
+  ThreadPool pool(1);
+  EXPECT_TRUE(pool.has_idle_worker());
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  auto blocker = pool.submit([opened] { opened.wait(); });
+  EXPECT_FALSE(pool.has_idle_worker());  // queued or running, it is spoken for
+  gate.set_value();
+  blocker.get();
+  // The worker counts itself idle again right after finishing the task.
+  for (int spin = 0; spin < 1000 && !pool.has_idle_worker(); ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(pool.has_idle_worker());
+}
+
+// --- parallel_for_workers ----------------------------------------------
+
+TEST(ParallelForWorkers, EveryIndexRunsExactlyOnce) {
+  ThreadPool pool(3);
+  const std::size_t n = 10000;
+  std::vector<std::atomic<int>> hits(n);
+  parallel_for_workers(&pool, 0, n, [&](std::size_t i, std::size_t) { hits[i].fetch_add(1); });
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+
   int calls = 0;
-  parallel_for(5, 5, [&](std::size_t) { ++calls; }, 4);
+  parallel_for_workers(&pool, 5, 5, [&](std::size_t, std::size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
-  parallel_for(5, 6, [&](std::size_t i) { EXPECT_EQ(i, 5u); ++calls; }, 4);
+  parallel_for_workers(&pool, 5, 6, [&](std::size_t i, std::size_t worker) {
+    EXPECT_EQ(i, 5u);
+    EXPECT_EQ(worker, 0u);
+    ++calls;
+  });
   EXPECT_EQ(calls, 1);
 }
 
-TEST(ParallelFor, SerialFallbackMatchesParallel) {
-  const std::size_t n = 1000;
-  std::vector<double> serial(n);
-  std::vector<double> parallel(n);
-  const auto body = [](std::size_t i) { return static_cast<double>(i * i % 97); };
-  parallel_for(0, n, [&](std::size_t i) { serial[i] = body(i); }, 1);
-  parallel_for(0, n, [&](std::size_t i) { parallel[i] = body(i); }, 8);
-  EXPECT_EQ(serial, parallel);
+TEST(ParallelForWorkers, ConcurrentBodiesNeverShareAWorkerIndex) {
+  ThreadPool pool(5);
+  const std::size_t slots = worker_slots(&pool);
+  ASSERT_EQ(slots, 6u);
+  std::vector<std::atomic<bool>> busy(slots);
+  std::atomic<int> violations{0};
+  for (const std::size_t n : {std::size_t{2}, std::size_t{3}, std::size_t{4000}}) {
+    parallel_for_workers(&pool, 0, n, [&](std::size_t, std::size_t worker) {
+      if (worker >= std::min(slots, n) || busy[worker].exchange(true)) {
+        violations.fetch_add(1);
+        return;
+      }
+      std::this_thread::yield();
+      busy[worker].store(false);
+    });
+  }
+  EXPECT_EQ(violations.load(), 0);
 }
 
-TEST(ParallelFor, PropagatesFirstException) {
-  EXPECT_THROW(
-      parallel_for(0, 1000,
-                   [](std::size_t i) {
-                     if (i == 500) throw std::runtime_error("index 500");
-                   },
-                   4),
-      std::runtime_error);
+TEST(ParallelForWorkers, SweepNestedInAScenarioOnAOneWorkerPoolCompletes) {
+  // The deadlock guard: an outer loop whose bodies each run an inner loop
+  // on the same single-worker pool.
+  expect_finishes_within(30, [] {
+    ThreadPool pool(1);
+    std::atomic<int> leaves{0};
+    parallel_for_workers(&pool, 0, 8, [&](std::size_t, std::size_t) {
+      parallel_for_workers(&pool, 0, 16,
+                           [&](std::size_t, std::size_t) { leaves.fetch_add(1); });
+    });
+    EXPECT_EQ(leaves.load(), 8 * 16);
+  });
 }
 
-TEST(ParallelForWorkers, WorkerIdsAreInRange) {
-  const std::size_t threads = 4;
-  std::atomic<bool> ok{true};
+TEST(ParallelForWorkers, PropagatesTheFirstException) {
+  ThreadPool pool(3);
+  EXPECT_THROW(parallel_for_workers(&pool, 0, 100000,
+                                    [&](std::size_t i, std::size_t) {
+                                      if (i == 500) throw std::runtime_error("index 500");
+                                    }),
+               std::runtime_error);
+  // The pool survives.
+  auto ok = pool.submit([] {});
+  EXPECT_NO_THROW(ok.get());
+}
+
+TEST(ParallelForWorkers, NullPoolRunsInlineAsWorkerZero) {
+  EXPECT_EQ(worker_slots(nullptr), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  parallel_for_workers(nullptr, 3, 9, [&](std::size_t i, std::size_t worker) {
+    EXPECT_EQ(worker, 0u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{3, 4, 5, 6, 7, 8}));
+}
+
+TEST(ParallelForWorkers, TransientPoolOverloadKeepsWorkersInRange) {
+  const std::size_t threads = 6;
+  const std::size_t n = 20000;
+  std::vector<std::uint64_t> partial(threads, 0);
+  std::atomic<bool> in_range{true};
   parallel_for_workers(
-      0, 5000,
-      [&](std::size_t, std::size_t worker) {
-        if (worker >= threads) ok.store(false);
+      0, n,
+      [&](std::size_t i, std::size_t worker) {
+        if (worker >= threads) {
+          in_range.store(false);
+          return;
+        }
+        partial[worker] += i;
       },
       threads);
-  EXPECT_TRUE(ok.load());
+  EXPECT_TRUE(in_range.load());
+  const std::uint64_t total = std::accumulate(partial.begin(), partial.end(), std::uint64_t{0});
+  EXPECT_EQ(total, static_cast<std::uint64_t>(n) * (n - 1) / 2);
+}
+
+// --- default_thread_count ----------------------------------------------
+
+/// RAII override of FPSCHED_THREADS.
+class ScopedThreadsEnv {
+ public:
+  explicit ScopedThreadsEnv(const char* value) : saved_(env_string("FPSCHED_THREADS")) {
+    ::setenv("FPSCHED_THREADS", value, 1);
+  }
+  ~ScopedThreadsEnv() {
+    if (saved_) {
+      ::setenv("FPSCHED_THREADS", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("FPSCHED_THREADS");
+    }
+  }
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+TEST(DefaultThreadCount, AlwaysWithinOneAndTheCeiling) {
+  const std::size_t hardware = [] {
+    const ScopedThreadsEnv unset("");
+    return default_thread_count();
+  }();
+  EXPECT_GE(hardware, 1u);
+  EXPECT_LE(hardware, kMaxPoolThreads);
+  {
+    const ScopedThreadsEnv env("3");
+    EXPECT_EQ(default_thread_count(), 3u);
+  }
+  {
+    const ScopedThreadsEnv env("100000");
+    EXPECT_EQ(default_thread_count(), kMaxPoolThreads);
+  }
+  // Malformed values fall back to the hardware count: a sign (strtoull
+  // would wrap "-1" to 2^64 - 1), zero, trailing junk, whitespace, and
+  // out-of-range digits.
+  for (const char* bad : {"-1", "+4", "0", "4x", " 4", "4 ", "99999999999999999999999"}) {
+    const ScopedThreadsEnv env(bad);
+    EXPECT_EQ(default_thread_count(), hardware) << "FPSCHED_THREADS='" << bad << "'";
+  }
 }
 
 // --- Nested scheduling through the engine ------------------------------
 
 /// NDJSON serialization of a grid run under the given engine options —
-/// the byte stream the nested and serial paths must agree on.
+/// the byte stream every thread count must agree on.
 std::string grid_ndjson(const engine::ScenarioGrid& grid, const engine::EngineOptions& options) {
   const engine::ExperimentEngine eng(options);
   std::string out;
@@ -239,26 +374,21 @@ engine::ScenarioGrid nested_stress_grid() {
 }
 
 TEST(NestedScheduling, RecordsBitIdenticalToSerialRun) {
-  // 3 scenarios on an 8-worker engine: scenarios < workers switches run()
-  // to the shared-pool path where idle scenario workers steal budget
-  // tasks from in-flight sweeps. The records must be the same bytes as
-  // the fully serial run — with and without intra-evaluation k-blocks,
-  // and with the instance cache on and off.
+  // 3 scenarios on an 8-worker engine: the scenario loop leaves workers
+  // idle, so they join the in-flight budget sweeps. The records must be
+  // the same bytes as the fully serial run.
   expect_finishes_within(120, [] {
     const engine::ScenarioGrid grid = nested_stress_grid();
     const std::string serial = grid_ndjson(grid, {.threads = 1});
     EXPECT_FALSE(serial.empty());
     EXPECT_EQ(serial, grid_ndjson(grid, {.threads = 8}));
-    EXPECT_EQ(serial, grid_ndjson(grid, {.threads = 8, .eval_threads = 3}));
-    EXPECT_EQ(serial, grid_ndjson(grid, {.threads = 8, .instance_cache = false}));
-    EXPECT_EQ(serial, grid_ndjson(grid, {.threads = 1, .eval_threads = 4}));
   });
 }
 
 TEST(NestedScheduling, SingleScenarioManyWorkers) {
   // The acceptance shape: one scenario, many workers — all parallelism
-  // must come from stolen budget tasks (and k-blocks), and the pool must
-  // wind down cleanly with most workers never seeing a scenario task.
+  // must come from sweep helpers, and the pool must wind down cleanly
+  // with most workers never seeing a scenario.
   expect_finishes_within(120, [] {
     engine::ScenarioGrid grid = nested_stress_grid();
     grid.policies = {
@@ -266,33 +396,21 @@ TEST(NestedScheduling, SingleScenarioManyWorkers) {
     grid.stride = 1;  // full 1..n-1 budget fan-out
     const std::string serial = grid_ndjson(grid, {.threads = 1});
     EXPECT_EQ(serial, grid_ndjson(grid, {.threads = 8}));
-    EXPECT_EQ(serial, grid_ndjson(grid, {.threads = 8, .eval_threads = 2}));
   });
 }
 
 TEST(NestedScheduling, AbsurdThreadCountsAreClampedNotFatal) {
-  // Thread counts arrive from CLI flags and HTTP query parameters; a
-  // threads=10^9 request must degrade to the engine's hard worker
-  // ceiling (and the same bytes), not attempt a billion OS threads.
+  // Thread counts arrive from CLI flags; a threads=10^9 request must
+  // degrade to the engine's hard worker ceiling (and the same bytes),
+  // not attempt a billion OS threads.
   expect_finishes_within(120, [] {
     engine::ScenarioGrid grid = nested_stress_grid();
     grid.policies.resize(1);
     const std::string serial = grid_ndjson(grid, {.threads = 1});
     EXPECT_EQ(serial, grid_ndjson(grid, {.threads = 1'000'000'000}));
-    const engine::ExperimentEngine wide({.threads = 1'000'000'000, .eval_threads = 500'000});
+    const engine::ExperimentEngine wide({.threads = 1'000'000'000});
     EXPECT_LE(wide.thread_count(), kMaxPoolThreads);
-    EXPECT_LE(wide.eval_threads(), kMaxPoolThreads);
   });
-}
-
-TEST(ParallelForWorkers, DisjointAccumulatorsSumCorrectly) {
-  const std::size_t threads = 6;
-  const std::size_t n = 20000;
-  std::vector<std::uint64_t> partial(threads, 0);
-  parallel_for_workers(
-      0, n, [&](std::size_t i, std::size_t worker) { partial[worker] += i; }, threads);
-  const std::uint64_t total = std::accumulate(partial.begin(), partial.end(), std::uint64_t{0});
-  EXPECT_EQ(total, static_cast<std::uint64_t>(n) * (n - 1) / 2);
 }
 
 }  // namespace

@@ -23,7 +23,7 @@ FIXTURE_KEYS = {"workflow", "seed", "lambda", "cost_model", "linearization",
                 "checkpoint_every"}
 ROW_KEYS = {"n", "strategy", "math", "threads", "ns_per_eval",
             "ns_per_eval_min", "evals", "repeats", "expected_makespan"}
-STRATEGIES = {"serial", "kblock", "algorithm1", "generate", "linearize"}
+STRATEGIES = {"serial", "algorithm1", "generate", "linearize"}
 BACKENDS = {"exact", "fast"}
 # Instance-scale rows (strategy generate/linearize) carry memory/shape
 # provenance for the workflow instance they build.

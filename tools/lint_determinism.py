@@ -2,7 +2,7 @@
 """Determinism lint: flag constructs that would silently break bit-identical replay.
 
 The repo's standing invariant is that the default figure NDJSON output is
-byte-identical across every threads x eval-threads x shard combination.
+byte-identical across every thread count and shard combination.
 Three classes of code chip away at that guarantee without failing any
 functional test:
 
@@ -30,8 +30,8 @@ functional test:
                        (src/core/evaluator*.{hpp,cpp}): the Theorem-3
                        passes must stage arguments and sweep them through
                        the batched kernels in src/core/math_kernels so
-                       the serial, k-blocked, and fast-math paths keep
-                       their pinned FP operation order.
+                       the exact and fast-math paths keep their pinned FP
+                       operation order.
 
 Scanned tree: src/core, src/engine and src/obs under --root (the layers
 that produce record bytes, plus the telemetry layer — which is exempt
