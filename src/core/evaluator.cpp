@@ -5,15 +5,21 @@
 
 #include "core/math_kernels.hpp"
 #include "obs/metrics.hpp"
+#include "support/error.hpp"
 
 namespace fpsched {
 
 namespace {
 
 // Telemetry only: relaxed counters cached once per process (see
-// obs/metrics.hpp for the never-perturbs-determinism contract).
+// obs/metrics.hpp for the never-perturbs-determinism contract). `runs`
+// counts makespans produced (one per model of a call), `walks` the calls
+// that walked the lost-work DFS, `lanes` the distinct lambdas swept; runs
+// over walks is the sharing factor of the multi-model calls.
 struct EvalMetrics {
   obs::Counter& runs;
+  obs::Counter& walks;
+  obs::Counter& lanes;
   obs::Counter& sweeps;
 };
 
@@ -21,12 +27,19 @@ EvalMetrics& eval_metrics() {
   static EvalMetrics* metrics = [] {
     obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
     return new EvalMetrics{
-        reg.counter("fpsched_eval_runs_total", "Theorem 3 evaluator invocations"),
+        reg.counter("fpsched_eval_runs_total",
+                    "Theorem 3 expected makespans produced (one per schedule and failure model)"),
+        reg.counter("fpsched_eval_walks_total",
+                    "evaluator calls that walked the lost-work DFS (shared by their models)"),
+        reg.counter("fpsched_eval_lanes_total",
+                    "distinct failure rates swept by the evaluator (one set of sweeps each)"),
         reg.counter("fpsched_eval_kernel_sweeps_total",
                     "batched exp/expm1 kernel sweeps issued by the evaluator")};
   }();
   return *metrics;
 }
+
+constexpr std::size_t kNoLane = static_cast<std::size_t>(-1);
 
 }  // namespace
 
@@ -38,9 +51,6 @@ void EvaluatorWorkspace::resize(std::size_t n, std::size_t edges) {
   pred_offsets.assign(n + 1, 0);
   pred_list.resize(edges);
   position.resize(n);
-  accum.assign(n, 0.0);
-  sum_prob.assign(n, 0.0);
-  expm1_wc.resize(n);
   self_loss.assign(n, 0.0);
 }
 
@@ -54,33 +64,59 @@ Evaluation ScheduleEvaluator::evaluate(const Schedule& schedule) const {
 
 Evaluation ScheduleEvaluator::evaluate(const Schedule& schedule, EvaluatorWorkspace& ws,
                                        EvalMath math) const {
-  validate_schedule(*graph_, schedule);
   Evaluation result;
-  result.per_task_expected.clear();
-  result.expected_makespan = run(schedule, ws, &result.per_task_expected, math);
-  result.total_weight = graph_->total_weight();
-  result.checkpoint_count = schedule.checkpoint_count();
+  evaluate(schedule, {&model_, 1}, ws, {&result, 1}, math);
+  return result;
+}
+
+void ScheduleEvaluator::evaluate(const Schedule& schedule, std::span<const FailureModel> models,
+                                 EvaluatorWorkspace& ws, std::span<Evaluation> out,
+                                 EvalMath math) const {
+  ensure(out.size() == models.size(), "evaluate needs one output slot per model");
+  validate_schedule(*graph_, schedule);
+  std::vector<double> totals(models.size());
+  run(schedule, models, ws, totals, out, math);
   double fault_free = 0.0;
   for (VertexId v = 0; v < graph_->task_count(); ++v) {
     fault_free += graph_->weight(v);
     if (schedule.is_checkpointed(v)) fault_free += graph_->ckpt_cost(v);
   }
-  result.fault_free_time = fault_free;
-  result.ratio = result.total_weight > 0.0 ? result.expected_makespan / result.total_weight : 1.0;
-  return result;
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    Evaluation& result = out[m];
+    result.expected_makespan = totals[m];
+    result.total_weight = graph_->total_weight();
+    result.checkpoint_count = schedule.checkpoint_count();
+    result.fault_free_time = fault_free;
+    result.ratio =
+        result.total_weight > 0.0 ? result.expected_makespan / result.total_weight : 1.0;
+  }
 }
 
 double ScheduleEvaluator::expected_makespan(const Schedule& schedule, EvaluatorWorkspace& ws,
                                             bool validate, EvalMath math) const {
-  if (validate) validate_schedule(*graph_, schedule);
-  return run(schedule, ws, nullptr, math);
+  double total = 0.0;
+  expected_makespans(schedule, {&model_, 1}, ws, {&total, 1}, validate, math);
+  return total;
 }
 
-double ScheduleEvaluator::run(const Schedule& schedule, EvaluatorWorkspace& ws,
-                              std::vector<double>* per_task, EvalMath math) const {
+void ScheduleEvaluator::expected_makespans(const Schedule& schedule,
+                                           std::span<const FailureModel> models,
+                                           EvaluatorWorkspace& ws, std::span<double> out,
+                                           bool validate, EvalMath math) const {
+  ensure(out.size() == models.size(), "expected_makespans needs one output slot per model");
+  if (validate) validate_schedule(*graph_, schedule);
+  run(schedule, models, ws, out, {}, math);
+}
+
+void ScheduleEvaluator::run(const Schedule& schedule, std::span<const FailureModel> models,
+                            EvaluatorWorkspace& ws, std::span<double> totals,
+                            std::span<Evaluation> full, EvalMath math) const {
   const std::size_t n = graph_->task_count();
-  if (per_task) per_task->assign(n, 0.0);
-  if (n == 0) return 0.0;
+  for (Evaluation& result : full) result.per_task_expected.assign(n, 0.0);
+  if (n == 0) {
+    std::fill(totals.begin(), totals.end(), 0.0);
+    return;
+  }
   const Dag& dag = graph_->dag();
   ws.resize(n, dag.edge_count());
 
@@ -111,19 +147,30 @@ double ScheduleEvaluator::run(const Schedule& schedule, EvaluatorWorkspace& ws,
     }
   }
 
-  const double lambda = model_.lambda();
-  if (lambda == 0.0) {
-    // No failures: the makespan is deterministic.
-    double total = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double xi = ws.work[i] + ws.ckpt[i];
-      if (per_task) (*per_task)[i] = xi;
-      total += xi;
+  // --- Lanes: one per distinct lambda > 0, in first-appearance order. ---
+  // lambda == 0 models take the closed form in the combine below; a call
+  // with no lane walks nothing.
+  std::size_t lane_count = 0;
+  ws.lane_of.resize(models.size());
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    const double lambda = models[m].lambda();
+    ws.lane_of[m] = kNoLane;
+    if (lambda == 0.0) continue;
+    std::size_t lane = 0;
+    while (lane < lane_count && ws.lanes[lane].lambda != lambda) ++lane;
+    if (lane == lane_count) {
+      if (ws.lanes.size() == lane_count) ws.lanes.emplace_back();
+      ws.lanes[lane].lambda = lambda;
+      ++lane_count;
     }
-    eval_metrics().runs.add(1);  // no kernel sweeps on the failure-free path
-    return total;
+    ws.lane_of[m] = lane;
   }
-  const double rate_factor = 1.0 / lambda + model_.downtime();
+  const std::span<EvaluatorWorkspace::Lane> lanes(ws.lanes.data(), lane_count);
+  for (EvaluatorWorkspace::Lane& lane : lanes) {
+    lane.accum.assign(n, 0.0);
+    lane.sum_prob.assign(n, 0.0);
+    lane.expm1_wc.resize(n);
+  }
 
   // Lost work L^i_k for the current pass position k: DFS from i over lost,
   // non-checkpointed predecessors. `recovered_at[j] == k` marks tasks that
@@ -131,9 +178,6 @@ double ScheduleEvaluator::run(const Schedule& schedule, EvaluatorWorkspace& ws,
   // memory), which both deduplicates the DFS and implements the exclusion
   // rule of Definition 1.
   EvaluatorWorkspace::PassScratch& pass = ws.pass;
-  pass.recovered_at.assign(n, -1);
-  pass.dfs_stack.clear();
-  pass.dfs_stack.reserve(n);
   const auto lost_work = [&](std::size_t i, std::size_t pass_k) -> double {
     const auto k = static_cast<std::int32_t>(pass_k);
     std::vector<std::uint32_t>& stack = pass.dfs_stack;
@@ -159,136 +203,194 @@ double ScheduleEvaluator::run(const Schedule& schedule, EvaluatorWorkspace& ws,
     return lost;
   };
 
-  // --- Pass k = -1: no failure has happened yet. -----------------------
-  // Zero-probability events are skipped everywhere below: their Eq.-(1)
-  // term can overflow to +inf on failure-dominated segments and 0 * inf
-  // would poison the sum with a NaN.
-  //
-  // expm1(lambda (w_i + delta_i c_i)) is memoized here because it is the
-  // exact factor every later pass needs whenever L^i_k == 0 — with no
-  // lost work, lambda * (0.0 + w_i + c_i) has the same bit pattern as
-  // lambda * (w_i + c_i) and e^{-lambda * 0} == 1.0, so reusing the
-  // memoized value is bit-identical while skipping both transcendentals
-  // on the (dominant) zero-loss pairs of the O(n^2) loop below.
-  //
-  // Like every pass below, the transcendental arguments are staged into
-  // contiguous buffers and handed to the batched kernels (math_kernels.hpp)
-  // in one sweep each; the exact backend makes this bit-identical to the
-  // historical element-wise loop.
-  pass.q.resize(n);
-  pass.a.resize(n);
-  pass.b.resize(n);
-  {
-    double elapsed = 0.0;  // sum of w_j + delta_j c_j, j < i
-    for (std::size_t i = 0; i < n; ++i) {
-      ws.expm1_wc[i] = lambda * (ws.work[i] + ws.ckpt[i]);
-      pass.q[i] = elapsed;
-      elapsed += ws.work[i] + ws.ckpt[i];
+  std::size_t staged_passes = 0;  // (lane, pass) pairs; each issues 3 kernel sweeps
+  if (!lanes.empty()) {
+    pass.recovered_at.assign(n, -1);
+    pass.dfs_stack.clear();
+    pass.dfs_stack.reserve(n);
+    pass.q.resize(n);
+    pass.a.resize(n);
+    pass.b.resize(n);
+    // Where the walk stages S and L. A one-lane call stages straight into
+    // the sweep scratch q and a, which its in-place sweeps then consume;
+    // with several lanes the staged values must outlive each lane's
+    // sweeps, so they go to shared buffers that every lane copies from.
+    const bool shared = lanes.size() > 1;
+    // The compacted L > 0 buffers take at most n entries per pass; sizing
+    // them once up front keeps their growth (and their heap placement)
+    // out of the pass loop.
+    pass.lost_idx.reserve(n);
+    pass.arg_a.reserve(n);
+    pass.arg_b.reserve(n);
+    if (shared) {
+      pass.span.resize(n);
+      pass.lost.resize(n);
     }
-    vexpm1(ws.expm1_wc.data(), ws.expm1_wc.data(), n, math);
-    vexp_neg_mul(lambda, pass.q.data(), pass.q.data(), n, math);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double p = pass.q[i];
-      if (p > 0.0) {
-        ws.accum[i] += p * ws.expm1_wc[i];
-        ws.sum_prob[i] += p;
+    double* const staged_span = shared ? pass.span.data() : pass.q.data();
+    double* const staged_lost = shared ? pass.lost.data() : pass.a.data();
+
+    // --- Pass k = -1: no failure has happened yet. ---------------------
+    // Zero-probability events are skipped everywhere below: their Eq.-(1)
+    // term can overflow to +inf on failure-dominated segments and 0 * inf
+    // would poison the sum with a NaN.
+    //
+    // expm1(lambda (w_i + delta_i c_i)) is memoized here because it is
+    // the exact factor every later pass needs whenever L^i_k == 0 — with
+    // no lost work, lambda * (0.0 + w_i + c_i) has the same bit pattern as
+    // lambda * (w_i + c_i) and e^{-lambda * 0} == 1.0, so reusing the
+    // memoized value is bit-identical while skipping both
+    // transcendentals on the (dominant) zero-loss pairs of the O(n^2)
+    // loop below.
+    //
+    // Like every pass below, the transcendental arguments are staged into
+    // contiguous buffers and handed to the batched kernels
+    // (math_kernels.hpp) in one sweep each; the exact backend makes this
+    // bit-identical to the historical element-wise loop.
+    {
+      double elapsed = 0.0;  // sum of w_j + delta_j c_j, j < i
+      for (std::size_t i = 0; i < n; ++i) {
+        staged_span[i] = elapsed;
+        elapsed += ws.work[i] + ws.ckpt[i];
       }
     }
-  }
-
-  // --- Passes k = 0..n-1: last failure during X_k. ----------------------
-  std::size_t staged_passes = 0;  // each staged pass issues 3 kernel sweeps
-  for (std::size_t k = 0; k < n; ++k) {
-    // P(Z^{k+1}_k) = 1 - sum over earlier failure positions (property B).
-    // It is final before pass k starts, so a dead pass (probability mass
-    // exhausted, or k == n-1 with no later tasks) skips staging entirely:
-    // only L^k_k is still needed, and the skipped DFS epoch marks are
-    // never read again.
-    const double base = k + 1 < n ? std::clamp(1.0 - ws.sum_prob[k + 1], 0.0, 1.0) : 0.0;
-    if (!(base > 0.0)) {
-      ws.self_loss[k] = lost_work(k, k);
-      continue;
+    for (EvaluatorWorkspace::Lane& lane : lanes) {
+      const double lambda = lane.lambda;
+      for (std::size_t i = 0; i < n; ++i) lane.expm1_wc[i] = lambda * (ws.work[i] + ws.ckpt[i]);
+      vexpm1(lane.expm1_wc.data(), lane.expm1_wc.data(), n, math);
+      if (shared) std::copy_n(staged_span, n, pass.q.data());
+      vexp_neg_mul(lambda, pass.q.data(), pass.q.data(), n, math);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double p = pass.q[i];
+        if (p > 0.0) {
+          lane.accum[i] += p * lane.expm1_wc[i];
+          lane.sum_prob[i] += p;
+        }
+      }
     }
 
-    // Stage: walk the lost-work DFS, stage every record's kernel
-    // arguments — S^i_k in q, L^i_k in a — then batch the pass's
-    // transcendentals as three sweeps: q <- e^{-lambda q} for all records,
-    // and for the compacted L > 0 subset a <- e^{-lambda L},
-    // b <- expm1(lambda (L + w_i + delta_i c_i)). The staged expressions
-    // and guards mirror the historical element-wise code token for token,
-    // so the combine consumes bit-identical factors under the exact
-    // backend.
-    double span = 0.0;  // S^i_k = sum_{k<j<i} (L^j_k + w_j + delta_j c_j)
-    std::size_t records = 0;
-    for (std::size_t i = k; i < n; ++i) {
-      const double lost = lost_work(i, k);
-      if (i == k) {
-        ws.self_loss[k] = lost;  // L^k_k
+    // --- Passes k = 0..n-1: last failure during X_k. --------------------
+    for (std::size_t k = 0; k < n; ++k) {
+      // P(Z^{k+1}_k) = 1 - sum over earlier failure positions (property
+      // B). It is final before pass k starts, so a dead lane (probability
+      // mass exhausted, or k == n-1 with no later tasks) skips the pass;
+      // when every lane is dead the walk is skipped too: only L^k_k is
+      // still needed, and the skipped DFS epoch marks are never read
+      // again.
+      bool live = false;
+      for (EvaluatorWorkspace::Lane& lane : lanes) {
+        lane.base = k + 1 < n ? std::clamp(1.0 - lane.sum_prob[k + 1], 0.0, 1.0) : 0.0;
+        live = live || lane.base > 0.0;
+      }
+      if (!live) {
+        ws.self_loss[k] = lost_work(k, k);
         continue;
       }
-      pass.q[records] = span;  // staged argument, swept in place below
-      pass.a[records] = lost;  // staged L, rewritten by the compaction below
-      ++records;
-      span += lost + ws.work[i] + ws.ckpt[i];
-    }
-    vexp_neg_mul(lambda, pass.q.data(), pass.q.data(), records, math);
-    pass.lost_idx.clear();
-    pass.arg_a.clear();
-    pass.arg_b.clear();
-    for (std::size_t r = 0; r < records; ++r) {
-      const double lost = pass.a[r];
-      if (lost == 0.0) {
-        pass.a[r] = -1.0;  // sentinel: combine reuses the memoized expm1_wc[i]
-        pass.b[r] = 0.0;
-      } else if (pass.q[r] > 0.0) {
-        const std::size_t i = k + 1 + r;
-        pass.lost_idx.push_back(static_cast<std::uint32_t>(r));
-        pass.arg_a.push_back(lost);
-        pass.arg_b.push_back(lambda * (lost + ws.work[i] + ws.ckpt[i]));
-      } else {
-        pass.a[r] = 0.0;  // q == 0 forces p == 0; never read
-        pass.b[r] = 0.0;
-      }
-    }
-    vexp_neg_mul(lambda, pass.arg_a.data(), pass.arg_a.data(), pass.arg_a.size(), math);
-    vexpm1(pass.arg_b.data(), pass.arg_b.data(), pass.arg_b.size(), math);
-    for (std::size_t j = 0; j < pass.lost_idx.size(); ++j) {
-      pass.a[pass.lost_idx[j]] = pass.arg_a[j];
-      pass.b[pass.lost_idx[j]] = pass.arg_b[j];
-    }
 
-    // Accumulate the pass from its staged factors, i ascending.
-    for (std::size_t r = 0; r < records; ++r) {
-      const std::size_t i = k + 1 + r;
-      const double p = pass.q[r] * base;
-      if (p > 0.0) {
-        ws.accum[i] += pass.a[r] < 0.0 ? p * ws.expm1_wc[i] : p * pass.a[r] * pass.b[r];
-        ws.sum_prob[i] += p;
+      // Walk once: stage S^i_k and L^i_k of every record for all lanes.
+      double span = 0.0;  // S^i_k = sum_{k<j<i} (L^j_k + w_j + delta_j c_j)
+      std::size_t records = 0;
+      for (std::size_t i = k; i < n; ++i) {
+        const double lost = lost_work(i, k);
+        if (i == k) {
+          ws.self_loss[k] = lost;  // L^k_k
+          continue;
+        }
+        staged_span[records] = span;
+        staged_lost[records] = lost;
+        ++records;
+        span += lost + ws.work[i] + ws.ckpt[i];
+      }
+
+      // Per live lane, batch the pass's transcendentals as three sweeps:
+      // q <- e^{-lambda S} for all records, and for the compacted L > 0
+      // subset a <- e^{-lambda L}, b <- expm1(lambda (L + w_i + delta_i
+      // c_i)). The staged expressions and guards mirror the historical
+      // element-wise code token for token, so the accumulate consumes
+      // bit-identical factors under the exact backend.
+      for (EvaluatorWorkspace::Lane& lane : lanes) {
+        const double base = lane.base;
+        if (!(base > 0.0)) continue;
+        const double lambda = lane.lambda;
+        if (shared) std::copy_n(staged_span, records, pass.q.data());
+        vexp_neg_mul(lambda, pass.q.data(), pass.q.data(), records, math);
+        pass.lost_idx.clear();
+        pass.arg_a.clear();
+        pass.arg_b.clear();
+        for (std::size_t r = 0; r < records; ++r) {
+          const double lost = staged_lost[r];
+          if (lost == 0.0) {
+            pass.a[r] = -1.0;  // sentinel: accumulate reuses the memoized expm1_wc[i]
+            pass.b[r] = 0.0;
+          } else if (pass.q[r] > 0.0) {
+            const std::size_t i = k + 1 + r;
+            pass.lost_idx.push_back(static_cast<std::uint32_t>(r));
+            pass.arg_a.push_back(lost);
+            pass.arg_b.push_back(lambda * (lost + ws.work[i] + ws.ckpt[i]));
+          } else {
+            pass.a[r] = 0.0;  // q == 0 forces p == 0; never read
+            pass.b[r] = 0.0;
+          }
+        }
+        vexp_neg_mul(lambda, pass.arg_a.data(), pass.arg_a.data(), pass.arg_a.size(), math);
+        vexpm1(pass.arg_b.data(), pass.arg_b.data(), pass.arg_b.size(), math);
+        for (std::size_t j = 0; j < pass.lost_idx.size(); ++j) {
+          pass.a[pass.lost_idx[j]] = pass.arg_a[j];
+          pass.b[pass.lost_idx[j]] = pass.arg_b[j];
+        }
+
+        // Accumulate the pass from its staged factors, i ascending.
+        for (std::size_t r = 0; r < records; ++r) {
+          const std::size_t i = k + 1 + r;
+          const double p = pass.q[r] * base;
+          if (p > 0.0) {
+            lane.accum[i] += pass.a[r] < 0.0 ? p * lane.expm1_wc[i] : p * pass.a[r] * pass.b[r];
+            lane.sum_prob[i] += p;
+          }
+        }
+        ++staged_passes;
       }
     }
-    ++staged_passes;
   }
 
-  // --- Combine: E[X_i] = e^{lambda L^i_i} (1/lambda + D) accum[i]. ------
-  double total = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    // accum[i] == 0 happens only when every reachable event has zero cost
-    // (or its probability underflowed); guard against inf * 0. The
-    // self_loss == 0 branch elides e^{lambda * 0} == 1.0 bit-identically.
-    double xi = 0.0;
-    if (ws.accum[i] != 0.0 && ws.self_loss[i] == 0.0) {
-      xi = rate_factor * ws.accum[i];
-    } else if (ws.accum[i] != 0.0) {
-      // determinism-ok: serial O(n) combine tail, not a pass sweep (staging would cost more)
-      xi = std::exp(lambda * ws.self_loss[i]) * rate_factor * ws.accum[i];
+  // --- Combine, per model: E[X_i] = e^{lambda L^i_i} (1/lambda + D)
+  // accum[i] from its lane; lambda == 0 makes the makespan deterministic.
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    std::vector<double>* per_task = full.empty() ? nullptr : &full[m].per_task_expected;
+    double total = 0.0;
+    if (ws.lane_of[m] == kNoLane) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const double xi = ws.work[i] + ws.ckpt[i];
+        if (per_task) (*per_task)[i] = xi;
+        total += xi;
+      }
+      totals[m] = total;
+      continue;
     }
-    if (per_task) (*per_task)[i] = xi;
-    total += xi;
+    const std::vector<double>& accum = ws.lanes[ws.lane_of[m]].accum;
+    const double lambda = models[m].lambda();
+    const double rate_factor = 1.0 / lambda + models[m].downtime();
+    for (std::size_t i = 0; i < n; ++i) {
+      // accum[i] == 0 happens only when every reachable event has zero
+      // cost (or its probability underflowed); guard against inf * 0. The
+      // self_loss == 0 branch elides e^{lambda * 0} == 1.0
+      // bit-identically.
+      double xi = 0.0;
+      if (accum[i] != 0.0 && ws.self_loss[i] == 0.0) {
+        xi = rate_factor * accum[i];
+      } else if (accum[i] != 0.0) {
+        // determinism-ok: serial O(n) combine tail, not a pass sweep (staging would cost more)
+        xi = std::exp(lambda * ws.self_loss[i]) * rate_factor * accum[i];
+      }
+      if (per_task) (*per_task)[i] = xi;
+      total += xi;
+    }
+    totals[m] = total;
   }
   EvalMetrics& metrics = eval_metrics();
-  metrics.runs.add(1);
-  metrics.sweeps.add(2 + 3 * staged_passes);  // pass -1 issues 2, each staged pass 3
-  return total;
+  metrics.runs.add(models.size());
+  if (!lanes.empty()) metrics.walks.add(1);
+  metrics.lanes.add(lane_count);
+  metrics.sweeps.add(2 * lane_count + 3 * staged_passes);  // pass -1 issues 2 per lane
 }
 
 }  // namespace fpsched

@@ -28,11 +28,26 @@
 // The paper-faithful O(n^4) transcription lives in evaluator_naive.hpp and
 // the two are cross-checked on randomized DAGs by the test suite.
 //
-// Every evaluation is serial: the engine parallelizes over scenarios and
-// budget candidates, which already fill the cores (see engine.hpp).
+// One call can serve several failure models (a cell group of the engine:
+// scenarios that differ only in lambda and D). Nothing above except the
+// probabilities depends on lambda: the reindex, the lost-work sets T|k_i
+// and their costs L^i_k, and the spans S^i_k are properties of the
+// schedule, and D enters only through the combine factor 1/lambda + D.
+// So one pass loop walks the DFS once per pass and stages S and L into
+// shared buffers, then runs the exp/expm1 sweeps and the accumulate once
+// per *lane* (a distinct lambda > 0) and the O(n) combine once per model.
+// A lane whose P(Z^{k+1}_k) is 0 skips pass k exactly as a one-model
+// call does, and every model consumes the same doubles in the same order
+// as a call with that model alone, so the result is bit-identical to
+// evaluating the models one at a time. The one-model calls are this loop
+// with a single model.
+//
+// Every evaluation is serial: the engine parallelizes over cell groups
+// and budget candidates, which already fill the cores (see engine.hpp).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/failure_model.hpp"
@@ -59,32 +74,49 @@ struct Evaluation {
 };
 
 /// Scratch buffers reused across evaluations; concurrent evaluations
-/// need distinct workspaces.
-class EvaluatorWorkspace {
+/// need distinct workspaces. Cache-line aligned: the evaluator updates the
+/// buffers' bookkeeping in its hot loops, and workspaces of concurrent
+/// workers often sit side by side in one vector.
+class alignas(64) EvaluatorWorkspace {
  public:
   EvaluatorWorkspace() = default;
 
  private:
   friend class ScheduleEvaluator;
 
-  /// Per-pass staging: the DFS state plus the base-independent factors of
-  /// every (k, i) pair of one pass. q = e^{-lambda S^i_k}; for L^i_k == 0
-  /// the combine reuses the memoized expm1_wc[i] (a < 0 is the sentinel),
-  /// otherwise a = e^{-lambda L^i_k} and
-  /// b = expm1(lambda (L^i_k + w_i + delta_i c_i)). Each pass stages its
-  /// kernel arguments into q/a in place and gathers the L > 0 subset into
-  /// the compact lost_idx/arg_a/arg_b triple, so the transcendentals run
-  /// as three batched sweeps per pass (see math_kernels.hpp) instead of
+  /// Per-pass staging shared by every lane of a call. The walk stages the
+  /// lambda-independent S^i_k and L^i_k of every (k, i) record once; each
+  /// live lane then sweeps its factors from them in the shared scratch:
+  /// q = e^{-lambda S^i_k}; for L^i_k == 0 the accumulate reuses the
+  /// lane's memoized expm1_wc[i] (a < 0 is the sentinel), otherwise
+  /// a = e^{-lambda L^i_k} and b = expm1(lambda (L^i_k + w_i + delta_i
+  /// c_i)). The L > 0 subset is gathered into the compact
+  /// lost_idx/arg_a/arg_b triple, so the transcendentals run as three
+  /// batched sweeps per (lane, pass) (see math_kernels.hpp) instead of
   /// element-wise libm calls.
   struct PassScratch {
     std::vector<std::int32_t> recovered_at;
     std::vector<std::uint32_t> dfs_stack;
+    // Staged S^i_k (pass -1: the fault-free prefix) and L^i_k when a call
+    // has several lanes; a one-lane call stages them straight into q and a.
+    std::vector<double> span;
+    std::vector<double> lost;
     std::vector<double> q;
     std::vector<double> a;
     std::vector<double> b;
     std::vector<std::uint32_t> lost_idx;  // record index of each L > 0 entry
     std::vector<double> arg_a;            // staged L, swept to e^{-lambda L}
     std::vector<double> arg_b;            // staged expm1 argument, swept in place
+  };
+
+  /// The lambda-dependent state of one lane (a distinct lambda > 0 of a
+  /// call); models sharing a lambda share its lane.
+  struct Lane {
+    double lambda = 0.0;
+    double base = 0.0;             // P(Z^{k+1}_k) of the current pass
+    std::vector<double> accum;     // B[i]: sum of conditional terms
+    std::vector<double> sum_prob;  // sum over processed k of P(Z^i_k)
+    std::vector<double> expm1_wc;  // expm1(lambda (w_i + delta_i c_i))
   };
 
   std::vector<double> work;        // w by position
@@ -94,16 +126,16 @@ class EvaluatorWorkspace {
   std::vector<std::uint32_t> pred_offsets;
   std::vector<std::uint32_t> pred_list;  // predecessor positions, CSR
   std::vector<std::uint32_t> position;   // vertex id -> position
-  std::vector<double> accum;             // B[i]: sum of conditional terms
-  std::vector<double> sum_prob;          // sum over processed k of P(Z^i_k)
-  std::vector<double> expm1_wc;          // expm1(lambda (w_i + delta_i c_i))
   std::vector<double> self_loss;         // L^i_i
+  std::vector<Lane> lanes;               // grown to the widest call seen
+  std::vector<std::size_t> lane_of;      // model -> lane (npos for lambda == 0)
   PassScratch pass;
 
   void resize(std::size_t n, std::size_t edges);
 };
 
-/// Evaluates schedules for one (task graph, failure model) pair. The
+/// Evaluates schedules on one task graph under its failure model — or,
+/// through the multi-model calls, under several models at once. The
 /// object is immutable after construction and safe to share across
 /// threads; concurrent calls must pass distinct workspaces.
 class ScheduleEvaluator {
@@ -119,6 +151,13 @@ class ScheduleEvaluator {
   Evaluation evaluate(const Schedule& schedule, EvaluatorWorkspace& ws,
                       EvalMath math = EvalMath::exact) const;
 
+  /// Full evaluation under each of `models` (which stand in for model())
+  /// in one call: out[m] is bit-identical to evaluate(schedule, ws, math)
+  /// on an evaluator for models[m]. `out` must hold one slot per model.
+  void evaluate(const Schedule& schedule, std::span<const FailureModel> models,
+                EvaluatorWorkspace& ws, std::span<Evaluation> out,
+                EvalMath math = EvalMath::exact) const;
+
   /// Fast path returning only E[makespan]; used by the heuristic sweeps.
   /// `validate` can be disabled when the caller constructed the schedule
   /// from a known-valid linearization. `math` picks the backend of the
@@ -128,9 +167,21 @@ class ScheduleEvaluator {
   double expected_makespan(const Schedule& schedule, EvaluatorWorkspace& ws,
                            bool validate = true, EvalMath math = EvalMath::exact) const;
 
+  /// E[makespan] under each of `models` (which stand in for model()) in
+  /// one call: the lost-work walk runs once, the sweeps once per distinct
+  /// lambda and the combine once per model. out[m] is bit-identical to
+  /// expected_makespan on an evaluator for models[m]. `out` must hold one
+  /// slot per model.
+  void expected_makespans(const Schedule& schedule, std::span<const FailureModel> models,
+                          EvaluatorWorkspace& ws, std::span<double> out, bool validate = true,
+                          EvalMath math = EvalMath::exact) const;
+
  private:
-  double run(const Schedule& schedule, EvaluatorWorkspace& ws, std::vector<double>* per_task,
-             EvalMath math) const;
+  /// The pass loop: E[makespan] under models[m] into totals[m] and, when
+  /// `full` is non-empty, E[X_i] by position into full[m].
+  void run(const Schedule& schedule, std::span<const FailureModel> models,
+           EvaluatorWorkspace& ws, std::span<double> totals, std::span<Evaluation> full,
+           EvalMath math) const;
 
   const TaskGraph* graph_;
   FailureModel model_;

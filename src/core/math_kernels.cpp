@@ -144,11 +144,14 @@ inline double expm1_fast(double x) {
 // the attribute degrades to the baseline build everywhere else. Note the
 // clones may differ in the low bits between themselves (FMA contraction),
 // so fast-mode output is deterministic per host/build, not across CPU
-// generations — the exact backend remains the cross-host byte contract.
+// generations (fast_math_variant() names the clone a host runs) — the
+// exact backend remains the cross-host byte contract.
 #if defined(__x86_64__) && defined(__ELF__) && defined(__GNUC__) && !defined(__clang__)
 #define FPSCHED_MATH_CLONES __attribute__((target_clones("default", "arch=x86-64-v3")))
+#define FPSCHED_HAS_MATH_CLONES 1
 #else
 #define FPSCHED_MATH_CLONES
+#define FPSCHED_HAS_MATH_CLONES 0
 #endif
 
 FPSCHED_MATH_CLONES
@@ -167,6 +170,16 @@ void sweep_exp_neg_mul_fast(double lambda, const double* x, double* out, std::si
 }
 
 }  // namespace
+
+std::string_view fast_math_variant() {
+#if FPSCHED_HAS_MATH_CLONES
+  // The predicate the "arch=x86-64-v3" clone's resolver dispatches on.
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("x86-64-v3") ? "x86-64-v3" : "default";
+#else
+  return "default";
+#endif
+}
 
 void vexp(const double* x, double* out, std::size_t n, EvalMath math) {
   if (math == EvalMath::exact) {

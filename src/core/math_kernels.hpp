@@ -28,6 +28,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace fpsched {
 
@@ -53,5 +54,13 @@ void vexpm1(const double* x, double* out, std::size_t n, EvalMath math = EvalMat
 /// `std::exp(-lambda * span)` expression bit-for-bit. In-place safe.
 void vexp_neg_mul(double lambda, const double* x, double* out, std::size_t n,
                   EvalMath math = EvalMath::exact);
+
+/// The code path the fast backend's sweeps dispatch to on this host:
+/// "x86-64-v3" or "default" where they are compiled as target clones
+/// (x86-64 ELF under GCC, decided by the clone resolver's own predicate),
+/// "default" elsewhere. Clones may differ in the low bits, so anything
+/// that stores fast-backend output by its inputs (the service's result
+/// cache) must key on this too.
+std::string_view fast_math_variant();
 
 }  // namespace fpsched

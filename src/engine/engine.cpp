@@ -1,8 +1,11 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <limits>
+#include <map>
 #include <memory>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -19,7 +22,7 @@ namespace fpsched::engine {
 namespace {
 
 // Telemetry only (see obs/metrics.hpp for the contract). busy_ns sums the
-// wall time of every scenario across all workers — together with
+// wall time of every cell group across all workers — together with
 // run_seconds it yields worker utilization (busy / (wall * threads)).
 struct EngineMetrics {
   obs::Counter& runs;
@@ -39,12 +42,13 @@ EngineMetrics& engine_metrics() {
         reg.counter("fpsched_engine_runs_total", "engine batch runs"),
         reg.counter("fpsched_engine_scenarios_total", "scenarios executed"),
         reg.counter("fpsched_engine_busy_ns_total",
-                    "summed per-scenario wall nanoseconds across workers"),
+                    "summed per-cell-group wall nanoseconds across workers"),
         reg.counter("fpsched_instance_cache_hits_total",
                     "scenario lookups served by an already-materialized instance"),
         reg.histogram("fpsched_engine_run_seconds", "wall seconds per engine batch run",
                       obs::latency_buckets_seconds()),
-        reg.histogram("fpsched_engine_scenario_seconds", "wall seconds per scenario",
+        reg.histogram("fpsched_engine_scenario_seconds",
+                      "wall seconds per cell group (the scenarios one work unit computes)",
                       obs::latency_buckets_seconds()),
         reg.gauge("fpsched_engine_emitter_buffered",
                   "results completed out of order, held for in-order emission"),
@@ -74,17 +78,17 @@ HeuristicOptions ExperimentEngine::worker_options(EvaluatorWorkspace& workspace,
 
 namespace {
 
-/// The policy-selection logic of run_scenario. `run_one(heuristic)` must
-/// behave as run_heuristic for that heuristic on the scenario's
-/// evaluator. `graph` is the scenario's instance (needed by
-/// simulated_best, which replays the winning schedule through the fault
-/// simulator).
+/// The policy-selection logic of one scenario. `run_one(heuristic)` must
+/// return what run_heuristic returns for that heuristic on the scenario's
+/// evaluator; the reference need only live until the next call. `graph`
+/// is the scenario's instance (needed by simulated_best, which replays the
+/// winning schedule through the fault simulator).
 template <typename RunFn>
 ScenarioResult execute_policy(const ScenarioSpec& spec, const TaskGraph& graph, RunFn&& run_one) {
   ScenarioResult result;
   result.spec = spec;
   if (spec.policy.kind == ScenarioPolicy::Kind::fixed_heuristic) {
-    HeuristicResult run = run_one(spec.policy.heuristic);
+    const HeuristicResult& run = run_one(spec.policy.heuristic);
     result.evaluation = run.evaluation;
     result.linearization = spec.policy.heuristic.linearization;
     result.best_budget = run.best_budget;
@@ -133,7 +137,7 @@ ScenarioResult execute_policy(const ScenarioSpec& spec, const TaskGraph& graph, 
   // linearization with the smallest ratio. CkptNvr / CkptAlws are defined
   // with the DF linearization only (Section 5).
   if (!is_budgeted(spec.policy.strategy)) {
-    HeuristicResult run = run_one({LinearizeMethod::depth_first, spec.policy.strategy});
+    const HeuristicResult& run = run_one({LinearizeMethod::depth_first, spec.policy.strategy});
     result.evaluation = run.evaluation;
     result.linearization = LinearizeMethod::depth_first;
     result.best_budget = run.best_budget;
@@ -141,7 +145,7 @@ ScenarioResult execute_policy(const ScenarioSpec& spec, const TaskGraph& graph, 
   }
   double best = std::numeric_limits<double>::infinity();
   for (const LinearizeMethod lin : all_linearize_methods()) {
-    HeuristicResult run = run_one({lin, spec.policy.strategy});
+    const HeuristicResult& run = run_one({lin, spec.policy.strategy});
     if (run.evaluation.ratio < best) {
       best = run.evaluation.ratio;
       result.evaluation = run.evaluation;
@@ -152,51 +156,111 @@ ScenarioResult execute_policy(const ScenarioSpec& spec, const TaskGraph& graph, 
   return result;
 }
 
+/// The cell-group key: canonical_spec_string with the failure model and
+/// scenario index blanked, so scenarios differing only in (lambda, D)
+/// share it while any other spec field — today's or a future one —
+/// splits them.
+std::string cell_group_key(ScenarioSpec spec) {
+  spec.model = FailureModel(0.0);
+  spec.scenario_index = 0;
+  return canonical_spec_string(spec);
+}
+
+/// Partitions specs into cell groups, in first-appearance order; each
+/// group lists its members' input indices ascending. Siblings need not be
+/// adjacent (grids enumerate lambda and D outside the policy).
+std::vector<std::vector<std::size_t>> cell_groups(std::span<const ScenarioSpec> specs) {
+  std::map<std::string, std::size_t> group_of;
+  std::vector<std::vector<std::size_t>> groups;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const auto [it, inserted] = group_of.try_emplace(cell_group_key(specs[i]), groups.size());
+    if (inserted) groups.emplace_back();
+    groups[it->second].push_back(i);
+  }
+  return groups;
+}
+
+/// Runs one cell group against its materialized instance: every
+/// heuristic the (shared) policy asks for runs once, for all members'
+/// failure models together (see run_heuristic's multi-model overload),
+/// and each member's policy then selects from its own model's results —
+/// bit-identical to running the members one by one. `options` carries
+/// the worker's workspace, pool and math backend.
+std::vector<ScenarioResult> run_cell_group(std::span<const ScenarioSpec* const> members,
+                                           InstanceCache& cache, HeuristicOptions options) {
+  const ScenarioSpec& first = *members.front();
+  for (const ScenarioSpec* spec : members) {
+    ensure(cache.key() == InstanceKey::of(*spec),
+           "instance cache does not match the scenario (" + spec->label() + ")");
+  }
+  ensure(first.stride >= 1, "scenario stride must be >= 1 (" + first.label() + ")");
+  EngineMetrics& metrics = engine_metrics();
+  const obs::ScopedTimer timer(&metrics.scenario_seconds, &metrics.busy_ns);
+  const obs::TraceSpan span([&] {
+    std::string name = "scenario " + first.label();
+    if (members.size() > 1) name += " +" + std::to_string(members.size() - 1) + " siblings";
+    return name;
+  });
+  metrics.scenarios.add(members.size());
+  const TaskGraph& graph = cache.graph_for(first.cost_model);
+  const ScheduleEvaluator evaluator(graph, first.model);
+  std::vector<FailureModel> models;
+  models.reserve(members.size());
+  for (const ScenarioSpec* spec : members) models.push_back(spec->model);
+  options.linearize = first.linearize;
+  options.sweep.stride = first.stride;
+
+  // One entry per heuristic run so far, results by member; a deque keeps
+  // earlier entries in place while later ones are added.
+  std::deque<std::pair<HeuristicSpec, std::vector<HeuristicResult>>> memo;
+  const auto runs_of = [&](const HeuristicSpec& heuristic) -> const std::vector<HeuristicResult>& {
+    for (const auto& [ran, runs] : memo) {
+      if (ran == heuristic) return runs;
+    }
+    memo.emplace_back(heuristic, run_heuristic(evaluator, models, heuristic,
+                                               cache.order(heuristic.linearization), options));
+    return memo.back().second;
+  };
+  std::vector<ScenarioResult> results;
+  results.reserve(members.size());
+  for (std::size_t m = 0; m < members.size(); ++m) {
+    results.push_back(execute_policy(*members[m], graph, [&](const HeuristicSpec& heuristic)
+                                         -> const HeuristicResult& { return runs_of(heuristic)[m]; }));
+  }
+  return results;
+}
+
 }  // namespace
 
 ScenarioResult ExperimentEngine::run_scenario(const ScenarioSpec& spec, InstanceCache& cache,
                                               EvalMath math) const {
-  ensure(cache.key() == InstanceKey::of(spec),
-         "instance cache does not match the scenario (" + spec.label() + ")");
-  ensure(spec.stride >= 1, "scenario stride must be >= 1 (" + spec.label() + ")");
-  EngineMetrics& metrics = engine_metrics();
-  const obs::ScopedTimer timer(&metrics.scenario_seconds, &metrics.busy_ns);
-  const obs::TraceSpan span([&] { return "scenario " + spec.label(); });
-  metrics.scenarios.add(1);
-  const TaskGraph& graph = cache.graph_for(spec.cost_model);
-  const ScheduleEvaluator evaluator(graph, spec.model);
-  HeuristicOptions options = worker_options(cache.workspace(), math);
-  options.linearize = spec.linearize;
-  options.sweep.stride = spec.stride;
-  return execute_policy(spec, graph, [&](const HeuristicSpec& heuristic) {
-    return run_heuristic(evaluator, heuristic, cache.order(heuristic.linearization), options);
-  });
+  EvaluatorWorkspace workspace;
+  const ScenarioSpec* const members[] = {&spec};
+  return std::move(run_cell_group(members, cache, worker_options(workspace, math))[0]);
 }
 
 namespace {
 
-/// Per-worker memo of materialized instances. Sharding stays at scenario
-/// granularity (grouping work units by instance would cap parallelism at
-/// the number of distinct instances — a lambda/downtime sweep has one per
-/// panel); instead every worker lazily materializes each InstanceKey it
-/// encounters once and replays it for all of its scenarios with that key.
-/// Grids emit an instance's cells consecutively, so the last-used cache
-/// almost always hits.
+/// Per-worker memo of materialized instances. A worker lazily
+/// materializes each InstanceKey it encounters once and replays it for
+/// all of its cell groups with that key (grouping work units by instance
+/// would cap parallelism at the number of distinct instances — a
+/// lambda/downtime sweep has one per panel). Grids emit an instance's
+/// cells consecutively, so the last-used cache almost always hits. Hits
+/// count per scenario: a group of m scenarios counts m hits when its
+/// instance is cached and m - 1 when it is materialized for it.
 class WorkerInstanceCaches {
  public:
-  InstanceCache& for_spec(const ScenarioSpec& spec) {
+  InstanceCache& for_group(const ScenarioSpec& spec, std::size_t scenarios) {
     const InstanceKey key = InstanceKey::of(spec);
-    if (!caches_.empty() && caches_.back()->key() == key) {
-      engine_metrics().cache_hits.add(1);
-      return *caches_.back();
-    }
-    for (const auto& cache : caches_) {
-      if (cache->key() == key) {
-        engine_metrics().cache_hits.add(1);
-        return *cache;
+    for (std::size_t i = caches_.size(); i-- > 0;) {
+      if (caches_[i]->key() == key) {
+        engine_metrics().cache_hits.add(scenarios);
+        return *caches_[i];
       }
     }
     caches_.push_back(std::make_unique<InstanceCache>(spec));
+    engine_metrics().cache_hits.add(scenarios - 1);
     return *caches_.back();
   }
 
@@ -252,13 +316,27 @@ std::vector<ScenarioResult> ExperimentEngine::run(std::span<const ScenarioSpec> 
   });
   std::vector<ScenarioResult> results(specs.size());
   OrderedEmitter emitter(on_result, results);
-  // Every result is a pure function of its spec (the cached instance is a
-  // pure function of its key) and lands in its input-order slot, so the
-  // output is identical for any thread count or work distribution.
-  std::vector<WorkerInstanceCaches> caches(std::min(worker_slots(pool_.get()), specs.size()));
-  parallel_for_workers(pool_.get(), 0, specs.size(), [&](std::size_t index, std::size_t worker) {
-    results[index] = run_scenario(specs[index], caches[worker].for_spec(specs[index]), math);
-    emitter.complete(index);
+  // The work unit is the cell group. Every result is a pure function of
+  // its spec (the cached instance is a pure function of its key, and a
+  // group computes each member exactly as a group of one would) and lands
+  // in its input-order slot, so the output is identical for any thread
+  // count, work distribution or grouping.
+  const std::vector<std::vector<std::size_t>> groups = cell_groups(specs);
+  const std::size_t slots = std::min(worker_slots(pool_.get()), groups.size());
+  std::vector<WorkerInstanceCaches> caches(slots);
+  std::vector<EvaluatorWorkspace> workspaces(slots);
+  parallel_for_workers(pool_.get(), 0, groups.size(), [&](std::size_t g, std::size_t worker) {
+    const std::vector<std::size_t>& group = groups[g];
+    std::vector<const ScenarioSpec*> members;
+    members.reserve(group.size());
+    for (const std::size_t index : group) members.push_back(&specs[index]);
+    InstanceCache& cache = caches[worker].for_group(*members.front(), members.size());
+    std::vector<ScenarioResult> computed =
+        run_cell_group(members, cache, worker_options(workspaces[worker], math));
+    for (std::size_t m = 0; m < group.size(); ++m) {
+      results[group[m]] = std::move(computed[m]);
+      emitter.complete(group[m]);
+    }
   });
   return results;
 }

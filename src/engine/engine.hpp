@@ -1,18 +1,31 @@
 // ExperimentEngine: parallel execution of scenario lists on one pool.
 //
+// The engine's unit of work is the *cell group*: the scenarios of one
+// run() call that are equal in every ScenarioSpec field except the
+// failure model (lambda, D) and the scenario index. A group's members
+// share the instance, the policy and every candidate schedule, so one
+// worker runs them together: each budget candidate is built once and
+// evaluated for all members' models in one multi-model evaluator call
+// (the lost-work walk once, the exp/expm1 sweeps once per distinct
+// lambda, the combine once per model; see evaluator.hpp), and each member
+// then applies its policy to its own model's results. A scenario with no
+// sibling is a group of one. Records, the ordered callback, shards and
+// result caches stay per scenario: a shard boundary or a cache hit only
+// makes a group smaller.
+//
 // The engine owns one ThreadPool for its whole lifetime (threads - 1
 // workers; none for a serial engine) and runs every loop it parallelizes
-// through parallel_for_workers on that pool: the scenarios of run(), the
-// items of for_each, the heuristics of run_heuristics, and — nested in
-// each of those — every budget sweep. The calling thread is worker 0 of
-// the outer loop and pool workers join as helpers while they are idle, so
-// a batch with fewer scenarios than workers still fills the cores from
-// its in-flight sweeps, while a saturated pool posts no sweep helpers at
-// all. The worker index picks per-worker scratch: the instance memo of a
-// scenario worker, the workspace of a sweep helper. Every scenario's
-// result depends only on its ScenarioSpec (instance seeds and RNG
-// streams are part of the spec), so results are bit-for-bit identical
-// for any thread count.
+// through parallel_for_workers on that pool: the cell groups of run(),
+// the items of for_each, the heuristics of run_heuristics, and — nested
+// in each of those — every budget sweep. The calling thread is worker 0
+// of the outer loop and pool workers join as helpers while they are
+// idle, so a batch with fewer groups than workers still fills the cores
+// from its in-flight sweeps, while a saturated pool posts no sweep
+// helpers at all. The worker index picks per-worker scratch: the
+// instance memo and evaluator workspace of a group worker, the workspace
+// of a sweep helper. Every scenario's result depends only on its
+// ScenarioSpec (instance seeds and RNG streams are part of the spec), so
+// results are bit-for-bit identical for any thread count or grouping.
 #pragma once
 
 #include <cstddef>
@@ -74,10 +87,12 @@ class ExperimentEngine {
   /// still computing on other workers.
   using ResultCallback = std::function<void(std::size_t, const ScenarioResult&)>;
 
-  /// Runs every scenario with `math` as the evaluator backend; results
-  /// come back in input order and are independent of the thread count. A
-  /// non-null `on_result` receives each result in input order as soon as
-  /// its ordered prefix completes. Safe to call concurrently.
+  /// Runs every scenario with `math` as the evaluator backend, one cell
+  /// group per work unit (groups start in first-appearance order);
+  /// results come back in input order and are independent of the thread
+  /// count and of the grouping. A non-null `on_result` receives each
+  /// result in input order as soon as its ordered prefix completes, so a
+  /// record may wait for the rest of its group. Safe to call concurrently.
   std::vector<ScenarioResult> run(std::span<const ScenarioSpec> specs,
                                   const ResultCallback& on_result = {},
                                   EvalMath math = EvalMath::exact) const;
@@ -102,9 +117,10 @@ class ExperimentEngine {
                                               const std::vector<HeuristicSpec>& specs,
                                               HeuristicOptions options = {}) const;
 
-  /// Runs one scenario against a materialized instance. `cache.key()` must
-  /// equal InstanceKey::of(spec); the graph and linearizations are
-  /// replayed from the cache, bit-identical to generating them afresh.
+  /// Runs one scenario against a materialized instance (a cell group of
+  /// one, on a fresh workspace). `cache.key()` must equal
+  /// InstanceKey::of(spec); the graph and linearizations are replayed
+  /// from the cache, bit-identical to generating them afresh.
   ScenarioResult run_scenario(const ScenarioSpec& spec, InstanceCache& cache,
                               EvalMath math = EvalMath::exact) const;
 

@@ -8,10 +8,12 @@
 // and weights do not depend on them (the cost model only rewrites
 // c_i = r_i from the weights, see TaskGraph::apply_cost_model).
 // InstanceCache materializes one instance per key: the graph is generated
-// once, each linearization method is computed once on first use, and one
-// EvaluatorWorkspace is reused — so a worker that receives a group of
-// scenarios sharing a key replays the cached state for every
-// policy/lambda/downtime/cost cell instead of rebuilding it per cell.
+// once and each linearization method is computed once on first use — so
+// a worker that receives several cell groups sharing a key replays the
+// cached state for every policy/cost cell instead of rebuilding it per
+// cell (the lambda/downtime siblings of a cell already run as one group,
+// see engine.hpp). Evaluator scratch is not cached here: it belongs to
+// the engine worker, one workspace per worker rather than per instance.
 // All cached state is a pure function of the key, so results are
 // bit-identical to the uncached path.
 #pragma once
@@ -21,7 +23,6 @@
 #include <optional>
 #include <vector>
 
-#include "core/evaluator.hpp"
 #include "dag/linearize.hpp"
 #include "engine/scenario.hpp"
 #include "workflows/generator.hpp"
@@ -43,9 +44,9 @@ struct InstanceKey {
   bool operator==(const InstanceKey&) const = default;
 };
 
-/// One materialized instance: the generated TaskGraph, lazily memoized
-/// linearizations (one per method), and a reusable evaluator workspace.
-/// Owned by a single engine worker; not thread safe.
+/// One materialized instance: the generated TaskGraph and lazily memoized
+/// linearizations (one per method). Owned by a single engine worker; not
+/// thread safe.
 class InstanceCache {
  public:
   /// Generates the instance for `spec`'s key (with `spec`'s cost model
@@ -64,14 +65,11 @@ class InstanceCache {
   /// weights, so they are shared across every failure/cost-model cell.
   const std::vector<VertexId>& order(LinearizeMethod method);
 
-  EvaluatorWorkspace& workspace() { return workspace_; }
-
  private:
   InstanceKey key_;
   TaskGraph graph_;
   CostModel applied_;
   std::array<std::optional<std::vector<VertexId>>, 3> orders_;
-  EvaluatorWorkspace workspace_;
   LinearizeWorkspace linearize_workspace_;
 };
 

@@ -38,20 +38,53 @@ HeuristicResult run_heuristic(const ScheduleEvaluator& evaluator, const Heuristi
 HeuristicResult run_heuristic(const ScheduleEvaluator& evaluator, const HeuristicSpec& spec,
                               const std::vector<VertexId>& order,
                               const HeuristicOptions& options) {
-  SweepResult sweep = sweep_checkpoint_budget(evaluator, order, spec.checkpointing, options.sweep);
+  return std::move(run_heuristic(evaluator, {&evaluator.model(), 1}, spec, order, options)[0]);
+}
 
-  HeuristicResult result;
-  result.spec = spec;
-  result.best_budget = sweep.best_budget;
-  result.curve = std::move(sweep.curve);
-  // Re-evaluate the winner with the sweep's math backend so the recorded
+std::vector<HeuristicResult> run_heuristic(const ScheduleEvaluator& evaluator,
+                                           std::span<const FailureModel> models,
+                                           const HeuristicSpec& spec,
+                                           const std::vector<VertexId>& order,
+                                           const HeuristicOptions& options) {
+  std::vector<SweepResult> sweeps =
+      sweep_checkpoint_budget(evaluator, models, order, spec.checkpointing, options.sweep);
+
+  // Re-evaluate each winner with the sweep's math backend so the recorded
   // Evaluation comes from the same backend as the sweep that selected it
   // (for the exact backend this is bit-identical to a plain evaluate()).
+  // Models whose sweeps picked the same budget won with the same
+  // schedule, so they share one multi-model call.
   EvaluatorWorkspace local_ws;
   EvaluatorWorkspace& ws = options.sweep.workspace ? *options.sweep.workspace : local_ws;
-  result.evaluation = evaluator.evaluate(sweep.best_schedule, ws, options.sweep.eval);
-  result.schedule = std::move(sweep.best_schedule);
-  return result;
+  std::vector<HeuristicResult> results(models.size());
+  std::vector<char> done(models.size(), 0);
+  std::vector<FailureModel> sharing;
+  std::vector<std::size_t> members;
+  std::vector<Evaluation> evaluations;
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    if (done[m]) continue;
+    sharing.clear();
+    members.clear();
+    for (std::size_t j = m; j < models.size(); ++j) {
+      if (!done[j] && sweeps[j].best_budget == sweeps[m].best_budget) {
+        sharing.push_back(models[j]);
+        members.push_back(j);
+        done[j] = 1;
+      }
+    }
+    evaluations.assign(members.size(), Evaluation{});
+    evaluator.evaluate(sweeps[m].best_schedule, sharing, ws, evaluations, options.sweep.eval);
+    for (std::size_t s = 0; s < members.size(); ++s) {
+      HeuristicResult& result = results[members[s]];
+      SweepResult& sweep = sweeps[members[s]];
+      result.spec = spec;
+      result.best_budget = sweep.best_budget;
+      result.curve = std::move(sweep.curve);
+      result.evaluation = std::move(evaluations[s]);
+      result.schedule = std::move(sweep.best_schedule);
+    }
+  }
+  return results;
 }
 
 std::vector<HeuristicResult> run_heuristics(const ScheduleEvaluator& evaluator,

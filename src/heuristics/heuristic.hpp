@@ -6,6 +6,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,8 @@ struct HeuristicSpec {
 
   /// Paper-style name, e.g. "DF-CkptW".
   std::string name() const;
+
+  bool operator==(const HeuristicSpec&) const = default;
 };
 
 /// The paper's 14 heuristics, baselines first.
@@ -56,6 +59,17 @@ HeuristicResult run_heuristic(const ScheduleEvaluator& evaluator, const Heuristi
 HeuristicResult run_heuristic(const ScheduleEvaluator& evaluator, const HeuristicSpec& spec,
                               const std::vector<VertexId>& order,
                               const HeuristicOptions& options = {});
+
+/// The linearized run under each of `models` (which stand in for the
+/// evaluator's model) at once: one multi-model sweep, then each model's
+/// winner is evaluated under that model, models that picked the same
+/// budget sharing one multi-model call. result[m] is bit-identical to
+/// run_heuristic on an evaluator for models[m].
+std::vector<HeuristicResult> run_heuristic(const ScheduleEvaluator& evaluator,
+                                           std::span<const FailureModel> models,
+                                           const HeuristicSpec& spec,
+                                           const std::vector<VertexId>& order,
+                                           const HeuristicOptions& options = {});
 
 /// Runs every heuristic in `specs` and returns results in the same order.
 std::vector<HeuristicResult> run_heuristics(const ScheduleEvaluator& evaluator,

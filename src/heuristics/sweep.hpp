@@ -10,11 +10,20 @@
 // evaluates budgets itself (worker 0, on the caller's workspace) while
 // idle pool workers join on private workspaces. Without a pool, or when
 // the pool is busy, the sweep is serial. Every candidate writes only its
-// own slot and each evaluation is a pure function of its schedule, so
+// own slots and each evaluation is a pure function of its schedule, so
 // the result is bit-identical however the budgets were distributed.
+//
+// One sweep can serve several failure models (the lambda/D siblings of an
+// engine cell group): the candidate schedules do not depend on the model,
+// so each is built once and evaluated for every model in one
+// multi-model evaluator call (see evaluator.hpp), and each model keeps
+// its own first strict minimum. Only the winning budgets are kept: the
+// winner's schedule is rebuilt afterwards, since make_heuristic_schedule
+// is a pure function of (graph, order, strategy, budget).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/evaluator.hpp"
@@ -33,7 +42,7 @@ struct SweepOptions {
   bool include_zero = false;
   /// Optional caller-owned scratch for the caller's own evaluations (and
   /// the single candidate of a non-budgeted strategy) — lets an outer
-  /// scenario worker keep one workspace across sweeps.
+  /// engine worker keep one workspace across sweeps.
   EvaluatorWorkspace* workspace = nullptr;
   /// Pool whose idle workers may join the sweep (null = serial).
   ThreadPool* pool = nullptr;
@@ -65,5 +74,14 @@ struct SweepResult {
 SweepResult sweep_checkpoint_budget(const ScheduleEvaluator& evaluator,
                                     const std::vector<VertexId>& order, CkptStrategy strategy,
                                     const SweepOptions& options = {});
+
+/// The same sweep under each of `models` (which stand in for the
+/// evaluator's model) at once: result[m] is bit-identical to sweeping on
+/// an evaluator for models[m]. `models` must not be empty.
+std::vector<SweepResult> sweep_checkpoint_budget(const ScheduleEvaluator& evaluator,
+                                                 std::span<const FailureModel> models,
+                                                 const std::vector<VertexId>& order,
+                                                 CkptStrategy strategy,
+                                                 const SweepOptions& options = {});
 
 }  // namespace fpsched

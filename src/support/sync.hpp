@@ -1,8 +1,8 @@
 // Annotated synchronization primitives for Clang's thread-safety
 // analysis (-Wthread-safety).
 //
-// The engine nests parallel loops on one shared pool (scenario workers ->
-// budget sweeps joined through cooperative TaskGroups) next to a
+// The engine nests parallel loops on one shared pool (cell-group workers
+// -> budget sweeps joined through cooperative TaskGroups) next to a
 // multithreaded HTTP service, and its core promise — byte-identical
 // output under every thread count and shard combination — depends on
 // strict lock discipline around the little shared state that exists.

@@ -9,13 +9,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "core/evaluator.hpp"
 #include "engine/scenario.hpp"
 #include "heuristics/heuristic.hpp"
+#include "obs/metrics.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 #include "support/threading.hpp"
 #include "test_util.hpp"
 #include "workflows/generator.hpp"
@@ -440,6 +444,65 @@ TEST(ExperimentEngineTest, InstanceSharingMatchesAFromScratchSerialReference) {
       EXPECT_EQ(results[i].best_budget, expected[i].best_budget);
     }
   }
+}
+
+TEST(ExperimentEngineTest, CellGroupsMatchTheSerialReferenceInAnyOrderAndSharding) {
+  // Scenarios that differ only in (lambda, D) run as one cell group. A
+  // grid with both axes, shuffled so siblings sit apart and split into
+  // three uneven shards (separate runs, so shard boundaries split
+  // groups), must reproduce the from-scratch serial reference bit for bit.
+  ScenarioGrid grid = small_fig3_grid();
+  grid.sizes = {50};
+  grid.lambdas = {1e-3, 4e-3, 2e-2};
+  grid.downtimes = {0.0, 120.0, 900.0};
+  std::vector<ScenarioSpec> specs = grid.enumerate();
+  Rng rng(17);
+  rng.shuffle(specs);
+  std::vector<ScenarioResult> expected;
+  for (const ScenarioSpec& spec : specs) expected.push_back(serial_best_lin_scenario(spec));
+  const std::size_t cuts[] = {0, specs.size() / 5, specs.size() * 3 / 5, specs.size()};
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const ExperimentEngine engine({.threads = threads});
+    for (std::size_t shard = 0; shard < 3; ++shard) {
+      const std::span<const ScenarioSpec> slice(specs.data() + cuts[shard],
+                                                cuts[shard + 1] - cuts[shard]);
+      const std::vector<ScenarioResult> results = engine.run(slice);
+      ASSERT_EQ(results.size(), slice.size());
+      for (std::size_t i = 0; i < results.size(); ++i) {
+        const ScenarioResult& want = expected[cuts[shard] + i];
+        EXPECT_EQ(results[i].spec.scenario_index, want.spec.scenario_index);
+        EXPECT_EQ(results[i].evaluation.expected_makespan, want.evaluation.expected_makespan)
+            << "threads=" << threads << " " << slice[i].label()
+            << " D=" << slice[i].model.downtime();
+        EXPECT_EQ(results[i].evaluation.ratio, want.evaluation.ratio);
+        EXPECT_EQ(results[i].evaluation.fault_free_time, want.evaluation.fault_free_time);
+        EXPECT_EQ(results[i].evaluation.checkpoint_count, want.evaluation.checkpoint_count);
+        EXPECT_EQ(results[i].linearization, want.linearization);
+        EXPECT_EQ(results[i].best_budget, want.best_budget);
+      }
+    }
+  }
+}
+
+TEST(ExperimentEngineTest, DowntimeSiblingsShareTheLostWorkWalk) {
+  // On a 5-downtime grid each scenario has four siblings that differ only
+  // in D, so one lost-work walk serves five makespans: walks must stay
+  // below half the evaluator runs (they are equal when every run walks).
+  ScenarioGrid grid = small_fig3_grid();
+  grid.downtimes = {0.0, 60.0, 300.0, 900.0, 3600.0};
+  grid.axis = GridAxis::downtime;
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  obs::Counter& runs = registry.counter("fpsched_eval_runs_total", "");
+  obs::Counter& walks = registry.counter("fpsched_eval_walks_total", "");
+  const std::uint64_t runs_before = runs.value();
+  const std::uint64_t walks_before = walks.value();
+  const ExperimentEngine engine({.threads = 2});
+  EXPECT_EQ(engine.run(grid).size(), grid.scenario_count());
+  const std::uint64_t run_delta = runs.value() - runs_before;
+  const std::uint64_t walk_delta = walks.value() - walks_before;
+  EXPECT_GT(walk_delta, 0u);
+  EXPECT_LT(2 * walk_delta, run_delta) << walk_delta << " walks for " << run_delta << " runs";
 }
 
 TEST(ExperimentEngineTest, SerialEngineStartsNoThread) {

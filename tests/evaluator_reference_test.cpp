@@ -3,9 +3,12 @@
 // randomized DAGs, schedules, and checkpoint patterns.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "core/evaluator.hpp"
 #include "core/evaluator_naive.hpp"
@@ -34,6 +37,52 @@ void expect_evaluators_agree(const TaskGraph& graph, const FailureModel& model,
   const double fast = ScheduleEvaluator(graph, model).evaluate(schedule).expected_makespan;
   const double reference = evaluate_reference(graph, model, schedule);
   assert_rel_near(reference, fast, 1e-9, "optimized vs Algorithm 1");
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// The multi-model calls against one-model evaluators: expected_makespans
+/// and the multi-model evaluate must reproduce, bit for bit, what an
+/// evaluator for each models[m] alone computes — makespan and every
+/// per-task term. The set, in shuffled order, puts next to the case's
+/// model: lambda = 0 (the closed form, no lane), the same lambda with
+/// D = 60 (two models on one lane), a failure-dominated lambda (its
+/// probabilities underflow where the other lanes' do not), lambda = 1e-6,
+/// and a vanishing lambda whose passes die (P(Z^{k+1}_k) rounds to 0)
+/// while the other lanes live. `shuffle_seed` orders the set.
+void expect_multi_model_matches_single(const TaskGraph& graph, const FailureModel& model,
+                                       double dominated_lambda, const Schedule& schedule,
+                                       std::uint64_t shuffle_seed) {
+  std::vector<FailureModel> models = {model,
+                                      FailureModel(0.0),
+                                      FailureModel(model.lambda(), 60.0),
+                                      FailureModel(dominated_lambda, model.downtime()),
+                                      FailureModel(1e-6),
+                                      FailureModel(1e-18)};
+  Rng rng(shuffle_seed);
+  rng.shuffle(models);
+  const ScheduleEvaluator evaluator(graph, model);
+  EvaluatorWorkspace ws;
+  std::vector<double> makespans(models.size());
+  evaluator.expected_makespans(schedule, models, ws, makespans);
+  std::vector<Evaluation> evaluations(models.size());
+  evaluator.evaluate(schedule, models, ws, evaluations);
+  for (std::size_t m = 0; m < models.size(); ++m) {
+    const Evaluation single = ScheduleEvaluator(graph, models[m]).evaluate(schedule);
+    const std::string what = "lambda=" + std::to_string(models[m].lambda()) +
+                             " D=" + std::to_string(models[m].downtime());
+    EXPECT_TRUE(same_bits(single.expected_makespan, makespans[m]))
+        << what << ": " << single.expected_makespan << " vs " << makespans[m];
+    EXPECT_TRUE(same_bits(single.expected_makespan, evaluations[m].expected_makespan)) << what;
+    EXPECT_TRUE(same_bits(single.ratio, evaluations[m].ratio)) << what;
+    ASSERT_EQ(single.per_task_expected.size(), evaluations[m].per_task_expected.size());
+    for (std::size_t i = 0; i < single.per_task_expected.size(); ++i) {
+      EXPECT_TRUE(same_bits(single.per_task_expected[i], evaluations[m].per_task_expected[i]))
+          << what << " position " << i;
+    }
+  }
 }
 
 TEST(EvaluatorReference, PaperFigure1Example) {
@@ -121,6 +170,7 @@ TEST(EvaluatorReference, FailureDominatedChainsNeverYieldNaN) {
         assert_rel_near(evaluate_reference(graph, c.model, schedule), value, 1e-9,
                         "failure-dominated chain vs Algorithm 1");
       }
+      expect_multi_model_matches_single(graph, c.model, 5.0, schedule, rep);
     }
   }
 }
@@ -150,7 +200,9 @@ TEST_P(EvaluatorDifferential, OptimizedMatchesAlgorithmOne) {
   const FailureModel model(param.lambda, param.downtime);
   Rng rng(param.seed ^ 0xabcdef);
   for (int rep = 0; rep < 3; ++rep) {
-    expect_evaluators_agree(graph, model, random_schedule(graph, rng, param.ckpt_probability));
+    const Schedule schedule = random_schedule(graph, rng, param.ckpt_probability);
+    expect_evaluators_agree(graph, model, schedule);
+    expect_multi_model_matches_single(graph, model, 2.0, schedule, param.seed * 3 + rep);
   }
 }
 

@@ -99,6 +99,18 @@ TEST(ResultCacheKeyTest, EveryFieldChangesTheKey) {
   EXPECT_NE(fast.hash, base.hash);
 }
 
+TEST(ResultCacheKeyTest, ExactKeysAreUnchangedAndFastKeysCarryTheKernelClone) {
+  // Exact keys keep their historical form, so existing disk caches stay
+  // valid; fast keys name the kernel clone this host dispatches to,
+  // because the clones may differ in the low bits of their output.
+  const std::string canonical = engine::canonical_spec_string(base_spec());
+  EXPECT_EQ(ResultCacheKey::of(base_spec(), EvalMath::exact).canonical, canonical + " math=exact");
+  const std::string variant(fast_math_variant());
+  EXPECT_TRUE(variant == "default" || variant == "x86-64-v3") << variant;
+  EXPECT_EQ(ResultCacheKey::of(base_spec(), EvalMath::fast).canonical,
+            canonical + " math=fast kernel=" + variant);
+}
+
 TEST(ResultCacheTest, InMemoryRoundTripCountsHitsAndMisses) {
   ResultCache cache;
   const ResultCacheKey key = ResultCacheKey::of(base_spec(), EvalMath::exact);

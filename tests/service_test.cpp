@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -166,11 +167,12 @@ engine::FigureOptions tiny_options() {
 
 /// The reference bytes: run_experiment through an NdjsonSink.
 std::string reference_ndjson(const engine::ExperimentRegistry& registry,
-                             const engine::FigureOptions& options) {
+                             const engine::FigureOptions& options,
+                             const std::string& experiment = "tiny") {
   std::ostringstream os;
   engine::NdjsonSink sink(os);
   engine::ResultSink* sinks[] = {&sink};
-  engine::run_experiment(registry.find("tiny"), options, sinks, nullptr);
+  engine::run_experiment(registry.find(experiment), options, sinks, nullptr);
   return os.str();
 }
 
@@ -348,6 +350,34 @@ TEST(JobManagerTest, RepeatRunsServeEveryScenarioFromTheCache) {
     if (name == "fpsched_result_cache_hits_total") hits = delta;
   }
   EXPECT_EQ(hits, 4u);
+}
+
+TEST(JobManagerTest, PartialHitsRunTheirMissesAsSmallerCellGroups) {
+  // A downtime job for D = {0, 60}, then one for D = {0, 60, 300}: the
+  // second job's only misses are its D = 300 cells, whose D siblings are
+  // cache hits, so each miss runs as a cell group of one. Its stream must
+  // still equal a cold in-process run byte for byte.
+  const engine::ExperimentRegistry& registry = engine::ExperimentRegistry::global();
+  JobManager manager(registry);
+  engine::FigureOptions options;
+  options.tasks = 30;
+  options.stride = 8;
+  options.threads = 2;
+  options.downtimes = {0, 60};
+  drain_job(manager, manager.submit({"downtime", options}));
+
+  options.downtimes = {0, 60, 300};
+  const std::uint64_t id = manager.submit({"downtime", options});
+  const std::string streamed = drain_job(manager, id);
+  const auto stats = manager.stats(id);
+  ASSERT_TRUE(stats.has_value());
+  std::map<std::string, std::uint64_t> deltas(stats->counter_deltas.begin(),
+                                              stats->counter_deltas.end());
+  // Three panels of six policies: two cached downtimes, one new one.
+  EXPECT_EQ(deltas["fpsched_result_cache_hits_total"], 3u * 2u * 6u);
+  EXPECT_EQ(deltas["fpsched_result_cache_misses_total"], 3u * 1u * 6u);
+  EXPECT_EQ(deltas["fpsched_engine_scenarios_total"], 3u * 1u * 6u);
+  EXPECT_EQ(streamed, reference_ndjson(registry, options, "downtime"));
 }
 
 TEST(JobManagerTest, DiskCacheSurvivesManagerRestart) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "dag/linearize.hpp"
 #include "support/error.hpp"
 #include "support/threading.hpp"
@@ -93,6 +95,47 @@ TEST(Sweep, PoolPathHonorsCallerWorkspace) {
   // And the caller workspace is still good for direct evaluations.
   EXPECT_EQ(evaluator.expected_makespan(never_serial.best_schedule, caller_ws),
             never_serial.best_expected_makespan);
+}
+
+TEST(Sweep, MultiModelSweepMatchesPerModelSweeps) {
+  // One sweep for several failure models (lambda and D siblings, a
+  // repeated model and lambda = 0) must equal one sweep per model in every
+  // curve point, winner and winning schedule — serially and with pool
+  // helpers, for budgeted and non-budgeted strategies.
+  TaskGraph graph = generate_ligo({.task_count = 41, .seed = 13});
+  const auto order = linearize(graph.dag(), graph.weights(), LinearizeMethod::depth_first);
+  const std::vector<FailureModel> models = {
+      FailureModel(1e-3, 0.0), FailureModel(1e-3, 600.0), FailureModel(2e-2, 0.0),
+      FailureModel(0.0),       FailureModel(1e-3, 0.0),   FailureModel(3e-4, 60.0)};
+  const ScheduleEvaluator evaluator(graph, models.front());
+  ThreadPool pool(3);
+  for (const CkptStrategy strategy : {CkptStrategy::by_weight, CkptStrategy::periodic,
+                                      CkptStrategy::never, CkptStrategy::always}) {
+    for (ThreadPool* workers : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      const std::vector<SweepResult> grouped = sweep_checkpoint_budget(
+          evaluator, models, order, strategy, {.stride = 3, .pool = workers});
+      ASSERT_EQ(grouped.size(), models.size());
+      for (std::size_t m = 0; m < models.size(); ++m) {
+        const SweepResult single = sweep_checkpoint_budget(
+            ScheduleEvaluator(graph, models[m]), order, strategy, {.stride = 3});
+        EXPECT_EQ(grouped[m].best_budget, single.best_budget) << to_string(strategy) << " " << m;
+        EXPECT_EQ(grouped[m].best_expected_makespan, single.best_expected_makespan);
+        EXPECT_EQ(grouped[m].best_schedule.order, single.best_schedule.order);
+        EXPECT_EQ(grouped[m].best_schedule.checkpointed, single.best_schedule.checkpointed);
+        ASSERT_EQ(grouped[m].curve.size(), single.curve.size());
+        for (std::size_t i = 0; i < single.curve.size(); ++i) {
+          EXPECT_EQ(grouped[m].curve[i].budget, single.curve[i].budget);
+          EXPECT_EQ(grouped[m].curve[i].checkpoints, single.curve[i].checkpoints);
+          EXPECT_EQ(grouped[m].curve[i].expected_makespan, single.curve[i].expected_makespan);
+        }
+      }
+    }
+  }
+  // The failure models disagree on the winner somewhere, so the test sees
+  // per-model argmins rather than one shared budget.
+  const std::vector<SweepResult> grouped =
+      sweep_checkpoint_budget(evaluator, models, order, CkptStrategy::by_weight, {.stride = 3});
+  EXPECT_NE(grouped[2].best_budget, grouped[3].best_budget);
 }
 
 TEST(Sweep, StrideSubsamplesButKeepsEndpoints) {
