@@ -27,8 +27,8 @@ std::optional<FigureOptions> parse_figure_options(CliParser& cli, int argc,
                  "worker threads (0 = all cores or FPSCHED_THREADS, 1 = serial); output is "
                  "bit-identical for every value");
   cli.add_option("eval-math", "exact",
-                 "evaluator transcendental backend: 'exact' (libm, bit-identical to prior "
-                 "releases) or 'fast' (batched polynomial kernels, <= 4 ulp per call)");
+                 "evaluator algorithm: 'exact' (bit-identical to prior releases) or 'fast' "
+                 "(prefix-product recurrence, within 1e-10 relative of exact)");
   cli.add_flag("quick", "small grid + strided sweep for a fast smoke run");
   if (!cli.parse(argc, argv)) return std::nullopt;
 

@@ -1,6 +1,6 @@
 // Micro-benchmark for the Theorem-3 evaluation hot path, emitting
 // machine-readable JSON so the bench trajectory is tracked across PRs
-// (`BENCH_evaluator.json`: ns/eval by n, strategy and math backend;
+// (`BENCH_evaluator.json`: ns/eval by n, strategy and --math algorithm;
 // tools/check_bench_schema.py validates the schema in CI).
 //
 //   $ perf_evaluator --quick
@@ -11,8 +11,9 @@
 //   algorithm1  the literal O(n^4) Algorithm-1 transcription (small n
 //               only — it exists as an executable specification)
 //
-// Each strategy runs once per --math backend (exact = libm, fast =
-// batched polynomial kernels). Noise handling: every measurement is
+// The serial strategy runs once per --math algorithm (exact = one exp
+// per (k, i) record, fast = the prefix-product recurrence; see
+// core/evaluator.hpp). Noise handling: every measurement is
 // `--repeats` independent samples of at least --min-time-ms each;
 // ns_per_eval is the median sample (robust against one preempted run)
 // and ns_per_eval_min the fastest (the machine's attainable floor).
@@ -38,7 +39,6 @@
 
 #include "core/evaluator.hpp"
 #include "core/evaluator_naive.hpp"
-#include "core/math_kernels.hpp"
 #include "dag/linearize.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -202,9 +202,9 @@ void log_row(const BenchRow& row, double baseline_ns) {
 
 int main(int argc, char** argv) {
   CliParser cli("perf_evaluator — Theorem-3 evaluation micro-bench, JSON output "
-                "(optimized evaluator vs Algorithm 1, exact vs fast math backends).");
+                "(optimized evaluator vs Algorithm 1, exact vs fast evaluator algorithms).");
   cli.add_option("sizes", "50,100,200,400,800", "task-count grid (CyberShake fixture)");
-  cli.add_option("math", "exact,fast", "evaluator math backends to measure");
+  cli.add_option("math", "exact,fast", "evaluator algorithms to measure");
   cli.add_option("naive-max", "100",
                  "largest n for the O(n^4) Algorithm-1 reference (0 disables it)");
   cli.add_option("min-time-ms", "200", "minimum sampling time per repeat");
@@ -241,7 +241,7 @@ int main(int argc, char** argv) {
     for (const std::string& name : cli.get_string_list("math")) {
       backends.push_back(parse_eval_math(name));
     }
-    if (backends.empty()) throw InvalidArgument("option --math: need at least one backend");
+    if (backends.empty()) throw InvalidArgument("option --math: need at least one algorithm");
     std::size_t naive_max = cli.get_count("naive-max");
     double min_time_ms = cli.get_double("min-time-ms");
     const std::size_t repeats = cli.get_count("repeats", 1);
@@ -307,7 +307,7 @@ int main(int argc, char** argv) {
         }
         if (have_exact && have_fast &&
             relative_difference(exact_serial_value, fast_serial_value) > 1e-10) {
-          throw Error("fast backend diverged from exact beyond 1e-10 (n=" +
+          throw Error("fast evaluator diverged from exact beyond 1e-10 (n=" +
                       std::to_string(n) + ")");
         }
         rows.push_back(serial);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/math_kernels.hpp"
 #include "obs/metrics.hpp"
@@ -40,8 +41,17 @@ EvalMetrics& eval_metrics() {
 }
 
 constexpr std::size_t kNoLane = static_cast<std::size_t>(-1);
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 }  // namespace
+
+std::string to_string(EvalMath math) { return math == EvalMath::exact ? "exact" : "fast"; }
+
+EvalMath parse_eval_math(const std::string& text) {
+  if (text == "exact") return EvalMath::exact;
+  if (text == "fast") return EvalMath::fast;
+  throw InvalidArgument("eval-math must be 'exact' or 'fast', got '" + text + "'");
+}
 
 void EvaluatorWorkspace::resize(std::size_t n, std::size_t edges) {
   work.resize(n);
@@ -75,7 +85,11 @@ void ScheduleEvaluator::evaluate(const Schedule& schedule, std::span<const Failu
   ensure(out.size() == models.size(), "evaluate needs one output slot per model");
   validate_schedule(*graph_, schedule);
   std::vector<double> totals(models.size());
-  run(schedule, models, ws, totals, out, math);
+  if (math == EvalMath::exact) {
+    run<EvalMath::exact>(schedule, models, ws, totals, out);
+  } else {
+    run<EvalMath::fast>(schedule, models, ws, totals, out);
+  }
   double fault_free = 0.0;
   for (VertexId v = 0; v < graph_->task_count(); ++v) {
     fault_free += graph_->weight(v);
@@ -105,12 +119,17 @@ void ScheduleEvaluator::expected_makespans(const Schedule& schedule,
                                            bool validate, EvalMath math) const {
   ensure(out.size() == models.size(), "expected_makespans needs one output slot per model");
   if (validate) validate_schedule(*graph_, schedule);
-  run(schedule, models, ws, out, {}, math);
+  if (math == EvalMath::exact) {
+    run<EvalMath::exact>(schedule, models, ws, out, {});
+  } else {
+    run<EvalMath::fast>(schedule, models, ws, out, {});
+  }
 }
 
+template <EvalMath kMath>
 void ScheduleEvaluator::run(const Schedule& schedule, std::span<const FailureModel> models,
                             EvaluatorWorkspace& ws, std::span<double> totals,
-                            std::span<Evaluation> full, EvalMath math) const {
+                            std::span<Evaluation> full) const {
   const std::size_t n = graph_->task_count();
   for (Evaluation& result : full) result.per_task_expected.assign(n, 0.0);
   if (n == 0) {
@@ -169,7 +188,7 @@ void ScheduleEvaluator::run(const Schedule& schedule, std::span<const FailureMod
   for (EvaluatorWorkspace::Lane& lane : lanes) {
     lane.accum.assign(n, 0.0);
     lane.sum_prob.assign(n, 0.0);
-    lane.expm1_wc.resize(n);
+    lane.expm1_wc.resize(kMath == EvalMath::fast ? 2 * n : n);
   }
 
   // Lost work L^i_k for the current pass position k: DFS from i over lost,
@@ -203,7 +222,7 @@ void ScheduleEvaluator::run(const Schedule& schedule, std::span<const FailureMod
     return lost;
   };
 
-  std::size_t staged_passes = 0;  // (lane, pass) pairs; each issues 3 kernel sweeps
+  std::size_t staged_passes = 0;  // (lane, pass) pairs; each issues 3 (exact) or 2 sweeps
   if (!lanes.empty()) {
     pass.recovered_at.assign(n, -1);
     pass.dfs_stack.clear();
@@ -243,9 +262,9 @@ void ScheduleEvaluator::run(const Schedule& schedule, std::span<const FailureMod
     // loop below.
     //
     // Like every pass below, the transcendental arguments are staged into
-    // contiguous buffers and handed to the batched kernels
-    // (math_kernels.hpp) in one sweep each; the exact backend makes this
-    // bit-identical to the historical element-wise loop.
+    // contiguous buffers and handed to the batched sweeps
+    // (math_kernels.hpp) in one call each, which is bit-identical to the
+    // historical element-wise loop.
     {
       double elapsed = 0.0;  // sum of w_j + delta_j c_j, j < i
       for (std::size_t i = 0; i < n; ++i) {
@@ -256,9 +275,24 @@ void ScheduleEvaluator::run(const Schedule& schedule, std::span<const FailureMod
     for (EvaluatorWorkspace::Lane& lane : lanes) {
       const double lambda = lane.lambda;
       for (std::size_t i = 0; i < n; ++i) lane.expm1_wc[i] = lambda * (ws.work[i] + ws.ckpt[i]);
-      vexpm1(lane.expm1_wc.data(), lane.expm1_wc.data(), n, math);
+      vexpm1(lane.expm1_wc.data(), lane.expm1_wc.data(), n);
+      if constexpr (kMath == EvalMath::fast) {
+        // P(Z^i_{-1}) = prod_{j<i} e^{-lambda (w_j + delta_j c_j)}; the
+        // factors are memoized for the later passes' recurrence too. Every
+        // factor is <= 1, so once the product reaches 0 it stays there.
+        double* const decay_wc = lane.decay_wc();
+        for (std::size_t i = 0; i < n; ++i) decay_wc[i] = ws.work[i] + ws.ckpt[i];
+        vexp_neg_mul(lambda, decay_wc, decay_wc, n);
+        double p = 1.0;
+        for (std::size_t i = 0; i < n && p > 0.0; ++i) {
+          lane.accum[i] += p * lane.expm1_wc[i];
+          lane.sum_prob[i] += p;
+          p *= decay_wc[i];
+        }
+        continue;
+      }
       if (shared) std::copy_n(staged_span, n, pass.q.data());
-      vexp_neg_mul(lambda, pass.q.data(), pass.q.data(), n, math);
+      vexp_neg_mul(lambda, pass.q.data(), pass.q.data(), n);
       for (std::size_t i = 0; i < n; ++i) {
         const double p = pass.q[i];
         if (p > 0.0) {
@@ -301,6 +335,15 @@ void ScheduleEvaluator::run(const Schedule& schedule, std::span<const FailureMod
         span += lost + ws.work[i] + ws.ckpt[i];
       }
 
+      if constexpr (kMath == EvalMath::fast) {
+        for (EvaluatorWorkspace::Lane& lane : lanes) {
+          if (!(lane.base > 0.0)) continue;
+          recurrence_step(ws, lane, staged_lost, k + 1, records);
+          ++staged_passes;
+        }
+        continue;
+      }
+
       // Per live lane, batch the pass's transcendentals as three sweeps:
       // q <- e^{-lambda S} for all records, and for the compacted L > 0
       // subset a <- e^{-lambda L}, b <- expm1(lambda (L + w_i + delta_i
@@ -312,7 +355,7 @@ void ScheduleEvaluator::run(const Schedule& schedule, std::span<const FailureMod
         if (!(base > 0.0)) continue;
         const double lambda = lane.lambda;
         if (shared) std::copy_n(staged_span, records, pass.q.data());
-        vexp_neg_mul(lambda, pass.q.data(), pass.q.data(), records, math);
+        vexp_neg_mul(lambda, pass.q.data(), pass.q.data(), records);
         pass.lost_idx.clear();
         pass.arg_a.clear();
         pass.arg_b.clear();
@@ -331,10 +374,13 @@ void ScheduleEvaluator::run(const Schedule& schedule, std::span<const FailureMod
             pass.b[r] = 0.0;
           }
         }
-        vexp_neg_mul(lambda, pass.arg_a.data(), pass.arg_a.data(), pass.arg_a.size(), math);
-        vexpm1(pass.arg_b.data(), pass.arg_b.data(), pass.arg_b.size(), math);
+        vexp_neg_mul(lambda, pass.arg_a.data(), pass.arg_a.data(), pass.arg_a.size());
+        vexpm1(pass.arg_b.data(), pass.arg_b.data(), pass.arg_b.size());
         for (std::size_t j = 0; j < pass.lost_idx.size(); ++j) {
-          pass.a[pass.lost_idx[j]] = pass.arg_a[j];
+          // An overflowed expm1 makes the Eq.-(1) term +inf, as Algorithm 1
+          // computes it; a = 1 keeps an underflowed p * a from turning it
+          // into 0 * inf = NaN.
+          pass.a[pass.lost_idx[j]] = pass.arg_b[j] == kInf ? 1.0 : pass.arg_a[j];
           pass.b[pass.lost_idx[j]] = pass.arg_b[j];
         }
 
@@ -390,7 +436,57 @@ void ScheduleEvaluator::run(const Schedule& schedule, std::span<const FailureMod
   metrics.runs.add(models.size());
   if (!lanes.empty()) metrics.walks.add(1);
   metrics.lanes.add(lane_count);
-  metrics.sweeps.add(2 * lane_count + 3 * staged_passes);  // pass -1 issues 2 per lane
+  // Pass -1 issues 2 sweeps per lane in either mode.
+  metrics.sweeps.add(2 * lane_count + (kMath == EvalMath::fast ? 2 : 3) * staged_passes);
+}
+
+void ScheduleEvaluator::recurrence_step(EvaluatorWorkspace& ws, EvaluatorWorkspace::Lane& lane,
+                                        const double* staged_lost, std::size_t first,
+                                        std::size_t records) {
+  EvaluatorWorkspace::PassScratch& pass = ws.pass;
+  const double lambda = lane.lambda;
+  const double* const decay_wc = lane.decay_wc();
+  // Stage each record's step factor e^{-lambda L} e^{-lambda (w_i +
+  // delta_i c_i)} into a and its Eq.-(1) factor e^{-lambda L} expm1(lambda
+  // (L + w_i + delta_i c_i)) into b. Each record's L is read before its a
+  // is written: a one-lane call staged L into a.
+  pass.lost_idx.clear();
+  pass.arg_a.clear();
+  pass.arg_b.clear();
+  for (std::size_t r = 0; r < records; ++r) {
+    const std::size_t i = first + r;
+    const double lost = staged_lost[r];
+    if (lost == 0.0) {
+      pass.a[r] = decay_wc[i];
+      pass.b[r] = lane.expm1_wc[i];
+    } else {
+      pass.lost_idx.push_back(static_cast<std::uint32_t>(r));
+      pass.arg_a.push_back(lost);
+      pass.arg_b.push_back(lambda * (lost + ws.work[i] + ws.ckpt[i]));
+    }
+  }
+  vexp_neg_mul(lambda, pass.arg_a.data(), pass.arg_a.data(), pass.arg_a.size());
+  vexpm1(pass.arg_b.data(), pass.arg_b.data(), pass.arg_b.size());
+  for (std::size_t j = 0; j < pass.lost_idx.size(); ++j) {
+    const std::uint32_t r = pass.lost_idx[j];
+    const double a = pass.arg_a[j];
+    const double b = pass.arg_b[j];
+    pass.a[r] = a * decay_wc[first + r];
+    pass.b[r] = b == kInf ? kInf : a * b;  // as exact: an overflowed expm1 is +inf
+  }
+
+  // P(Z^i_k) = q_i P(Z^{k+1}_k) with q_{k+1} = 1 (S^{k+1}_k = 0) and q
+  // stepping by each record's factor. Every factor is <= 1, so once p
+  // reaches 0 the rest of the pass contributes nothing; stopping there is
+  // the zero-probability skip (it keeps 0 * inf out of the sums).
+  double q = 1.0;
+  for (std::size_t r = 0; r < records; ++r) {
+    const double p = q * lane.base;
+    if (!(p > 0.0)) break;
+    lane.accum[first + r] += p * pass.b[r];
+    lane.sum_prob[first + r] += p;
+    q *= pass.a[r];
+  }
 }
 
 }  // namespace fpsched

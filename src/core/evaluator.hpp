@@ -42,20 +42,49 @@
 // evaluating the models one at a time. The one-model calls are this loop
 // with a single model.
 //
+// Two algorithms share that loop and differ only in each lane's step
+// (EvalMath, selected per call; the engine, CLI --eval-math and HTTP
+// eval_math thread it down, and nothing selects `fast` implicitly):
+//  * exact — P(Z^i_k) = exp(-lambda S^i_k) P(Z^{k+1}_k), one exp per
+//    (k, i) record, in the historical expression shapes: bit-identical to
+//    every earlier release and on every host. The default everywhere.
+//  * fast — the same probabilities as a running product. Within a pass
+//    S^i_k is a prefix sum, so e^{-lambda S} steps from record to record
+//    by the success factor e^{-lambda L^i_k} e^{-lambda (w_i + d_i c_i)}:
+//    the first factor is already swept for the records with lost work
+//    (about a fifth of them on the figure grids) and the second is
+//    memoized per lane, which drops one exp per record. The product
+//    drifts from the exp of the sum by O(n) ulp: within 1e-10 relative of
+//    exact and of Algorithm 1 (tests/evaluator_reference_test.cpp). It is
+//    as deterministic as exact: serial libm arithmetic with no
+//    CPU-specific code path, so neither the thread count, the shard split
+//    nor the host's CPU moves a byte.
+//
 // Every evaluation is serial: the engine parallelizes over cell groups
 // and budget candidates, which already fill the cores (see engine.hpp).
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/failure_model.hpp"
-#include "core/math_kernels.hpp"
 #include "core/schedule.hpp"
 #include "workflows/task_graph.hpp"
 
 namespace fpsched {
+
+/// Which algorithm an evaluation uses for the failure probabilities.
+enum class EvalMath : std::uint8_t {
+  exact,  ///< one exp per record; bit-identical to the historical output.
+  fast,   ///< prefix-product recurrence, within 1e-10 relative of exact.
+};
+
+std::string to_string(EvalMath math);
+
+/// Parses "exact" / "fast"; throws InvalidArgument otherwise.
+EvalMath parse_eval_math(const std::string& text);
 
 /// Result of evaluating one schedule.
 struct Evaluation {
@@ -86,14 +115,13 @@ class alignas(64) EvaluatorWorkspace {
 
   /// Per-pass staging shared by every lane of a call. The walk stages the
   /// lambda-independent S^i_k and L^i_k of every (k, i) record once; each
-  /// live lane then sweeps its factors from them in the shared scratch:
-  /// q = e^{-lambda S^i_k}; for L^i_k == 0 the accumulate reuses the
-  /// lane's memoized expm1_wc[i] (a < 0 is the sentinel), otherwise
-  /// a = e^{-lambda L^i_k} and b = expm1(lambda (L^i_k + w_i + delta_i
-  /// c_i)). The L > 0 subset is gathered into the compact
-  /// lost_idx/arg_a/arg_b triple, so the transcendentals run as three
-  /// batched sweeps per (lane, pass) (see math_kernels.hpp) instead of
-  /// element-wise libm calls.
+  /// live lane then sweeps its factors from them in the shared scratch.
+  /// The L > 0 subset is gathered into the compact lost_idx/arg_a/arg_b
+  /// triple and swept to a = e^{-lambda L^i_k} and b = expm1(lambda
+  /// (L^i_k + w_i + delta_i c_i)) (see math_kernels.hpp); records with
+  /// L^i_k == 0 reuse the lane's memoized expm1_wc[i]. exact also sweeps
+  /// q = e^{-lambda S^i_k} and marks the L == 0 records with a < 0; fast
+  /// stores each record's step factor in a and its Eq.-(1) factor in b.
   struct PassScratch {
     std::vector<std::int32_t> recovered_at;
     std::vector<std::uint32_t> dfs_stack;
@@ -116,7 +144,14 @@ class alignas(64) EvaluatorWorkspace {
     double base = 0.0;             // P(Z^{k+1}_k) of the current pass
     std::vector<double> accum;     // B[i]: sum of conditional terms
     std::vector<double> sum_prob;  // sum over processed k of P(Z^i_k)
-    std::vector<double> expm1_wc;  // expm1(lambda (w_i + delta_i c_i))
+    /// expm1(lambda (w_i + delta_i c_i)) at [0, n). Fast also memoizes
+    /// e^{-lambda (w_i + delta_i c_i)} at [n, 2n) (decay_wc()): one buffer
+    /// keeps a Lane, and so the heap placement of exact's buffers,
+    /// independent of fast mode; placement alone moves the exact evaluator
+    /// by several percent at n = 700.
+    std::vector<double> expm1_wc;
+
+    double* decay_wc() { return expm1_wc.data() + expm1_wc.size() / 2; }
   };
 
   std::vector<double> work;        // w by position
@@ -146,7 +181,7 @@ class ScheduleEvaluator {
   const FailureModel& model() const { return model_; }
 
   /// Full evaluation (validates the schedule). `math` selects the
-  /// transcendental backend exactly as for expected_makespan.
+  /// algorithm exactly as for expected_makespan.
   Evaluation evaluate(const Schedule& schedule) const;
   Evaluation evaluate(const Schedule& schedule, EvaluatorWorkspace& ws,
                       EvalMath math = EvalMath::exact) const;
@@ -160,10 +195,10 @@ class ScheduleEvaluator {
 
   /// Fast path returning only E[makespan]; used by the heuristic sweeps.
   /// `validate` can be disabled when the caller constructed the schedule
-  /// from a known-valid linearization. `math` picks the backend of the
-  /// batched exp/expm1 sweeps: `exact` (the default) is bit-identical to
-  /// element-wise libm; `fast` trades <= 4 ulp per kernel call for
-  /// throughput (see math_kernels.hpp).
+  /// from a known-valid linearization. `math` picks the algorithm:
+  /// `exact` (the default) reproduces the historical bytes; `fast` runs
+  /// the prefix-product recurrence, within 1e-10 relative of exact (see
+  /// the header comment).
   double expected_makespan(const Schedule& schedule, EvaluatorWorkspace& ws,
                            bool validate = true, EvalMath math = EvalMath::exact) const;
 
@@ -178,10 +213,19 @@ class ScheduleEvaluator {
 
  private:
   /// The pass loop: E[makespan] under models[m] into totals[m] and, when
-  /// `full` is non-empty, E[X_i] by position into full[m].
+  /// `full` is non-empty, E[X_i] by position into full[m]. The algorithm is
+  /// a template argument so that each instantiation compiles only its own
+  /// lane step: exact's machine code carries nothing of fast's.
+  template <EvalMath kMath>
   void run(const Schedule& schedule, std::span<const FailureModel> models,
-           EvaluatorWorkspace& ws, std::span<double> totals, std::span<Evaluation> full,
-           EvalMath math) const;
+           EvaluatorWorkspace& ws, std::span<double> totals, std::span<Evaluation> full) const;
+
+  /// The fast lane step of one pass: accumulates the pass's `records`
+  /// staged records, the first at position `first`, into `lane` by the
+  /// prefix-product recurrence. `staged_lost` may alias ws.pass.a.
+  static void recurrence_step(EvaluatorWorkspace& ws, EvaluatorWorkspace::Lane& lane,
+                              const double* staged_lost, std::size_t first,
+                              std::size_t records);
 
   const TaskGraph* graph_;
   FailureModel model_;

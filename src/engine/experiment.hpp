@@ -21,7 +21,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/math_kernels.hpp"
+#include "core/evaluator.hpp"
 #include "engine/result_sink.hpp"
 #include "engine/scenario.hpp"
 
@@ -36,9 +36,10 @@ struct FigureOptions {
   double weight_cv = 0.2;
   std::string csv_dir;       // empty = no CSV output
   std::size_t threads = 0;   // engine workers (CLI --threads); 0 = all cores
-  /// Evaluator math backend (--eval-math / eval_math query param):
-  /// `exact` (default, bit-identical to libm) or `fast` (batched
-  /// polynomial kernels, <= 4 ulp per call — see math_kernels.hpp).
+  /// Evaluator algorithm (--eval-math / eval_math query param): `exact`
+  /// (default, bit-identical to earlier releases) or `fast` (the
+  /// prefix-product recurrence, within 1e-10 relative — see
+  /// evaluator.hpp).
   EvalMath eval_math = EvalMath::exact;
   /// Fixed workflow size for the sweep figures (fig7's lambda sweep, the
   /// downtime sweep); the size-axis figures ignore it.

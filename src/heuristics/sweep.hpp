@@ -46,7 +46,7 @@ struct SweepOptions {
   EvaluatorWorkspace* workspace = nullptr;
   /// Pool whose idle workers may join the sweep (null = serial).
   ThreadPool* pool = nullptr;
-  /// Transcendental backend of every candidate evaluation.
+  /// Evaluator algorithm of every candidate evaluation.
   EvalMath eval = EvalMath::exact;
 
   /// Throws InvalidArgument unless the options are well formed

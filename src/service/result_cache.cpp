@@ -76,18 +76,16 @@ std::optional<std::size_t> parse_segment_index(std::string_view name) {
 }  // namespace
 
 ResultCacheKey ResultCacheKey::of(const engine::ScenarioSpec& spec, EvalMath math) {
-  // The math backend is appended outside canonical_spec_string: it is not
-  // a spec field, but fast-math records differ in their last digits, so
-  // the two backends must not share entries. The fast backend's bytes
-  // also depend on the kernel clone the host dispatches to, so a cache
-  // directory shared across hosts must not serve one CPU's fast bytes to
-  // another; exact keys (and the disk caches holding them) are unchanged.
+  // The evaluator algorithm is appended outside canonical_spec_string: it
+  // is not a spec field, but fast records differ in their last digits, so
+  // the two must not share entries. Exact keys (and the disk caches
+  // holding them) keep their historical spelling. Fast keys are spelled
+  // `math=fast-recurrence`, which no build with the earlier polynomial
+  // fast kernels wrote (they wrote `math=fast` and `math=fast kernel=...`),
+  // so an old --cache-dir never serves their bytes.
   ResultCacheKey key;
-  key.canonical = engine::canonical_spec_string(spec) + " math=" + to_string(math);
-  if (math == EvalMath::fast) {
-    key.canonical += " kernel=";
-    key.canonical += fast_math_variant();
-  }
+  key.canonical = engine::canonical_spec_string(spec) +
+                  (math == EvalMath::exact ? " math=exact" : " math=fast-recurrence");
   key.hash = engine::fnv1a64(key.canonical);
   return key;
 }

@@ -3,12 +3,12 @@
 // Overlapping POST /runs traffic — many clients re-running the paper's
 // figures with shared sub-grids — recomputes identical scenarios from
 // scratch. This cache maps a ResultCacheKey (the canonical serialization
-// of the FULL ScenarioSpec plus the evaluator math backend — a strict
+// of the FULL ScenarioSpec plus the evaluator's EvalMath — a strict
 // superset of the engine's InstanceKey, which deliberately omits the
 // failure model, cost model and policy) to the finished per-scenario
 // NDJSON record body (record_body_json), so a repeat scenario replays its
 // bytes instead of re-running the evaluator. Because every record is a
-// pure function of (spec, math backend), cached and recomputed responses
+// pure function of (spec, EvalMath), cached and recomputed responses
 // are byte-identical by construction.
 //
 // Persistence: with a directory configured, inserts append to an on-disk
@@ -27,14 +27,14 @@
 #include <string_view>
 #include <unordered_map>
 
-#include "core/math_kernels.hpp"
+#include "core/evaluator.hpp"
 #include "engine/scenario.hpp"
 #include "support/sync.hpp"
 
 namespace fpsched::service {
 
 /// The identity of one cached record body: the canonical spec text (plus
-/// the math backend, which changes record bytes) and its 64-bit FNV-1a
+/// the EvalMath, which changes record bytes) and its 64-bit FNV-1a
 /// hash. The hash indexes; the canonical string is stored alongside every
 /// entry and verified on lookup, so a hash collision degrades to a miss
 /// instead of serving another scenario's bytes.

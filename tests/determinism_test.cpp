@@ -81,8 +81,7 @@ TEST(DeterminismAudit, Fig2BytesInvariantAcrossThreadCounts) {
 
 TEST(DeterminismAudit, ExplicitExactMathMatchesDefaultBytes) {
   // eval_math = exact is the default spelled out; requesting it must not
-  // perturb a single byte (the kernel layer routes through the same libm
-  // call sequence).
+  // perturb a single byte.
   FigureOptions options = audit_options();
   options.threads = 1;
   const std::string implicit = run_ndjson("fig2", options);
@@ -91,9 +90,9 @@ TEST(DeterminismAudit, ExplicitExactMathMatchesDefaultBytes) {
 }
 
 TEST(DeterminismAudit, FastMathIsThreadInvariantToo) {
-  // The fast backend trades cross-host byte stability for speed, but
-  // within one process the determinism contract is unchanged: the thread
-  // count must not move a byte.
+  // The fast recurrence's bytes differ from exact's in the last digits,
+  // but they obey the same contract: every evaluation is serial plain
+  // libm arithmetic, so the thread count must not move a byte.
   FigureOptions baseline = audit_options();
   baseline.eval_math = EvalMath::fast;
   FigureOptions serial_options = baseline;

@@ -1,12 +1,13 @@
-// Differential tests: the optimized evaluator must agree exactly (up to
-// floating-point noise) with the literal Algorithm-1 transcription on
-// randomized DAGs, schedules, and checkpoint patterns.
+// Differential tests: the optimized evaluator, under both EvalMath
+// algorithms, must agree (up to floating-point noise) with the literal
+// Algorithm-1 transcription on randomized DAGs, schedules, and checkpoint
+// patterns, from benign failure rates to failure-dominated ones.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,7 +22,7 @@
 namespace fpsched {
 namespace {
 
-using testing::assert_rel_near;
+constexpr EvalMath kModes[] = {EvalMath::exact, EvalMath::fast};
 
 Schedule random_schedule(const TaskGraph& graph, Rng& rng, double ckpt_probability) {
   const std::vector<double> weights = graph.weights();
@@ -32,26 +33,45 @@ Schedule random_schedule(const TaskGraph& graph, Rng& rng, double ckpt_probabili
   return schedule;
 }
 
-void expect_evaluators_agree(const TaskGraph& graph, const FailureModel& model,
-                             const Schedule& schedule) {
-  const double fast = ScheduleEvaluator(graph, model).evaluate(schedule).expected_makespan;
-  const double reference = evaluate_reference(graph, model, schedule);
-  assert_rel_near(reference, fast, 1e-9, "optimized vs Algorithm 1");
-}
-
 bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-/// The multi-model calls against one-model evaluators: expected_makespans
-/// and the multi-model evaluate must reproduce, bit for bit, what an
-/// evaluator for each models[m] alone computes — makespan and every
-/// per-task term. The set, in shuffled order, puts next to the case's
-/// model: lambda = 0 (the closed form, no lane), the same lambda with
-/// D = 60 (two models on one lane), a failure-dominated lambda (its
-/// probabilities underflow where the other lanes' do not), lambda = 1e-6,
-/// and a vanishing lambda whose passes die (P(Z^{k+1}_k) rounds to 0)
-/// while the other lanes live. `shuffle_seed` orders the set.
+/// The case in a form that can be replayed: model, size and schedule.
+std::string describe(const FailureModel& model, const Schedule& schedule) {
+  std::ostringstream out;
+  out << "lambda=" << model.lambda() << " D=" << model.downtime()
+      << " n=" << schedule.order.size() << " order=";
+  for (const VertexId v : schedule.order) out << v << (schedule.is_checkpointed(v) ? "*" : "") << ' ';
+  return out.str();
+}
+
+/// Both algorithms against Algorithm 1: a finite value within 1e-10
+/// relative, anything else the same infinity (a NaN never agrees).
+void expect_evaluators_agree(const TaskGraph& graph, const FailureModel& model,
+                             const Schedule& schedule) {
+  const double reference = evaluate_reference(graph, model, schedule);
+  const ScheduleEvaluator evaluator(graph, model);
+  EvaluatorWorkspace ws;
+  for (const EvalMath math : kModes) {
+    const double value = evaluator.evaluate(schedule, ws, math).expected_makespan;
+    const bool agree = std::isfinite(value) ? relative_difference(reference, value) <= 1e-10
+                                            : value == reference;
+    EXPECT_TRUE(agree) << to_string(math) << " " << value << " vs Algorithm 1 " << reference
+                       << " (" << describe(model, schedule) << ")";
+  }
+}
+
+/// The multi-model calls against one-model evaluators, under each
+/// algorithm: expected_makespans and the multi-model evaluate must
+/// reproduce, bit for bit, what an evaluator for each models[m] alone
+/// computes — makespan and every per-task term. The set, in shuffled
+/// order, puts next to the case's model: lambda = 0 (the closed form, no
+/// lane), the same lambda with D = 60 (two models on one lane), a
+/// failure-dominated lambda (its probabilities underflow where the other
+/// lanes' do not), lambda = 1e-6, and a vanishing lambda whose passes die
+/// (P(Z^{k+1}_k) rounds to 0) while the other lanes live. `shuffle_seed`
+/// orders the set.
 void expect_multi_model_matches_single(const TaskGraph& graph, const FailureModel& model,
                                        double dominated_lambda, const Schedule& schedule,
                                        std::uint64_t shuffle_seed) {
@@ -65,22 +85,25 @@ void expect_multi_model_matches_single(const TaskGraph& graph, const FailureMode
   rng.shuffle(models);
   const ScheduleEvaluator evaluator(graph, model);
   EvaluatorWorkspace ws;
-  std::vector<double> makespans(models.size());
-  evaluator.expected_makespans(schedule, models, ws, makespans);
-  std::vector<Evaluation> evaluations(models.size());
-  evaluator.evaluate(schedule, models, ws, evaluations);
-  for (std::size_t m = 0; m < models.size(); ++m) {
-    const Evaluation single = ScheduleEvaluator(graph, models[m]).evaluate(schedule);
-    const std::string what = "lambda=" + std::to_string(models[m].lambda()) +
-                             " D=" + std::to_string(models[m].downtime());
-    EXPECT_TRUE(same_bits(single.expected_makespan, makespans[m]))
-        << what << ": " << single.expected_makespan << " vs " << makespans[m];
-    EXPECT_TRUE(same_bits(single.expected_makespan, evaluations[m].expected_makespan)) << what;
-    EXPECT_TRUE(same_bits(single.ratio, evaluations[m].ratio)) << what;
-    ASSERT_EQ(single.per_task_expected.size(), evaluations[m].per_task_expected.size());
-    for (std::size_t i = 0; i < single.per_task_expected.size(); ++i) {
-      EXPECT_TRUE(same_bits(single.per_task_expected[i], evaluations[m].per_task_expected[i]))
-          << what << " position " << i;
+  for (const EvalMath math : kModes) {
+    std::vector<double> makespans(models.size());
+    evaluator.expected_makespans(schedule, models, ws, makespans, true, math);
+    std::vector<Evaluation> evaluations(models.size());
+    evaluator.evaluate(schedule, models, ws, evaluations, math);
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      EvaluatorWorkspace single_ws;
+      const Evaluation single =
+          ScheduleEvaluator(graph, models[m]).evaluate(schedule, single_ws, math);
+      const std::string what = to_string(math) + " " + describe(models[m], schedule);
+      EXPECT_TRUE(same_bits(single.expected_makespan, makespans[m]))
+          << what << ": " << single.expected_makespan << " vs " << makespans[m];
+      EXPECT_TRUE(same_bits(single.expected_makespan, evaluations[m].expected_makespan)) << what;
+      EXPECT_TRUE(same_bits(single.ratio, evaluations[m].ratio)) << what;
+      ASSERT_EQ(single.per_task_expected.size(), evaluations[m].per_task_expected.size());
+      for (std::size_t i = 0; i < single.per_task_expected.size(); ++i) {
+        EXPECT_TRUE(same_bits(single.per_task_expected[i], evaluations[m].per_task_expected[i]))
+            << what << " position " << i;
+      }
     }
   }
 }
@@ -151,7 +174,7 @@ TEST(EvaluatorReference, TinyChains) {
 TEST(EvaluatorReference, FailureDominatedChainsNeverYieldNaN) {
   // Huge lambda drives Eq. (1) into overflow/underflow territory — the
   // regime where the zero-probability skips matter: the value must be
-  // finite or +inf, never NaN, and agree with Algorithm 1 when finite.
+  // finite or +inf, never NaN, and agree with Algorithm 1.
   TaskGraph graph = make_uniform_chain(48, 50.0);
   graph.apply_cost_model(CostModel::proportional(0.1));
   Rng rng(3);
@@ -162,15 +185,31 @@ TEST(EvaluatorReference, FailureDominatedChainsNeverYieldNaN) {
   for (const auto& c : cases) {
     for (int rep = 0; rep < 3; ++rep) {
       const Schedule schedule = random_schedule(graph, rng, c.ckpt_probability);
-      const double value =
-          ScheduleEvaluator(graph, c.model).evaluate(schedule).expected_makespan;
-      ASSERT_FALSE(std::isnan(value)) << "lambda=" << c.model.lambda();
-      ASSERT_TRUE(std::isfinite(value) || value == std::numeric_limits<double>::infinity());
-      if (std::isfinite(value)) {
-        assert_rel_near(evaluate_reference(graph, c.model, schedule), value, 1e-9,
-                        "failure-dominated chain vs Algorithm 1");
-      }
+      expect_evaluators_agree(graph, c.model, schedule);
       expect_multi_model_matches_single(graph, c.model, 5.0, schedule, rep);
+    }
+  }
+}
+
+TEST(EvaluatorReference, FailureDominatedDagsOverflowToInfNotNaN) {
+  // Layered DAGs at lambda far beyond 1/w: expm1(lambda (L + w + c))
+  // overflows to +inf on records whose p * e^{-lambda L} underflows to 0.
+  // Eq. (1) has overflowed there, so the makespan is +inf, as Algorithm 1
+  // computes it — not the NaN of 0 * inf.
+  for (const double lambda : {20.0, 100.0}) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      TaskGraph graph = make_layered_random({.task_count = 25,
+                                             .layer_count = 4,
+                                             .edge_probability = 0.35,
+                                             .mean_weight = 15.0,
+                                             .weight_cv = 0.6,
+                                             .seed = seed});
+      graph.apply_cost_model(CostModel::proportional(0.15));
+      Rng rng(seed);
+      const FailureModel model(lambda, 1.0);
+      const Schedule schedule = random_schedule(graph, rng, 0.3);
+      expect_evaluators_agree(graph, model, schedule);
+      expect_multi_model_matches_single(graph, model, 5.0, schedule, seed);
     }
   }
 }

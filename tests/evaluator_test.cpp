@@ -1,5 +1,6 @@
 // Tests of the optimized Theorem-3 evaluator against closed forms and
-// model identities.
+// model identities, and of its fast algorithm against exact on the
+// registered experiments' grids.
 #include "core/evaluator.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,8 @@
 #include <numeric>
 
 #include "core/failure_model.hpp"
+#include "engine/experiment.hpp"
+#include "engine/result_sink.hpp"
 #include "support/error.hpp"
 #include "test_util.hpp"
 #include "workflows/synthetic.hpp"
@@ -303,6 +306,58 @@ TEST_P(DeferralIdentity, JoinEqualsAtomicSegment) {
 INSTANTIATE_TEST_SUITE_P(Rates, DeferralIdentity,
                          ::testing::Combine(::testing::Values(1e-4, 1e-3, 1e-2, 5e-2),
                                             ::testing::Values(0.0, 1.0, 10.0)));
+
+TEST(EvalMathOption, ParseAndFormat) {
+  EXPECT_EQ(parse_eval_math("exact"), EvalMath::exact);
+  EXPECT_EQ(parse_eval_math("fast"), EvalMath::fast);
+  EXPECT_EQ(to_string(EvalMath::exact), "exact");
+  EXPECT_EQ(to_string(EvalMath::fast), "fast");
+  EXPECT_THROW(parse_eval_math("float"), InvalidArgument);
+  EXPECT_THROW(parse_eval_math(""), InvalidArgument);
+}
+
+/// Collects the plotted metric of every scenario record of a run.
+class RatioCollector : public engine::ResultSink {
+ public:
+  void record(const engine::ResultRecord& record) override {
+    ratios.push_back(record.result.evaluation.ratio);
+    makespans.push_back(record.result.evaluation.expected_makespan);
+  }
+  std::vector<double> ratios;
+  std::vector<double> makespans;
+};
+
+TEST(EvalMathOption, FastTracksExactAcrossQuickGrids) {
+  // End-to-end bound: the recurrence's O(n) ulp drift per probability
+  // must stay <= 1e-10 relative after the full O(n^2) Theorem-3
+  // accumulation, for every scenario of the fig2 --quick grid (all sizes,
+  // strategies and linearizations) and of fig7 and downtime --quick, whose
+  // evaluator calls carry several lambda lanes and D siblings.
+  using engine::ExperimentRegistry;
+  using engine::FigureOptions;
+  FigureOptions options;
+  engine::apply_quick_options(options);
+  for (const char* experiment : {"fig2", "fig7", "downtime"}) {
+    const auto run_with = [&](EvalMath math) {
+      FigureOptions o = options;
+      o.eval_math = math;
+      RatioCollector collector;
+      engine::ResultSink* sinks[] = {&collector};
+      engine::run_experiment(ExperimentRegistry::global().find(experiment), o, sinks, nullptr);
+      return collector;
+    };
+    const RatioCollector exact = run_with(EvalMath::exact);
+    const RatioCollector fast = run_with(EvalMath::fast);
+    ASSERT_FALSE(exact.ratios.empty()) << experiment;
+    ASSERT_EQ(exact.ratios.size(), fast.ratios.size()) << experiment;
+    for (std::size_t i = 0; i < exact.ratios.size(); ++i) {
+      EXPECT_LE(relative_difference(exact.ratios[i], fast.ratios[i]), 1e-10)
+          << experiment << " record " << i;
+      EXPECT_LE(relative_difference(exact.makespans[i], fast.makespans[i]), 1e-10)
+          << experiment << " record " << i;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace fpsched

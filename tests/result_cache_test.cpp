@@ -92,23 +92,26 @@ TEST(ResultCacheKeyTest, EveryFieldChangesTheKey) {
         << "canonical collision: " << key.canonical;
     EXPECT_NE(key.hash, base.hash) << key.canonical;
   }
-  // The math backend is part of the identity: fast and exact kernels may
+  // The evaluator algorithm is part of the identity: fast and exact may
   // produce different record bytes for the same spec.
   const ResultCacheKey fast = ResultCacheKey::of(base_spec(), EvalMath::fast);
   EXPECT_NE(fast.canonical, base.canonical);
   EXPECT_NE(fast.hash, base.hash);
 }
 
-TEST(ResultCacheKeyTest, ExactKeysAreUnchangedAndFastKeysCarryTheKernelClone) {
+TEST(ResultCacheKeyTest, ExactKeysAreUnchangedAndFastKeysHaveTheirOwnSpelling) {
   // Exact keys keep their historical form, so existing disk caches stay
-  // valid; fast keys name the kernel clone this host dispatches to,
-  // because the clones may differ in the low bits of their output.
+  // valid. Fast keys are spelled so that no earlier build's fast entry —
+  // `math=fast` (polynomial kernels) or `math=fast kernel=<clone>` (their
+  // per-CPU clones) — can match and serve bytes of the old algorithm.
   const std::string canonical = engine::canonical_spec_string(base_spec());
   EXPECT_EQ(ResultCacheKey::of(base_spec(), EvalMath::exact).canonical, canonical + " math=exact");
-  const std::string variant(fast_math_variant());
-  EXPECT_TRUE(variant == "default" || variant == "x86-64-v3") << variant;
-  EXPECT_EQ(ResultCacheKey::of(base_spec(), EvalMath::fast).canonical,
-            canonical + " math=fast kernel=" + variant);
+  const ResultCacheKey fast = ResultCacheKey::of(base_spec(), EvalMath::fast);
+  EXPECT_EQ(fast.canonical, canonical + " math=fast-recurrence");
+  for (const char* old : {" math=fast", " math=fast kernel=default", " math=fast kernel=x86-64-v3"}) {
+    EXPECT_NE(fast.canonical, canonical + old);
+    EXPECT_NE(fast.hash, engine::fnv1a64(canonical + old)) << old;
+  }
 }
 
 TEST(ResultCacheTest, InMemoryRoundTripCountsHitsAndMisses) {

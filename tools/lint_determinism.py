@@ -93,8 +93,8 @@ RULES = [
         lambda path: path.name.startswith("evaluator") and "math_kernels" not in path.name,
         re.compile(r"(?<![\w.])(?:std::)?(?:exp|expm1)\s*\("),
         "element-wise exp/expm1 in an evaluator pass: stage the arguments "
-        "and sweep them through the batched kernels (vexp/vexpm1/"
-        "vexp_neg_mul in core/math_kernels) to keep the pinned FP order",
+        "and sweep them through the batched kernels (vexpm1/vexp_neg_mul "
+        "in core/math_kernels) to keep the pinned FP order",
     ),
 ]
 
