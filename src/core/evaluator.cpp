@@ -13,15 +13,25 @@ namespace fpsched {
 namespace {
 
 // Telemetry only: relaxed counters cached once per process (see
-// obs/metrics.hpp for the never-perturbs-determinism contract). `runs`
-// counts makespans produced (one per model of a call), `walks` the calls
-// that walked the lost-work DFS, `lanes` the distinct lambdas swept; runs
-// over walks is the sharing factor of the multi-model calls.
+// obs/metrics.hpp for the never-perturbs-determinism contract), each added
+// once per call from locals. `runs` counts makespans produced (one per
+// model of a call), `walks` the calls that walked the lost-work DFS,
+// `lanes` the distinct lambdas swept; runs over walks is the sharing
+// factor of the multi-model calls. `records` counts the (k, i) records the
+// walks staged and `dfs_records` those whose DFS ran (the rest had no
+// predecessor before k); `factor_lookups` counts the L > 0 records seen
+// by live lanes and `factor_misses` those swept rather than read from the
+// lane's memo.
 struct EvalMetrics {
   obs::Counter& runs;
   obs::Counter& walks;
   obs::Counter& lanes;
   obs::Counter& sweeps;
+  obs::Counter& records;
+  obs::Counter& dfs_records;
+  obs::Counter& factor_lookups;
+  obs::Counter& factor_misses;
+  obs::Counter& ns;
 };
 
 EvalMetrics& eval_metrics() {
@@ -35,7 +45,16 @@ EvalMetrics& eval_metrics() {
         reg.counter("fpsched_eval_lanes_total",
                     "distinct failure rates swept by the evaluator (one set of sweeps each)"),
         reg.counter("fpsched_eval_kernel_sweeps_total",
-                    "batched exp/expm1 kernel sweeps issued by the evaluator")};
+                    "batched exp/expm1 kernel sweeps issued by the evaluator"),
+        reg.counter("fpsched_eval_records_total",
+                    "(k, i) records staged by the lost-work walks (once per walk, not per lane)"),
+        reg.counter("fpsched_eval_dfs_records_total",
+                    "staged records whose lost-work DFS ran (the rest had no predecessor before k)"),
+        reg.counter("fpsched_eval_factor_lookups_total",
+                    "records with lost work seen by live lanes (each a factor memo lookup)"),
+        reg.counter("fpsched_eval_factor_misses_total",
+                    "factor memo misses: lost-work records whose factors were swept"),
+        reg.counter("fpsched_eval_ns_total", "nanoseconds spent inside evaluator calls")};
   }();
   return *metrics;
 }
@@ -60,6 +79,7 @@ void EvaluatorWorkspace::resize(std::size_t n, std::size_t edges) {
   flag.resize(n);
   pred_offsets.assign(n + 1, 0);
   pred_list.resize(edges);
+  min_pred.resize(n);
   position.resize(n);
   self_loss.assign(n, 0.0);
 }
@@ -130,6 +150,8 @@ template <EvalMath kMath>
 void ScheduleEvaluator::run(const Schedule& schedule, std::span<const FailureModel> models,
                             EvaluatorWorkspace& ws, std::span<double> totals,
                             std::span<Evaluation> full) const {
+  EvalMetrics& metrics = eval_metrics();
+  const obs::ScopedTimer timer(nullptr, &metrics.ns);
   const std::size_t n = graph_->task_count();
   for (Evaluation& result : full) result.per_task_expected.assign(n, 0.0);
   if (n == 0) {
@@ -152,7 +174,8 @@ void ScheduleEvaluator::run(const Schedule& schedule, std::span<const FailureMod
     ws.ckpt[i] = ws.flag[i] ? ckpt_costs[v] : 0.0;
     ws.recovery[i] = recovery_costs[v];
   }
-  // Predecessor CSR in position space.
+  // Predecessor CSR in position space, and each task's earliest
+  // predecessor position (n for a task with none).
   for (std::size_t i = 0; i < n; ++i) {
     const VertexId v = schedule.order[i];
     ws.pred_offsets[i + 1] = static_cast<std::uint32_t>(dag.predecessors(v).size());
@@ -162,7 +185,12 @@ void ScheduleEvaluator::run(const Schedule& schedule, std::span<const FailureMod
     std::vector<std::uint32_t> fill(ws.pred_offsets.begin(), ws.pred_offsets.end() - 1);
     for (std::size_t i = 0; i < n; ++i) {
       const VertexId v = schedule.order[i];
-      for (const VertexId p : dag.predecessors(v)) ws.pred_list[fill[i]++] = ws.position[p];
+      auto earliest = static_cast<std::uint32_t>(n);
+      for (const VertexId p : dag.predecessors(v)) {
+        ws.pred_list[fill[i]++] = ws.position[p];
+        earliest = std::min(earliest, ws.position[p]);
+      }
+      ws.min_pred[i] = earliest;
     }
   }
 
@@ -189,13 +217,19 @@ void ScheduleEvaluator::run(const Schedule& schedule, std::span<const FailureMod
     lane.accum.assign(n, 0.0);
     lane.sum_prob.assign(n, 0.0);
     lane.expm1_wc.resize(kMath == EvalMath::fast ? 2 * n : n);
+    // The memo's factors depend on this call's w_i and delta_i c_i, so
+    // every position starts as a miss.
+    lane.memo_lost.assign(n, 0.0);
+    lane.memo_a.resize(n);
+    lane.memo_b.resize(n);
   }
 
   // Lost work L^i_k for the current pass position k: DFS from i over lost,
   // non-checkpointed predecessors. `recovered_at[j] == k` marks tasks that
   // already entered some T|k_l with l <= i (their output is back in
   // memory), which both deduplicates the DFS and implements the exclusion
-  // rule of Definition 1.
+  // rule of Definition 1. Callers skip it when min_pred[i] >= k: then no
+  // predecessor ran before the failure, L^i_k = 0 and nothing is marked.
   EvaluatorWorkspace::PassScratch& pass = ws.pass;
   const auto lost_work = [&](std::size_t i, std::size_t pass_k) -> double {
     const auto k = static_cast<std::int32_t>(pass_k);
@@ -223,30 +257,32 @@ void ScheduleEvaluator::run(const Schedule& schedule, std::span<const FailureMod
   };
 
   std::size_t staged_passes = 0;  // (lane, pass) pairs; each issues 3 (exact) or 2 sweeps
+  std::size_t staged_records = 0;
+  std::size_t dfs_records = 0;
+  std::size_t factor_lookups = 0;
+  std::size_t factor_misses = 0;
   if (!lanes.empty()) {
     pass.recovered_at.assign(n, -1);
     pass.dfs_stack.clear();
     pass.dfs_stack.reserve(n);
     pass.q.resize(n);
-    pass.a.resize(n);
-    pass.b.resize(n);
-    // Where the walk stages S and L. A one-lane call stages straight into
-    // the sweep scratch q and a, which its in-place sweeps then consume;
-    // with several lanes the staged values must outlive each lane's
-    // sweeps, so they go to shared buffers that every lane copies from.
+    pass.lost.resize(n);
+    // Where the walk stages S (exact only: fast never reads it). A one-lane
+    // call stages straight into the sweep scratch q, which its in-place
+    // sweep then consumes; with several lanes the staged spans must
+    // outlive each lane's sweep, so they go to a shared buffer that every
+    // lane sweeps out of place into q.
     const bool shared = lanes.size() > 1;
-    // The compacted L > 0 buffers take at most n entries per pass; sizing
-    // them once up front keeps their growth (and their heap placement)
-    // out of the pass loop.
+    // The compacted record lists and miss buffers take at most n entries
+    // per pass; sizing them once up front keeps their growth (and their
+    // heap placement) out of the pass loop.
     pass.lost_idx.reserve(n);
+    pass.lost_rec.reserve(n);
     pass.arg_a.reserve(n);
     pass.arg_b.reserve(n);
-    if (shared) {
-      pass.span.resize(n);
-      pass.lost.resize(n);
-    }
+    if (shared) pass.span.resize(n);
     double* const staged_span = shared ? pass.span.data() : pass.q.data();
-    double* const staged_lost = shared ? pass.lost.data() : pass.a.data();
+    const double* const staged_lost = pass.lost.data();
 
     // --- Pass k = -1: no failure has happened yet. ---------------------
     // Zero-probability events are skipped everywhere below: their Eq.-(1)
@@ -265,7 +301,7 @@ void ScheduleEvaluator::run(const Schedule& schedule, std::span<const FailureMod
     // contiguous buffers and handed to the batched sweeps
     // (math_kernels.hpp) in one call each, which is bit-identical to the
     // historical element-wise loop.
-    {
+    if constexpr (kMath == EvalMath::exact) {
       double elapsed = 0.0;  // sum of w_j + delta_j c_j, j < i
       for (std::size_t i = 0; i < n; ++i) {
         staged_span[i] = elapsed;
@@ -291,8 +327,7 @@ void ScheduleEvaluator::run(const Schedule& schedule, std::span<const FailureMod
         }
         continue;
       }
-      if (shared) std::copy_n(staged_span, n, pass.q.data());
-      vexp_neg_mul(lambda, pass.q.data(), pass.q.data(), n);
+      vexp_neg_mul(lambda, staged_span, pass.q.data(), n);
       for (std::size_t i = 0; i < n; ++i) {
         const double p = pass.q[i];
         if (p > 0.0) {
@@ -304,74 +339,71 @@ void ScheduleEvaluator::run(const Schedule& schedule, std::span<const FailureMod
 
     // --- Passes k = 0..n-1: last failure during X_k. --------------------
     for (std::size_t k = 0; k < n; ++k) {
+      // L^k_k, needed by the combine whether or not any lane lives; its
+      // DFS is the first of pass k, and its marks hold for the walk below.
+      ws.self_loss[k] = ws.min_pred[k] < k ? lost_work(k, k) : 0.0;
       // P(Z^{k+1}_k) = 1 - sum over earlier failure positions (property
       // B). It is final before pass k starts, so a dead lane (probability
       // mass exhausted, or k == n-1 with no later tasks) skips the pass;
-      // when every lane is dead the walk is skipped too: only L^k_k is
-      // still needed, and the skipped DFS epoch marks are never read
-      // again.
+      // when every lane is dead the walk is skipped too: the skipped DFS
+      // epoch marks are never read again.
       bool live = false;
       for (EvaluatorWorkspace::Lane& lane : lanes) {
         lane.base = k + 1 < n ? std::clamp(1.0 - lane.sum_prob[k + 1], 0.0, 1.0) : 0.0;
         live = live || lane.base > 0.0;
       }
-      if (!live) {
-        ws.self_loss[k] = lost_work(k, k);
-        continue;
-      }
+      if (!live) continue;
 
       // Walk once: stage S^i_k and L^i_k of every record for all lanes.
       double span = 0.0;  // S^i_k = sum_{k<j<i} (L^j_k + w_j + delta_j c_j)
       std::size_t records = 0;
-      for (std::size_t i = k; i < n; ++i) {
-        const double lost = lost_work(i, k);
-        if (i == k) {
-          ws.self_loss[k] = lost;  // L^k_k
-          continue;
+      pass.lost_rec.clear();
+      for (std::size_t i = k + 1; i < n; ++i) {
+        double lost = 0.0;
+        if (ws.min_pred[i] < k) {
+          lost = lost_work(i, k);
+          ++dfs_records;
+          if (lost != 0.0) pass.lost_rec.push_back(static_cast<std::uint32_t>(records));
         }
-        staged_span[records] = span;
-        staged_lost[records] = lost;
+        pass.lost[records] = lost;
+        if constexpr (kMath == EvalMath::exact) {
+          staged_span[records] = span;
+          span += lost + ws.work[i] + ws.ckpt[i];
+        }
         ++records;
-        span += lost + ws.work[i] + ws.ckpt[i];
       }
+      staged_records += records;
 
-      if constexpr (kMath == EvalMath::fast) {
-        for (EvaluatorWorkspace::Lane& lane : lanes) {
-          if (!(lane.base > 0.0)) continue;
-          recurrence_step(ws, lane, staged_lost, k + 1, records);
-          ++staged_passes;
-        }
-        continue;
-      }
-
-      // Per live lane, batch the pass's transcendentals as three sweeps:
-      // q <- e^{-lambda S} for all records, and for the compacted L > 0
-      // subset a <- e^{-lambda L}, b <- expm1(lambda (L + w_i + delta_i
-      // c_i)). The staged expressions and guards mirror the historical
-      // element-wise code token for token, so the accumulate consumes
-      // bit-identical factors under the exact backend.
       for (EvaluatorWorkspace::Lane& lane : lanes) {
         const double base = lane.base;
         if (!(base > 0.0)) continue;
+        factor_lookups += pass.lost_rec.size();
+        ++staged_passes;
+        if constexpr (kMath == EvalMath::fast) {
+          factor_misses += recurrence_step(ws, lane, k + 1, records);
+          continue;
+        }
+
+        // Per live lane, batch the pass's transcendentals as three sweeps:
+        // q <- e^{-lambda S} for all records, and for the compacted L > 0
+        // records that miss the memo a <- e^{-lambda L}, b <- expm1(lambda
+        // (L + w_i + delta_i c_i)). The staged expressions and guards
+        // mirror the historical element-wise code token for token, so the
+        // accumulate consumes bit-identical factors under the exact
+        // backend.
         const double lambda = lane.lambda;
-        if (shared) std::copy_n(staged_span, records, pass.q.data());
-        vexp_neg_mul(lambda, pass.q.data(), pass.q.data(), records);
+        vexp_neg_mul(lambda, staged_span, pass.q.data(), records);
         pass.lost_idx.clear();
         pass.arg_a.clear();
         pass.arg_b.clear();
-        for (std::size_t r = 0; r < records; ++r) {
+        for (const std::uint32_t r : pass.lost_rec) {
+          // A record with q == 0 has p == 0: its factors are never read.
+          const std::size_t i = k + 1 + r;
           const double lost = staged_lost[r];
-          if (lost == 0.0) {
-            pass.a[r] = -1.0;  // sentinel: accumulate reuses the memoized expm1_wc[i]
-            pass.b[r] = 0.0;
-          } else if (pass.q[r] > 0.0) {
-            const std::size_t i = k + 1 + r;
+          if (pass.q[r] > 0.0 && lane.memo_lost[i] != lost) {
             pass.lost_idx.push_back(static_cast<std::uint32_t>(r));
             pass.arg_a.push_back(lost);
             pass.arg_b.push_back(lambda * (lost + ws.work[i] + ws.ckpt[i]));
-          } else {
-            pass.a[r] = 0.0;  // q == 0 forces p == 0; never read
-            pass.b[r] = 0.0;
           }
         }
         vexp_neg_mul(lambda, pass.arg_a.data(), pass.arg_a.data(), pass.arg_a.size());
@@ -380,20 +412,24 @@ void ScheduleEvaluator::run(const Schedule& schedule, std::span<const FailureMod
           // An overflowed expm1 makes the Eq.-(1) term +inf, as Algorithm 1
           // computes it; a = 1 keeps an underflowed p * a from turning it
           // into 0 * inf = NaN.
-          pass.a[pass.lost_idx[j]] = pass.arg_b[j] == kInf ? 1.0 : pass.arg_a[j];
-          pass.b[pass.lost_idx[j]] = pass.arg_b[j];
+          const std::uint32_t r = pass.lost_idx[j];
+          const std::size_t i = k + 1 + r;
+          lane.memo_lost[i] = staged_lost[r];
+          lane.memo_a[i] = pass.arg_b[j] == kInf ? 1.0 : pass.arg_a[j];
+          lane.memo_b[i] = pass.arg_b[j];
         }
+        factor_misses += pass.lost_idx.size();
 
         // Accumulate the pass from its staged factors, i ascending.
         for (std::size_t r = 0; r < records; ++r) {
           const std::size_t i = k + 1 + r;
           const double p = pass.q[r] * base;
           if (p > 0.0) {
-            lane.accum[i] += pass.a[r] < 0.0 ? p * lane.expm1_wc[i] : p * pass.a[r] * pass.b[r];
+            lane.accum[i] += staged_lost[r] == 0.0 ? p * lane.expm1_wc[i]
+                                                   : p * lane.memo_a[i] * lane.memo_b[i];
             lane.sum_prob[i] += p;
           }
         }
-        ++staged_passes;
       }
     }
   }
@@ -432,34 +468,34 @@ void ScheduleEvaluator::run(const Schedule& schedule, std::span<const FailureMod
     }
     totals[m] = total;
   }
-  EvalMetrics& metrics = eval_metrics();
   metrics.runs.add(models.size());
   if (!lanes.empty()) metrics.walks.add(1);
   metrics.lanes.add(lane_count);
   // Pass -1 issues 2 sweeps per lane in either mode.
   metrics.sweeps.add(2 * lane_count + (kMath == EvalMath::fast ? 2 : 3) * staged_passes);
+  metrics.records.add(staged_records);
+  metrics.dfs_records.add(dfs_records);
+  metrics.factor_lookups.add(factor_lookups);
+  metrics.factor_misses.add(factor_misses);
 }
 
-void ScheduleEvaluator::recurrence_step(EvaluatorWorkspace& ws, EvaluatorWorkspace::Lane& lane,
-                                        const double* staged_lost, std::size_t first,
-                                        std::size_t records) {
+std::size_t ScheduleEvaluator::recurrence_step(EvaluatorWorkspace& ws,
+                                               EvaluatorWorkspace::Lane& lane, std::size_t first,
+                                               std::size_t records) {
   EvaluatorWorkspace::PassScratch& pass = ws.pass;
   const double lambda = lane.lambda;
+  const double* const staged_lost = pass.lost.data();
   const double* const decay_wc = lane.decay_wc();
-  // Stage each record's step factor e^{-lambda L} e^{-lambda (w_i +
-  // delta_i c_i)} into a and its Eq.-(1) factor e^{-lambda L} expm1(lambda
-  // (L + w_i + delta_i c_i)) into b. Each record's L is read before its a
-  // is written: a one-lane call staged L into a.
+  // Sweep the L > 0 records that miss the memo, and memoize each one's
+  // step factor e^{-lambda L} e^{-lambda (w_i + delta_i c_i)} and Eq.-(1)
+  // factor e^{-lambda L} expm1(lambda (L + w_i + delta_i c_i)).
   pass.lost_idx.clear();
   pass.arg_a.clear();
   pass.arg_b.clear();
-  for (std::size_t r = 0; r < records; ++r) {
+  for (const std::uint32_t r : pass.lost_rec) {
     const std::size_t i = first + r;
     const double lost = staged_lost[r];
-    if (lost == 0.0) {
-      pass.a[r] = decay_wc[i];
-      pass.b[r] = lane.expm1_wc[i];
-    } else {
+    if (lane.memo_lost[i] != lost) {
       pass.lost_idx.push_back(static_cast<std::uint32_t>(r));
       pass.arg_a.push_back(lost);
       pass.arg_b.push_back(lambda * (lost + ws.work[i] + ws.ckpt[i]));
@@ -469,10 +505,12 @@ void ScheduleEvaluator::recurrence_step(EvaluatorWorkspace& ws, EvaluatorWorkspa
   vexpm1(pass.arg_b.data(), pass.arg_b.data(), pass.arg_b.size());
   for (std::size_t j = 0; j < pass.lost_idx.size(); ++j) {
     const std::uint32_t r = pass.lost_idx[j];
+    const std::size_t i = first + r;
     const double a = pass.arg_a[j];
     const double b = pass.arg_b[j];
-    pass.a[r] = a * decay_wc[first + r];
-    pass.b[r] = b == kInf ? kInf : a * b;  // as exact: an overflowed expm1 is +inf
+    lane.memo_lost[i] = staged_lost[r];
+    lane.memo_a[i] = a * decay_wc[i];
+    lane.memo_b[i] = b == kInf ? kInf : a * b;  // as exact: an overflowed expm1 is +inf
   }
 
   // P(Z^i_k) = q_i P(Z^{k+1}_k) with q_{k+1} = 1 (S^{k+1}_k = 0) and q
@@ -481,12 +519,15 @@ void ScheduleEvaluator::recurrence_step(EvaluatorWorkspace& ws, EvaluatorWorkspa
   // the zero-probability skip (it keeps 0 * inf out of the sums).
   double q = 1.0;
   for (std::size_t r = 0; r < records; ++r) {
+    const std::size_t i = first + r;
     const double p = q * lane.base;
     if (!(p > 0.0)) break;
-    lane.accum[first + r] += p * pass.b[r];
-    lane.sum_prob[first + r] += p;
-    q *= pass.a[r];
+    const bool lost = staged_lost[r] != 0.0;
+    lane.accum[i] += p * (lost ? lane.memo_b[i] : lane.expm1_wc[i]);
+    lane.sum_prob[i] += p;
+    q *= lost ? lane.memo_a[i] : decay_wc[i];
   }
+  return pass.lost_idx.size();
 }
 
 }  // namespace fpsched

@@ -42,6 +42,24 @@
 // evaluating the models one at a time. The one-model calls are this loop
 // with a single model.
 //
+// Two shortcuts keep the pass loop from redoing work whose result it
+// already knows, and neither moves a byte:
+//  * the walk skips the DFS of a record (k, i) when every predecessor of
+//    task i sits at position >= k (min_pred[i] >= k): nothing before the
+//    failure is needed, so L^i_k = 0 and the DFS would mark nothing. On
+//    the figure grids 35-70% of the records take this exit.
+//  * each lane memoizes, per position i, the last L^i_k > 0 it swept and
+//    the two factors it derived from it. Within one call those factors are
+//    a pure function of (lambda, i, L^i_k), and T|k_i rarely changes from
+//    one pass to the next (94-98% of the records with lost work repeat
+//    their task's previous L), so only memo misses go to the batched
+//    sweeps; a hit reads the very doubles the sweep would return. T|k_i
+//    only ever grows with k (if a record before i recovers a task in pass
+//    k', some record before i recovers it in every earlier pass k in which
+//    it is already lost), so a replaced L never comes back and one entry
+//    per position is enough. The memo is reset on every call, since w_i
+//    and delta_i c_i are not fixed across calls.
+//
 // Two algorithms share that loop and differ only in each lane's step
 // (EvalMath, selected per call; the engine, CLI --eval-math and HTTP
 // eval_math thread it down, and nothing selects `fast` implicitly):
@@ -51,14 +69,15 @@
 //  * fast — the same probabilities as a running product. Within a pass
 //    S^i_k is a prefix sum, so e^{-lambda S} steps from record to record
 //    by the success factor e^{-lambda L^i_k} e^{-lambda (w_i + d_i c_i)}:
-//    the first factor is already swept for the records with lost work
-//    (about a fifth of them on the figure grids) and the second is
-//    memoized per lane, which drops one exp per record. The product
-//    drifts from the exp of the sum by O(n) ulp: within 1e-10 relative of
-//    exact and of Algorithm 1 (tests/evaluator_reference_test.cpp). It is
-//    as deterministic as exact: serial libm arithmetic with no
-//    CPU-specific code path, so neither the thread count, the shard split
-//    nor the host's CPU moves a byte.
+//    the first factor comes from the lane's memo (20-23% of the records
+//    have lost work on the figure grids, and a few percent of those miss
+//    it) and the second is memoized per lane in pass -1, which drops the
+//    exp per record. The product drifts from the exp of the sum by O(n)
+//    ulp: within 1e-10 relative of exact and of Algorithm 1
+//    (tests/evaluator_reference_test.cpp). It is as deterministic as
+//    exact: serial libm arithmetic with no CPU-specific code path, so
+//    neither the thread count, the shard split nor the host's CPU moves
+//    a byte.
 //
 // Every evaluation is serial: the engine parallelizes over cell groups
 // and budget candidates, which already fill the cores (see engine.hpp).
@@ -116,23 +135,22 @@ class alignas(64) EvaluatorWorkspace {
   /// Per-pass staging shared by every lane of a call. The walk stages the
   /// lambda-independent S^i_k and L^i_k of every (k, i) record once; each
   /// live lane then sweeps its factors from them in the shared scratch.
-  /// The L > 0 subset is gathered into the compact lost_idx/arg_a/arg_b
-  /// triple and swept to a = e^{-lambda L^i_k} and b = expm1(lambda
-  /// (L^i_k + w_i + delta_i c_i)) (see math_kernels.hpp); records with
-  /// L^i_k == 0 reuse the lane's memoized expm1_wc[i]. exact also sweeps
-  /// q = e^{-lambda S^i_k} and marks the L == 0 records with a < 0; fast
-  /// stores each record's step factor in a and its Eq.-(1) factor in b.
+  /// The L > 0 records that miss the lane's memo are gathered into the
+  /// compact lost_idx/arg_a/arg_b triple and swept to e^{-lambda L^i_k}
+  /// and expm1(lambda (L^i_k + w_i + delta_i c_i)) (see math_kernels.hpp),
+  /// which the lane's memo then keeps; records with L^i_k == 0 reuse the
+  /// lane's expm1_wc[i]. exact also sweeps q = e^{-lambda S^i_k}.
   struct PassScratch {
     std::vector<std::int32_t> recovered_at;
     std::vector<std::uint32_t> dfs_stack;
-    // Staged S^i_k (pass -1: the fault-free prefix) and L^i_k when a call
-    // has several lanes; a one-lane call stages them straight into q and a.
+    // Staged S^i_k (pass -1: the fault-free prefix) when a call has several
+    // lanes; a one-lane call stages it straight into q, which its in-place
+    // sweep then consumes.
     std::vector<double> span;
-    std::vector<double> lost;
+    std::vector<double> lost;             // staged L^i_k, read by every lane
+    std::vector<std::uint32_t> lost_rec;  // record index of each L^i_k > 0
     std::vector<double> q;
-    std::vector<double> a;
-    std::vector<double> b;
-    std::vector<std::uint32_t> lost_idx;  // record index of each L > 0 entry
+    std::vector<std::uint32_t> lost_idx;  // record index of each swept entry
     std::vector<double> arg_a;            // staged L, swept to e^{-lambda L}
     std::vector<double> arg_b;            // staged expm1 argument, swept in place
   };
@@ -150,6 +168,15 @@ class alignas(64) EvaluatorWorkspace {
     /// independent of fast mode; placement alone moves the exact evaluator
     /// by several percent at n = 700.
     std::vector<double> expm1_wc;
+    /// The factor memo, by position i: the last L^i_k > 0 this lane swept
+    /// (0.0 = none yet this call) and the two factors derived from it —
+    /// exact: a = e^{-lambda L} (1 where b overflowed) and b = expm1(lambda
+    /// (L + w_i + delta_i c_i)); fast: the step factor e^{-lambda L}
+    /// e^{-lambda (w_i + delta_i c_i)} and the Eq.-(1) factor e^{-lambda L}
+    /// b (+inf where b overflowed).
+    std::vector<double> memo_lost;
+    std::vector<double> memo_a;
+    std::vector<double> memo_b;
 
     double* decay_wc() { return expm1_wc.data() + expm1_wc.size() / 2; }
   };
@@ -160,6 +187,7 @@ class alignas(64) EvaluatorWorkspace {
   std::vector<std::uint8_t> flag;  // checkpoint flag by position
   std::vector<std::uint32_t> pred_offsets;
   std::vector<std::uint32_t> pred_list;  // predecessor positions, CSR
+  std::vector<std::uint32_t> min_pred;   // smallest predecessor position (n: none)
   std::vector<std::uint32_t> position;   // vertex id -> position
   std::vector<double> self_loss;         // L^i_i
   std::vector<Lane> lanes;               // grown to the widest call seen
@@ -222,10 +250,9 @@ class ScheduleEvaluator {
 
   /// The fast lane step of one pass: accumulates the pass's `records`
   /// staged records, the first at position `first`, into `lane` by the
-  /// prefix-product recurrence. `staged_lost` may alias ws.pass.a.
-  static void recurrence_step(EvaluatorWorkspace& ws, EvaluatorWorkspace::Lane& lane,
-                              const double* staged_lost, std::size_t first,
-                              std::size_t records);
+  /// prefix-product recurrence. Returns the memo misses it swept.
+  static std::size_t recurrence_step(EvaluatorWorkspace& ws, EvaluatorWorkspace::Lane& lane,
+                                     std::size_t first, std::size_t records);
 
   const TaskGraph* graph_;
   FailureModel model_;

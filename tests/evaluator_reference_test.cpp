@@ -69,9 +69,16 @@ void expect_evaluators_agree(const TaskGraph& graph, const FailureModel& model,
 /// order, puts next to the case's model: lambda = 0 (the closed form, no
 /// lane), the same lambda with D = 60 (two models on one lane), a
 /// failure-dominated lambda (its probabilities underflow where the other
-/// lanes' do not), lambda = 1e-6, and a vanishing lambda whose passes die
-/// (P(Z^{k+1}_k) rounds to 0) while the other lanes live. `shuffle_seed`
-/// orders the set.
+/// lanes' do not), lambda = 1e-6, and two vanishing lambdas whose lanes
+/// are dead (P(Z^{k+1}_k) rounds to 0) while the other lanes live: 1e-18
+/// in all but a few late passes, 1e-17 in the early passes only, so its
+/// lane's memo starts partway through the call. `shuffle_seed` orders
+/// the set.
+///
+/// The workspace then evaluates the schedule with the last task's
+/// checkpoint flag flipped, which must match a fresh workspace bit for
+/// bit: that task's lost work L^i_k is unchanged while delta_i c_i is not,
+/// so a factor memoized in the previous call must not be reused.
 void expect_multi_model_matches_single(const TaskGraph& graph, const FailureModel& model,
                                        double dominated_lambda, const Schedule& schedule,
                                        std::uint64_t shuffle_seed) {
@@ -80,6 +87,7 @@ void expect_multi_model_matches_single(const TaskGraph& graph, const FailureMode
                                       FailureModel(model.lambda(), 60.0),
                                       FailureModel(dominated_lambda, model.downtime()),
                                       FailureModel(1e-6),
+                                      FailureModel(1e-17),
                                       FailureModel(1e-18)};
   Rng rng(shuffle_seed);
   rng.shuffle(models);
@@ -105,7 +113,73 @@ void expect_multi_model_matches_single(const TaskGraph& graph, const FailureMode
             << what << " position " << i;
       }
     }
+
+    if (schedule.order.empty()) continue;
+    Schedule flipped = schedule;
+    const VertexId last = flipped.order.back();
+    flipped.checkpointed[last] = flipped.is_checkpointed(last) ? 0 : 1;
+    std::vector<double> reused(models.size());
+    evaluator.expected_makespans(flipped, models, ws, reused, true, math);
+    std::vector<double> fresh(models.size());
+    EvaluatorWorkspace fresh_ws;
+    evaluator.expected_makespans(flipped, models, fresh_ws, fresh, true, math);
+    for (std::size_t m = 0; m < models.size(); ++m) {
+      EXPECT_TRUE(same_bits(fresh[m], reused[m]))
+          << to_string(math) << " reused workspace, " << describe(models[m], flipped) << ": "
+          << fresh[m] << " vs " << reused[m];
+    }
   }
+}
+
+/// `count` disconnected copies of a six-task gadget. Vertex ids are
+/// schedule positions; copy g holds, from position 6g: c, a and b
+/// (checkpointed sources), f (isolated), i <- {a, b} and t <- c. For the
+/// copy at positions 0..5, task i loses r_a in pass 2 and r_a + r_b in
+/// pass 3 (its lost work changes between passes), and task t loses r_c in
+/// every pass 1..4 (the same L in each lost-work record of a call).
+TaskGraph make_gadgets(std::size_t count, std::uint64_t seed) {
+  Rng rng(seed);
+  DagBuilder builder;
+  builder.add_vertices(6 * count);
+  for (std::size_t g = 0; g < count; ++g) {
+    const auto at = [g](VertexId offset) { return static_cast<VertexId>(6 * g + offset); };
+    builder.add_edge(at(1), at(4));  // a -> i
+    builder.add_edge(at(2), at(4));  // b -> i
+    builder.add_edge(at(0), at(5));  // c -> t
+  }
+  std::vector<Task> tasks(6 * count);
+  for (Task& task : tasks) task.weight = rng.uniform(5.0, 25.0);
+  TaskGraph graph(std::move(builder).build(), std::move(tasks));
+  graph.apply_cost_model(CostModel::proportional(0.15));
+  return graph;
+}
+
+/// The gadgets' schedule: identity order, c, a and b checkpointed, the
+/// other flags drawn with `ckpt_probability`.
+Schedule gadgets_schedule(const TaskGraph& graph, Rng& rng, double ckpt_probability) {
+  const std::size_t n = graph.task_count();
+  std::vector<VertexId> order(n);
+  std::vector<std::uint8_t> flags(n);
+  for (VertexId v = 0; v < n; ++v) {
+    order[v] = v;
+    flags[v] = v % 6 < 3 || rng.bernoulli(ckpt_probability) ? 1 : 0;
+  }
+  return Schedule(std::move(order), std::move(flags));
+}
+
+/// `graph` plus `extra` isolated tasks (no predecessor, no successor),
+/// which a random-first linearization scatters anywhere in the order.
+TaskGraph with_isolated_tasks(const TaskGraph& graph, std::size_t extra) {
+  const std::size_t n = graph.task_count();
+  DagBuilder builder;
+  builder.add_vertices(n + extra);
+  for (VertexId v = 0; v < n; ++v)
+    for (const VertexId succ : graph.dag().successors(v)) builder.add_edge(v, succ);
+  std::vector<Task> tasks(n + extra);
+  for (std::size_t v = 0; v < n + extra; ++v) tasks[v].weight = graph.weight(v % n);
+  TaskGraph out(std::move(builder).build(), std::move(tasks));
+  out.apply_cost_model(CostModel::proportional(0.15));
+  return out;
 }
 
 TEST(EvaluatorReference, PaperFigure1Example) {
@@ -134,6 +208,48 @@ TEST(EvaluatorReference, LostWorkTableMatchesPaperExample) {
   // paper's walk-through.
   EXPECT_DOUBLE_EQ(at5.reexecuted_weight[7], graph.weight(1) + graph.weight(2));
   EXPECT_DOUBLE_EQ(at5.recovered_cost[7], 0.0);
+}
+
+TEST(EvaluatorReference, LostWorkNeverShrinksAcrossPasses) {
+  // For a fixed task, T|k_i only grows with the failure position k: a
+  // member z of T|k_i is still lost in a later pass k', and if a DFS
+  // before i recovered z in pass k', the last node of its path at a
+  // position >= k would have recovered z in pass k already. So L^i_k is
+  // nondecreasing in k, a value a lane's memo replaces never comes back
+  // within a call, and one memo entry per position is all it needs.
+  Rng rng(17);
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    TaskGraph graph = make_layered_random({.task_count = 10 + seed % 25,
+                                           .layer_count = 2 + seed % 5,
+                                           .edge_probability = 0.35,
+                                           .mean_weight = 15.0,
+                                           .seed = seed});
+    graph.apply_cost_model(CostModel::proportional(0.15));
+    const Schedule schedule = random_schedule(graph, rng, 0.1 * static_cast<double>(seed % 8));
+    const std::size_t n = graph.task_count();
+    std::vector<double> previous(n, 0.0);
+    for (std::size_t k = 0; k < n; ++k) {
+      const LostWorkTable table = find_lost_work_reference(graph, schedule, k);
+      for (std::size_t i = k + 1; i < n; ++i) {
+        const double lost = table.reexecuted_weight[i] + table.recovered_cost[i];
+        EXPECT_GE(lost, previous[i]) << "position " << i << " pass " << k << " ("
+                                     << describe(FailureModel(0.0), schedule) << ")";
+        previous[i] = lost;
+      }
+    }
+  }
+
+  // The premise of the `gadgets` differential family.
+  const TaskGraph graph = make_gadgets(1, 7);
+  const Schedule schedule = gadgets_schedule(graph, rng, 0.5);
+  const auto lost = [&](std::size_t k, std::size_t i) {
+    const LostWorkTable table = find_lost_work_reference(graph, schedule, k);
+    return table.reexecuted_weight[i] + table.recovered_cost[i];
+  };
+  EXPECT_EQ(lost(1, 4), 0.0);
+  EXPECT_EQ(lost(2, 4), graph.recovery_cost(1));
+  EXPECT_EQ(lost(3, 4), graph.recovery_cost(1) + graph.recovery_cost(2));
+  for (std::size_t k = 1; k < 5; ++k) EXPECT_EQ(lost(k, 5), graph.recovery_cost(0)) << k;
 }
 
 TEST(EvaluatorReference, ChainsForksJoins) {
@@ -215,7 +331,13 @@ TEST(EvaluatorReference, FailureDominatedDagsOverflowToInfNotNaN) {
 }
 
 // Randomized sweep: layered DAGs of several shapes x failure rates x
-// checkpoint densities.
+// checkpoint densities, plus two families aimed at the evaluator's
+// shortcuts: `isolated` adds tasks with no predecessor and no successor,
+// and `gadgets` is make_gadgets (`tasks / 6` copies), whose lost work
+// changes between passes and whose last task has the same lost work in
+// every pass (a memo leaking from one call into the next would reuse it).
+enum class Family : std::uint8_t { layered, isolated, gadgets };
+
 struct DifferentialCase {
   std::uint64_t seed;
   std::size_t tasks;
@@ -223,23 +345,32 @@ struct DifferentialCase {
   double lambda;
   double downtime;
   double ckpt_probability;
+  Family family = Family::layered;
 };
 
 class EvaluatorDifferential : public ::testing::TestWithParam<DifferentialCase> {};
 
 TEST_P(EvaluatorDifferential, OptimizedMatchesAlgorithmOne) {
   const DifferentialCase& param = GetParam();
-  TaskGraph graph = make_layered_random({.task_count = param.tasks,
-                                         .layer_count = param.layers,
-                                         .edge_probability = 0.35,
-                                         .mean_weight = 15.0,
-                                         .weight_cv = 0.6,
-                                         .seed = param.seed});
-  graph.apply_cost_model(CostModel::proportional(0.15));
+  TaskGraph graph;
+  if (param.family == Family::gadgets) {
+    graph = make_gadgets(param.tasks / 6, param.seed);
+  } else {
+    graph = make_layered_random({.task_count = param.tasks,
+                                 .layer_count = param.layers,
+                                 .edge_probability = 0.35,
+                                 .mean_weight = 15.0,
+                                 .weight_cv = 0.6,
+                                 .seed = param.seed});
+    graph.apply_cost_model(CostModel::proportional(0.15));
+    if (param.family == Family::isolated) graph = with_isolated_tasks(graph, param.tasks / 4);
+  }
   const FailureModel model(param.lambda, param.downtime);
   Rng rng(param.seed ^ 0xabcdef);
   for (int rep = 0; rep < 3; ++rep) {
-    const Schedule schedule = random_schedule(graph, rng, param.ckpt_probability);
+    const Schedule schedule = param.family == Family::gadgets
+                                  ? gadgets_schedule(graph, rng, param.ckpt_probability)
+                                  : random_schedule(graph, rng, param.ckpt_probability);
     expect_evaluators_agree(graph, model, schedule);
     expect_multi_model_matches_single(graph, model, 2.0, schedule, param.seed * 3 + rep);
   }
@@ -254,6 +385,24 @@ std::vector<DifferentialCase> differential_cases() {
         cases.push_back({seed++, tasks, std::max<std::size_t>(2, tasks / 6), lambda,
                          (seed % 2) ? 0.0 : 2.0, ckpt_probability});
       }
+    }
+  }
+  // Failure-dominated rates: most records' probabilities underflow (exact
+  // sweeps no factor for them, fast ends its passes early), so the memo
+  // skips records a later pass looks up again, next to the small rates
+  // of the multi-model set, whose lanes live or die partway.
+  for (const double lambda : {0.3, 1.0}) {
+    for (const std::size_t tasks : {25, 40}) cases.push_back({seed++, tasks, 5, lambda, 1.0, 0.3});
+  }
+  for (const std::size_t tasks : {12, 40}) {
+    for (const double lambda : {1e-3, 2e-2}) {
+      cases.push_back({seed++, tasks, std::max<std::size_t>(2, tasks / 6), lambda, 0.0, 0.3,
+                       Family::isolated});
+    }
+  }
+  for (const std::size_t tasks : {6, 30}) {
+    for (const double lambda : {1e-2, 5e-2}) {
+      cases.push_back({seed++, tasks, 0, lambda, 2.0, 0.5, Family::gadgets});
     }
   }
   return cases;

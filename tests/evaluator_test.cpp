@@ -5,15 +5,24 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iomanip>
+#include <iterator>
 #include <memory>
 #include <numeric>
+#include <sstream>
 
 #include "core/failure_model.hpp"
+#include "dag/linearize.hpp"
 #include "engine/experiment.hpp"
 #include "engine/result_sink.hpp"
+#include "heuristics/checkpoint_strategy.hpp"
+#include "obs/metrics.hpp"
 #include "support/error.hpp"
 #include "test_util.hpp"
+#include "workflows/generator.hpp"
 #include "workflows/synthetic.hpp"
 
 namespace fpsched {
@@ -270,6 +279,155 @@ TEST(Evaluator, WorkspaceReuseIsIdempotent) {
   EXPECT_DOUBLE_EQ(a1, a2);
   EXPECT_DOUBLE_EQ(b1, b2);
   EXPECT_NE(a1, b1);
+}
+
+/// A CkptW schedule of a seeded Pegasus workflow at the given budget.
+Schedule workflow_schedule(const TaskGraph& graph, LinearizeMethod method, std::size_t budget) {
+  const std::vector<double> weights = graph.weights();
+  return make_heuristic_schedule(graph, linearize(graph.dag(), weights, method, {}),
+                                 CkptStrategy::by_weight, budget);
+}
+
+TaskGraph pinned_workflow(WorkflowKind kind, std::size_t tasks) {
+  return generate_workflow(kind, {.task_count = tasks, .seed = 2015, .weight_cv = 0.5});
+}
+
+TEST(Evaluator, CountersExplainTheWalkAndTheFactorMemo) {
+  // Montage under CkptW: most records' lost work repeats its task's
+  // previous L, and many records have no predecessor before the failure.
+  const TaskGraph graph = pinned_workflow(WorkflowKind::montage, 60);
+  const Schedule schedule = workflow_schedule(graph, LinearizeMethod::depth_first, 20);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  obs::Counter& records = registry.counter("fpsched_eval_records_total", "");
+  obs::Counter& dfs_records = registry.counter("fpsched_eval_dfs_records_total", "");
+  obs::Counter& lookups = registry.counter("fpsched_eval_factor_lookups_total", "");
+  obs::Counter& misses = registry.counter("fpsched_eval_factor_misses_total", "");
+  obs::Counter& ns = registry.counter("fpsched_eval_ns_total", "");
+  struct Delta {
+    std::uint64_t records, dfs_records, lookups, misses, ns;
+  };
+  const auto measure = [&](std::span<const FailureModel> models, EvalMath math) {
+    const Delta before{records.value(), dfs_records.value(), lookups.value(), misses.value(),
+                       ns.value()};
+    EvaluatorWorkspace ws;
+    std::vector<double> out(models.size());
+    ScheduleEvaluator(graph, models[0]).expected_makespans(schedule, models, ws, out, true, math);
+    return Delta{records.value() - before.records, dfs_records.value() - before.dfs_records,
+                 lookups.value() - before.lookups, misses.value() - before.misses,
+                 ns.value() - before.ns};
+  };
+  const std::size_t n = graph.task_count();
+  const FailureModel one[] = {FailureModel(1e-3)};
+  const FailureModel three[] = {FailureModel(1e-3), FailureModel(2e-3, 60.0), FailureModel(5e-4)};
+  for (const EvalMath math : {EvalMath::exact, EvalMath::fast}) {
+    const Delta single = measure(one, math);
+    // Every pass k < n - 1 lives at these rates and stages its n - k - 1
+    // records.
+    EXPECT_EQ(single.records, n * (n - 1) / 2) << to_string(math);
+    EXPECT_GT(single.dfs_records, 0u);
+    EXPECT_LT(single.dfs_records, single.records);
+    EXPECT_GT(single.misses, 0u);
+    EXPECT_LT(single.misses, single.lookups);
+    EXPECT_LE(single.lookups, single.dfs_records);
+    EXPECT_GT(single.ns, 0u);
+    // The walk and its records are shared by the lanes; lookups and
+    // misses are per lane.
+    const Delta shared = measure(three, math);
+    EXPECT_EQ(shared.records, single.records) << to_string(math);
+    EXPECT_EQ(shared.dfs_records, single.dfs_records);
+    EXPECT_EQ(shared.lookups, 3 * single.lookups);
+    EXPECT_LT(shared.misses, shared.lookups);
+  }
+}
+
+/// Makespans whose bit patterns are pinned by the next test: seeded
+/// Montage and Genome instances, DF and BF, three CkptW budgets, each under
+/// the paper's rate and under both algorithms; then one multi-model call
+/// over lambda in {1e-4, 9.3e-4, 2e-2, 20} x D in {0, 60}.
+std::vector<double> pinned_makespans() {
+  std::vector<double> out;
+  EvaluatorWorkspace ws;
+  for (const auto& [kind, tasks] : {std::pair{WorkflowKind::montage, std::size_t{60}},
+                                    std::pair{WorkflowKind::genome, std::size_t{100}}}) {
+    const TaskGraph graph = pinned_workflow(kind, tasks);
+    const ScheduleEvaluator evaluator(graph, FailureModel(paper_lambda(kind)));
+    for (const LinearizeMethod method : {LinearizeMethod::depth_first, LinearizeMethod::breadth_first}) {
+      for (const std::size_t budget : {tasks / 10, tasks / 3, 3 * tasks / 4}) {
+        const Schedule schedule = workflow_schedule(graph, method, budget);
+        for (const EvalMath math : {EvalMath::exact, EvalMath::fast})
+          out.push_back(evaluator.expected_makespan(schedule, ws, true, math));
+      }
+    }
+  }
+  const TaskGraph graph = pinned_workflow(WorkflowKind::montage, 60);
+  const Schedule schedule = workflow_schedule(graph, LinearizeMethod::depth_first, 20);
+  std::vector<FailureModel> models;
+  for (const double lambda : {1e-4, 9.3e-4, 2e-2, 20.0})
+    for (const double downtime : {0.0, 60.0}) models.emplace_back(lambda, downtime);
+  for (const EvalMath math : {EvalMath::exact, EvalMath::fast}) {
+    std::vector<double> makespans(models.size());
+    ScheduleEvaluator(graph, models[0]).expected_makespans(schedule, models, ws, makespans, true, math);
+    out.insert(out.end(), makespans.begin(), makespans.end());
+  }
+  return out;
+}
+
+TEST(Evaluator, PinnedMakespansKeepTheirBitsAcrossCommits) {
+  // Recorded with the evaluator as it stood before the lost-work factor
+  // memo and the walk shortcut (both algorithms), which must not move a
+  // bit. A deliberate change of the output reprints the table below.
+  static constexpr std::uint64_t kPinned[] = {
+      0x4086ed330efd77ff,
+      0x4086ed330efd7800,
+      0x4085f52749546318,
+      0x4085f5274954631a,
+      0x40855b4a84e86394,
+      0x40855b4a84e86393,
+      0x4086bea1a2406bdc,
+      0x4086bea1a2406bda,
+      0x4085c71c0924562a,
+      0x4085c71c0924562b,
+      0x40854f9789a843f7,
+      0x40854f9789a843f8,
+      0x4135826ea1f3c29f,
+      0x4135826ea1f3c29f,
+      0x4101e32900ceb741,
+      0x4101e32900ceb741,
+      0x4101452f99826026,
+      0x4101452f99826026,
+      0x4135bda71ae662b3,
+      0x4135bda71ae662b4,
+      0x41032e16ea313ceb,
+      0x41032e16ea313cea,
+      0x41017a5d041409f9,
+      0x41017a5d041409f9,
+      0x40841009dddf0570,
+      0x40842edad26703f2,
+      0x4085ce0a110ce619,
+      0x4087058461c57a4d,
+      0x40c036177144c4d8,
+      0x40d1d519c9653eed,
+      0x7ff0000000000000,
+      0x7ff0000000000000,
+      0x40841009dddf0570,
+      0x40842edad26703f1,
+      0x4085ce0a110ce618,
+      0x4087058461c57a4b,
+      0x40c036177144c4d8,
+      0x40d1d519c9653eed,
+      0x7ff0000000000000,
+      0x7ff0000000000000,
+  };
+  const std::vector<double> got = pinned_makespans();
+  std::ostringstream table;
+  for (const double value : got)
+    table << "      0x" << std::hex << std::bit_cast<std::uint64_t>(value) << ",\n";
+  ASSERT_EQ(got.size(), std::size(kPinned)) << table.str();
+  for (std::size_t j = 0; j < got.size(); ++j) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[j]), kPinned[j])
+        << "makespan " << j << " = " << got[j] << "; all of them:\n"
+        << table.str();
+  }
 }
 
 TEST(Evaluator, RejectsInvalidSchedules) {
