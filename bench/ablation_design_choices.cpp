@@ -179,7 +179,7 @@ void greedy_extension(std::ostream& os, const FigureOptions& options,
     cells[i].winner = best.spec.name();
 
     const auto order = linearize(graph.dag(), graph.weights(), LinearizeMethod::depth_first);
-    const GreedyResult greedy = greedy_checkpoint_search(evaluator, order, {.threads = 1});
+    const GreedyResult greedy = greedy_checkpoint_search(evaluator, order);
     cells[i].greedy = greedy.expected_makespan;
     cells[i].greedy_ckpts = greedy.schedule.checkpoint_count();
   });

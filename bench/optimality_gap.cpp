@@ -47,18 +47,16 @@ struct Row {
 
 Row study(const StudySpec& spec, EvaluatorWorkspace& ws, const engine::ExperimentEngine& eng) {
   const ScheduleEvaluator evaluator(spec.graph, spec.model);
-  ExactSolverOptions exact_options;
-  exact_options.threads = 1;  // the engine already runs one study per worker
   Row row;
   if (spec.chain_dp_optimum) {
     // For chains the DP gives the true optimum over checkpoint sets.
     row.optimum = solve_chain_optimal(spec.graph, spec.model).expected_makespan;
   } else if (spec.full_search) {
-    row.optimum = solve_exact(evaluator, exact_options).expected_makespan;
+    row.optimum = solve_exact(evaluator).expected_makespan;
   } else {
     const auto order =
         linearize(spec.graph.dag(), spec.graph.weights(), LinearizeMethod::depth_first);
-    row.optimum = solve_exact_fixed_order(evaluator, order, exact_options).expected_makespan;
+    row.optimum = solve_exact_fixed_order(evaluator, order).expected_makespan;
   }
   const auto results = run_heuristics(evaluator, all_heuristics(), eng.worker_options(ws));
   const HeuristicResult& best = results[best_result_index(results)];
@@ -66,7 +64,7 @@ Row study(const StudySpec& spec, EvaluatorWorkspace& ws, const engine::Experimen
   row.best14_name = best.spec.name();
   const auto order =
       linearize(spec.graph.dag(), spec.graph.weights(), LinearizeMethod::depth_first);
-  row.greedy = greedy_checkpoint_search(evaluator, order, {.threads = 1}).expected_makespan;
+  row.greedy = greedy_checkpoint_search(evaluator, order).expected_makespan;
   return row;
 }
 

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
+#include <utility>
 
-#include "support/env.hpp"
 #include "support/error.hpp"
-#include "support/threading.hpp"
 
 namespace fpsched {
 
@@ -82,80 +82,62 @@ std::uint64_t count_linearizations(const Dag& dag, std::uint64_t limit) {
 }
 
 ExactSolution solve_exact_fixed_order(const ScheduleEvaluator& evaluator,
-                                      const std::vector<VertexId>& order,
-                                      const ExactSolverOptions& options) {
+                                      const std::vector<VertexId>& order) {
   const TaskGraph& graph = evaluator.graph();
   const std::size_t n = graph.task_count();
   ensure(n >= 1, "solve_exact_fixed_order needs at least one task");
-  ensure(n <= options.max_tasks && n < 63,
-         "fixed-order exact search limited to " + std::to_string(options.max_tasks) + " tasks");
-  validate_schedule(graph, make_schedule(order));
-
-  const std::uint64_t subsets = 1ull << n;
-  const std::size_t worker_count =
-      options.threads == 0 ? default_thread_count() : options.threads;
-
-  // Each worker keeps its own best; combine at the end (deterministic
-  // tie-break on the smaller mask).
-  struct Best {
-    double value = std::numeric_limits<double>::infinity();
-    std::uint64_t mask = 0;
+  ensure(n <= kExactMaxTasks,
+         "fixed-order exact search limited to " + std::to_string(kExactMaxTasks) + " tasks");
+  Schedule candidate = make_schedule(order);
+  validate_schedule(graph, candidate);
+  const auto set_flags = [&](std::uint64_t mask) {
+    for (std::size_t b = 0; b < n; ++b)
+      candidate.checkpointed[order[b]] = static_cast<std::uint8_t>((mask >> b) & 1);
   };
-  std::vector<Best> best(std::max<std::size_t>(worker_count, 1));
-  std::vector<EvaluatorWorkspace> workspaces(best.size());
 
-  parallel_for_workers(
-      0, static_cast<std::size_t>(subsets),
-      [&](std::size_t mask, std::size_t worker) {
-        Schedule candidate = make_schedule(order);
-        for (std::size_t b = 0; b < n; ++b) {
-          if (mask & (1ull << b)) candidate.checkpointed[order[b]] = 1;
-        }
-        const double value =
-            evaluator.expected_makespan(candidate, workspaces[worker], /*validate=*/false);
-        Best& slot = best[worker];
-        if (value < slot.value || (value == slot.value && mask < slot.mask)) {
-          slot.value = value;
-          slot.mask = mask;
-        }
-      },
-      worker_count);
-
-  Best overall;
-  for (const Best& slot : best) {
-    if (slot.value < overall.value || (slot.value == overall.value && slot.mask < overall.mask))
-      overall = slot;
+  // Masks ascend and only a strictly smaller value replaces the best, so
+  // ties keep the smallest mask.
+  const std::uint64_t subsets = 1ull << n;
+  EvaluatorWorkspace workspace;
+  double best_value = std::numeric_limits<double>::infinity();
+  std::uint64_t best_mask = 0;
+  for (std::uint64_t mask = 0; mask < subsets; ++mask) {
+    set_flags(mask);
+    const double value = evaluator.expected_makespan(candidate, workspace, /*validate=*/false);
+    if (value < best_value) {
+      best_value = value;
+      best_mask = mask;
+    }
   }
 
+  set_flags(best_mask);
   ExactSolution solution;
-  solution.schedule = make_schedule(order);
-  for (std::size_t b = 0; b < n; ++b) {
-    if (overall.mask & (1ull << b)) solution.schedule.checkpointed[order[b]] = 1;
-  }
-  solution.expected_makespan = overall.value;
+  solution.schedule = std::move(candidate);
+  solution.expected_makespan = best_value;
   solution.schedules_evaluated = subsets;
   solution.linearizations_seen = 1;
   return solution;
 }
 
-ExactSolution solve_exact(const ScheduleEvaluator& evaluator, const ExactSolverOptions& options) {
+ExactSolution solve_exact(const ScheduleEvaluator& evaluator) {
   const TaskGraph& graph = evaluator.graph();
   ensure(graph.task_count() >= 1, "solve_exact needs at least one task");
+  // Counting is cheap next to a search: reject an over-limit DAG (throws)
+  // before evaluating any schedule.
+  count_linearizations(graph.dag(), kExactMaxLinearizations);
 
   ExactSolution best;
   best.expected_makespan = std::numeric_limits<double>::infinity();
   std::uint64_t evaluated = 0;
-  const std::uint64_t linearizations = for_each_linearization(
-      graph.dag(),
-      [&](const std::vector<VertexId>& order) {
-        const ExactSolution candidate = solve_exact_fixed_order(evaluator, order, options);
+  const std::uint64_t linearizations =
+      for_each_linearization(graph.dag(), [&](const std::vector<VertexId>& order) {
+        const ExactSolution candidate = solve_exact_fixed_order(evaluator, order);
         evaluated += candidate.schedules_evaluated;
         if (candidate.expected_makespan < best.expected_makespan) {
           best.schedule = candidate.schedule;
           best.expected_makespan = candidate.expected_makespan;
         }
-      },
-      options.max_linearizations);
+      });
   best.schedules_evaluated = evaluated;
   best.linearizations_seen = linearizations;
   return best;

@@ -6,12 +6,14 @@
 // optimum to measure the heuristics' optimality gap against (the paper
 // can only compare heuristics with each other).
 //
-// Two search modes:
+// Two search modes, both serial (parallelism over instances comes from
+// the caller's engine):
 //  * fixed order  — enumerate the 2^n checkpoint subsets for a given
-//    linearization (n <= ~20);
+//    linearization (n <= kExactMaxTasks);
 //  * full         — additionally enumerate every linearization of the DAG
 //    by backtracking over ready sets (use only for tiny / narrow graphs;
-//    the linearization count is capped and exceeding it throws).
+//    a DAG with more than kExactMaxLinearizations orders is rejected
+//    before any schedule is evaluated).
 #pragma once
 
 #include <cstdint>
@@ -23,14 +25,10 @@
 
 namespace fpsched {
 
-struct ExactSolverOptions {
-  /// Hard cap on task count (2^n subsets are enumerated per order).
-  std::size_t max_tasks = 20;
-  /// Full mode only: abort when the DAG has more linearizations than this.
-  std::uint64_t max_linearizations = 200000;
-  /// Threads for the subset scan (0 = default).
-  std::size_t threads = 0;
-};
+/// Hard cap on task count (2^n subsets are enumerated per order).
+inline constexpr std::size_t kExactMaxTasks = 20;
+/// Full mode only: reject a DAG with more linearizations than this.
+inline constexpr std::uint64_t kExactMaxLinearizations = 200000;
 
 struct ExactSolution {
   Schedule schedule;
@@ -40,16 +38,15 @@ struct ExactSolution {
 };
 
 /// Optimal checkpoint set for a fixed linearization (exhaustive over the
-/// 2^n subsets, evaluated with Theorem 3 and parallelized).
+/// 2^n subsets in ascending mask order, evaluated with Theorem 3; ties
+/// keep the smallest mask).
 ExactSolution solve_exact_fixed_order(const ScheduleEvaluator& evaluator,
-                                      const std::vector<VertexId>& order,
-                                      const ExactSolverOptions& options = {});
+                                      const std::vector<VertexId>& order);
 
 /// Global optimum over both decisions: every linearization x every
 /// checkpoint subset. Exponential in both dimensions; intended for
 /// n <= ~10.
-ExactSolution solve_exact(const ScheduleEvaluator& evaluator,
-                          const ExactSolverOptions& options = {});
+ExactSolution solve_exact(const ScheduleEvaluator& evaluator);
 
 /// Enumerates every linearization of `dag`, invoking `visit` for each.
 /// Returns the number of linearizations. Throws when the count exceeds

@@ -4,7 +4,6 @@
 #include <queue>
 #include <string>
 
-#include "dag/sp_tree.hpp"
 #include "support/error.hpp"
 
 namespace fpsched {
@@ -127,9 +126,6 @@ Dag Dag::freeze(std::size_t n, std::vector<VertexId> edge_from, std::vector<Vert
     if (dag.in_degree(v) == 0) dag.sources_.push_back(v);
     if (dag.out_degree(v) == 0) dag.sinks_.push_back(v);
   }
-
-  dag.series_parallel_ = detail::csr_is_series_parallel(n, dag.succ_offsets_, dag.succ_list_,
-                                                        dag.sources_, dag.sinks_);
   return dag;
 }
 

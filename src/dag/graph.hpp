@@ -3,7 +3,9 @@
 // Vertices are dense ids [0, n). Both predecessor and successor adjacency
 // are materialized because the evaluator walks predecessors while the
 // linearizers walk successors; CSR keeps both walks cache friendly
-// (Core Guidelines Per.16/Per.19: compact data, predictable access).
+// (Core Guidelines Per.16/Per.19: compact data, predictable access). The
+// freeze computes exactly what those walks read: the two CSRs, a
+// topological order, and the sources and sinks.
 #pragma once
 
 #include <cstdint>
@@ -83,16 +85,6 @@ class Dag {
   /// True if the edge `from -> to` exists (binary search on CSR row).
   bool has_edge(VertexId from, VertexId to) const;
 
-  /// True when the DAG (augmented with a virtual source/sink if it has
-  /// several) is two-terminal series-parallel; classified at freeze by the
-  /// sp_tree reduction. `sp_decompose` yields the actual tree.
-  bool is_series_parallel() const { return series_parallel_; }
-
-  /// Raw successor CSR (offsets has vertex_count() + 1 entries); exposed
-  /// for analyses that stream the whole adjacency, e.g. sp_tree.
-  std::span<const std::uint32_t> successor_offsets() const { return succ_offsets_; }
-  std::span<const VertexId> successor_list() const { return succ_list_; }
-
   /// Heap bytes held by the frozen representation (provenance for the
   /// instance-memory bench rows).
   std::size_t memory_bytes() const;
@@ -114,7 +106,6 @@ class Dag {
   std::vector<VertexId> topo_order_;
   std::vector<VertexId> sources_;
   std::vector<VertexId> sinks_;
-  bool series_parallel_ = true;  // empty DAG is trivially SP
 };
 
 }  // namespace fpsched

@@ -120,11 +120,7 @@ ScenarioResult execute_policy(const ScenarioSpec& spec, const TaskGraph& graph, 
             ? FaultDistribution::exponential(lambda)
             : FaultDistribution::weibull_from_mtbf(spec.policy.sim_shape, 1.0 / lambda);
     const FaultSimulator simulator(graph, spec.model, best.schedule);
-    // threads = 1: the trial runner merges per-worker partial stats in
-    // worker order, so only the serial merge is a pure function of the
-    // spec (the byte-identical-under-any-sharding contract).
-    const TrialOptions trials{.trials = spec.policy.sim_trials, .seed = spec.policy.sim_seed,
-                              .threads = 1};
+    const TrialOptions trials{.trials = spec.policy.sim_trials, .seed = spec.policy.sim_seed};
     const MonteCarloSummary summary = run_trials_with_distribution(simulator, faults, trials);
     result.evaluation.expected_makespan = summary.mean_makespan();
     result.evaluation.ratio = result.evaluation.total_weight > 0.0
@@ -351,19 +347,6 @@ void ExperimentEngine::for_each(
   std::vector<EvaluatorWorkspace> workspaces(std::min(worker_slots(pool_.get()), count));
   parallel_for_workers(pool_.get(), 0, count,
                        [&](std::size_t index, std::size_t worker) { body(index, workspaces[worker]); });
-}
-
-std::vector<HeuristicResult> ExperimentEngine::run_heuristics(
-    const ScheduleEvaluator& evaluator, const std::vector<HeuristicSpec>& specs,
-    HeuristicOptions options) const {
-  std::vector<HeuristicResult> results(specs.size());
-  options.sweep.pool = pool_.get();
-  for_each(specs.size(), [&](std::size_t index, EvaluatorWorkspace& workspace) {
-    HeuristicOptions local = options;
-    local.sweep.workspace = &workspace;
-    results[index] = run_heuristic(evaluator, specs[index], local);
-  });
-  return results;
 }
 
 }  // namespace fpsched::engine

@@ -16,8 +16,10 @@
 // The engine owns one ThreadPool for its whole lifetime (threads - 1
 // workers; none for a serial engine) and runs every loop it parallelizes
 // through parallel_for_workers on that pool: the cell groups of run(),
-// the items of for_each, the heuristics of run_heuristics, and — nested
-// in each of those — every budget sweep. The calling thread is worker 0
+// the items of for_each, and — nested in each of those — every budget
+// sweep. Besides the HTTP server's connection workers, it is the only
+// pool in the library: the Monte-Carlo, exact and greedy searches run
+// serially inside the engine's workers. The calling thread is worker 0
 // of the outer loop and pool workers join as helpers while they are
 // idle, so a batch with fewer groups than workers still fills the cores
 // from its in-flight sweeps, while a saturated pool posts no sweep
@@ -107,15 +109,6 @@ class ExperimentEngine {
   /// plain kind x size grids (theory instances, ablations, exact solvers).
   void for_each(std::size_t count,
                 const std::function<void(std::size_t, EvaluatorWorkspace&)>& body) const;
-
-  /// Parallel drop-in for fpsched::run_heuristics: runs the heuristic
-  /// list on the engine's workers (each inner sweep on the worker's
-  /// workspace, joinable by idle workers) and returns the numerically
-  /// identical results in the same order. `options.sweep`'s workspace and
-  /// pool are overridden.
-  std::vector<HeuristicResult> run_heuristics(const ScheduleEvaluator& evaluator,
-                                              const std::vector<HeuristicSpec>& specs,
-                                              HeuristicOptions options = {}) const;
 
   /// Runs one scenario against a materialized instance (a cell group of
   /// one, on a fresh workspace). `cache.key()` must equal

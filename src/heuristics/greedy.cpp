@@ -1,17 +1,20 @@
 #include "heuristics/greedy.hpp"
 
 #include <algorithm>
-#include <limits>
 
-#include "support/env.hpp"
 #include "support/error.hpp"
-#include "support/threading.hpp"
 
 namespace fpsched {
 
+namespace {
+
+/// Stop when the best move improves by less than this relative amount.
+constexpr double kMinRelativeGain = 1e-12;
+
+}  // namespace
+
 GreedyResult greedy_checkpoint_search(const ScheduleEvaluator& evaluator,
-                                      const std::vector<VertexId>& order,
-                                      const GreedyOptions& options) {
+                                      const std::vector<VertexId>& order) {
   const TaskGraph& graph = evaluator.graph();
   const std::size_t n = graph.task_count();
   ensure(order.size() == n, "order size must match the task count");
@@ -19,49 +22,29 @@ GreedyResult greedy_checkpoint_search(const ScheduleEvaluator& evaluator,
   Schedule current = make_schedule(order);
   validate_schedule(graph, current);
 
-  const std::size_t worker_count =
-      options.threads == 0 ? default_thread_count() : options.threads;
-  std::vector<EvaluatorWorkspace> workspaces(std::max<std::size_t>(worker_count, 1));
-
+  EvaluatorWorkspace ws;
   GreedyResult result;
-  {
-    EvaluatorWorkspace ws;
-    result.expected_makespan = evaluator.expected_makespan(current, ws, /*validate=*/false);
-  }
+  result.expected_makespan = evaluator.expected_makespan(current, ws, /*validate=*/false);
   result.trajectory.push_back(result.expected_makespan);
 
-  const std::size_t round_limit = options.max_rounds == 0 ? n + 1 : options.max_rounds;
-  std::vector<double> candidate_value(n);
-  for (std::size_t round = 0; round < round_limit; ++round) {
-    // Evaluate every single-flip neighbour (insert where absent, remove
-    // where present if allowed).
-    parallel_for_workers(
-        0, n,
-        [&](std::size_t v, std::size_t worker) {
-          const bool flagged = current.checkpointed[v] != 0;
-          if (flagged && !options.allow_removal) {
-            candidate_value[v] = std::numeric_limits<double>::infinity();
-            return;
-          }
-          Schedule candidate = current;
-          candidate.checkpointed[v] = flagged ? 0 : 1;
-          candidate_value[v] =
-              evaluator.expected_makespan(candidate, workspaces[worker], /*validate=*/false);
-        },
-        worker_count);
-
+  for (std::size_t round = 0; round <= n; ++round) {
+    // Evaluate every single-flip neighbour in place; the first strict
+    // minimum wins.
     std::size_t best = n;
     double best_value = result.expected_makespan;
     for (std::size_t v = 0; v < n; ++v) {
-      if (candidate_value[v] < best_value) {
-        best_value = candidate_value[v];
+      current.checkpointed[v] ^= 1;
+      const double value = evaluator.expected_makespan(current, ws, /*validate=*/false);
+      current.checkpointed[v] ^= 1;
+      if (value < best_value) {
+        best_value = value;
         best = v;
       }
     }
     if (best == n) break;  // no improving move
     const double gain = (result.expected_makespan - best_value) /
                         std::max(result.expected_makespan, 1e-300);
-    if (gain < options.min_relative_gain) break;
+    if (gain < kMinRelativeGain) break;
     current.checkpointed[best] ^= 1;
     result.expected_makespan = best_value;
     result.trajectory.push_back(best_value);

@@ -6,7 +6,9 @@
 // start from the empty checkpoint set and repeatedly insert (or remove)
 // the single checkpoint with the largest expected-makespan improvement,
 // stopping when no move helps. This is our own addition (not in the
-// paper); the ablation bench compares it against the 14 paper heuristics.
+// paper); the optimality-gap and ablation studies compare it against the
+// 14 paper heuristics, one search per engine worker, so the search itself
+// is serial.
 #pragma once
 
 #include <cstddef>
@@ -16,17 +18,6 @@
 #include "core/schedule.hpp"
 
 namespace fpsched {
-
-struct GreedyOptions {
-  /// Upper bound on insert/remove rounds (0 = no bound beyond n rounds).
-  std::size_t max_rounds = 0;
-  /// Stop when the best move improves by less than this relative amount.
-  double min_relative_gain = 1e-12;
-  /// Also consider removing previously inserted checkpoints each round.
-  bool allow_removal = true;
-  /// Threads for the per-round candidate scan (0 = default).
-  std::size_t threads = 0;
-};
 
 struct GreedyResult {
   Schedule schedule;
@@ -38,11 +29,11 @@ struct GreedyResult {
 };
 
 /// Greedy local search over checkpoint sets for a fixed linearization.
-/// Each round evaluates every candidate move with the analytic evaluator
-/// (parallelized) and applies the best. Complexity: O(rounds * n)
-/// evaluations.
+/// Each round evaluates every single-flip move (insert where absent,
+/// remove where present) serially with the analytic evaluator and applies
+/// the best; the search stops after n + 1 rounds or when the best move
+/// gains less than 1e-12 relative. Complexity: O(rounds * n) evaluations.
 GreedyResult greedy_checkpoint_search(const ScheduleEvaluator& evaluator,
-                                      const std::vector<VertexId>& order,
-                                      const GreedyOptions& options = {});
+                                      const std::vector<VertexId>& order);
 
 }  // namespace fpsched

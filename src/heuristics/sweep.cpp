@@ -54,10 +54,9 @@ std::vector<SweepResult> sweep_checkpoint_budget(const ScheduleEvaluator& evalua
 
   // Budget grid: 1, 1+stride, ..., plus n-1 (paper: exhaustive 1..n-1).
   std::vector<std::size_t> budgets;
-  if (options.include_zero) budgets.push_back(0);
   if (n >= 2) {
     for (std::size_t b = 1; b < n; b += options.stride) budgets.push_back(b);
-    if (budgets.empty() || budgets.back() != n - 1) budgets.push_back(n - 1);
+    if (budgets.back() != n - 1) budgets.push_back(n - 1);
   } else {
     budgets.push_back(0);
   }

@@ -6,10 +6,11 @@
 // A stride > 1 subsamples the N grid — an ablation bench quantifies the
 // quality loss.
 //
-// The candidates run through parallel_for_workers on `pool`: the caller
-// evaluates budgets itself (worker 0, on the caller's workspace) while
-// idle pool workers join on private workspaces. Without a pool, or when
-// the pool is busy, the sweep is serial. Every candidate writes only its
+// The candidates run through parallel_for_workers on `pool`, which the
+// caller owns (in practice the experiment engine's, via worker_options):
+// the caller evaluates budgets itself (worker 0, on the caller's
+// workspace) while idle pool workers join on private workspaces. Without
+// a pool, or when the pool is busy, the sweep is serial. Every candidate writes only its
 // own slots and each evaluation is a pure function of its schedule, so
 // the result is bit-identical however the budgets were distributed.
 //
@@ -35,11 +36,9 @@ namespace fpsched {
 class ThreadPool;
 
 struct SweepOptions {
-  /// Evaluate budgets 1, 1+stride, 1+2*stride, ...; n-1 is always included.
+  /// Evaluate budgets 1, 1+stride, 1+2*stride, ...; n-1 is always included
+  /// (the paper sweeps 1..n-1; a single task sweeps N = 0 only).
   std::size_t stride = 1;
-  /// Also evaluate N = 0 (no checkpoints). The paper sweeps 1..n-1 only;
-  /// keeping 0 off by default stays faithful.
-  bool include_zero = false;
   /// Optional caller-owned scratch for the caller's own evaluations (and
   /// the single candidate of a non-budgeted strategy) — lets an outer
   /// engine worker keep one workspace across sweeps.

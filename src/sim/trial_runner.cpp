@@ -1,11 +1,6 @@
 #include "sim/trial_runner.hpp"
 
 #include <cmath>
-#include <mutex>
-#include <vector>
-
-#include "support/env.hpp"
-#include "support/threading.hpp"
 
 namespace fpsched {
 
@@ -18,30 +13,17 @@ namespace {
 
 MonteCarloSummary run_trials_impl(const FaultSimulator& simulator,
                                   const FaultDistribution* faults, const TrialOptions& options) {
-  const std::size_t worker_count =
-      options.threads == 0 ? default_thread_count() : options.threads;
   const Rng root(options.seed);
-
-  std::vector<MonteCarloSummary> partial(std::max<std::size_t>(worker_count, 1));
-  parallel_for_workers(
-      0, options.trials,
-      [&](std::size_t trial, std::size_t worker) {
-        Rng rng = root.fork(trial);
-        const SimResult result =
-            faults ? simulator.run_with_distribution(rng, *faults) : simulator.run(rng);
-        partial[worker].makespan.push(result.makespan);
-        partial[worker].failures.push(static_cast<double>(result.failure_count));
-        partial[worker].wasted_time.push(result.wasted_time);
-      },
-      worker_count);
-
-  MonteCarloSummary merged;
-  for (const MonteCarloSummary& p : partial) {
-    merged.makespan.merge(p.makespan);
-    merged.failures.merge(p.failures);
-    merged.wasted_time.merge(p.wasted_time);
+  MonteCarloSummary summary;
+  for (std::size_t trial = 0; trial < options.trials; ++trial) {
+    Rng rng = root.fork(trial);
+    const SimResult result =
+        faults ? simulator.run_with_distribution(rng, *faults) : simulator.run(rng);
+    summary.makespan.push(result.makespan);
+    summary.failures.push(static_cast<double>(result.failure_count));
+    summary.wasted_time.push(result.wasted_time);
   }
-  return merged;
+  return summary;
 }
 
 }  // namespace

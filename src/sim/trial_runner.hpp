@@ -1,4 +1,5 @@
-// Parallel Monte-Carlo trial aggregation.
+// Monte-Carlo trial aggregation. The trials run serially; parallelism
+// over scenarios comes from the caller's engine.
 #pragma once
 
 #include <cstdint>
@@ -11,8 +12,6 @@ namespace fpsched {
 struct TrialOptions {
   std::size_t trials = 10000;
   std::uint64_t seed = 1234;
-  /// 0 = default_thread_count(); 1 = serial.
-  std::size_t threads = 0;
 };
 
 struct MonteCarloSummary {
@@ -29,8 +28,9 @@ struct MonteCarloSummary {
   bool consistent_with(double value, double slack = 2.0) const;
 };
 
-/// Runs independent trials (deterministic: trial t uses rng.fork(t) of a
-/// root RNG seeded with options.seed) and merges their statistics.
+/// Runs trials t = 0..trials-1 in order (trial t uses rng.fork(t) of a
+/// root RNG seeded with options.seed) and pushes each into one summary, so
+/// the result is a pure function of (simulator, trials, seed).
 MonteCarloSummary run_trials(const FaultSimulator& simulator, const TrialOptions& options = {});
 
 /// Same, but injecting failures from an arbitrary renewal process (see

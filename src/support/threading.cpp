@@ -204,18 +204,4 @@ void parallel_for_workers(ThreadPool* pool, std::size_t begin, std::size_t end,
   if (error) std::rethrow_exception(error);
 }
 
-void parallel_for_workers(std::size_t begin, std::size_t end,
-                          const std::function<void(std::size_t, std::size_t)>& body,
-                          std::size_t num_threads) {
-  const std::size_t requested = num_threads == 0 ? default_thread_count() : num_threads;
-  const std::size_t threads =
-      std::min({requested, end > begin ? end - begin : std::size_t{0}, kMaxPoolThreads});
-  if (threads <= 1) {
-    parallel_for_workers(nullptr, begin, end, body);
-    return;
-  }
-  ThreadPool pool(threads - 1);
-  parallel_for_workers(&pool, begin, end, body);
-}
-
 }  // namespace fpsched

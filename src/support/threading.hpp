@@ -1,6 +1,8 @@
 // Shared-memory parallelism: a fixed thread pool, cooperative task
 // groups, and parallel_for_workers — the one loop every parallel caller
-// runs.
+// runs, always on a pool the caller owns. Only the experiment engine and
+// the HTTP server (whose connection workers use ThreadPool::submit)
+// construct a pool; everything else runs serially inside their workers.
 //
 // We follow the "think in tasks, not threads" guideline: callers hand an
 // index range to parallel_for_workers, per-worker scratch is picked by
@@ -26,7 +28,6 @@
 #include <thread>
 #include <vector>
 
-#include "support/env.hpp"
 #include "support/sync.hpp"
 
 namespace fpsched {
@@ -140,11 +141,5 @@ inline std::size_t worker_slots(const ThreadPool* pool) {
 /// loop's body on the same pool.
 void parallel_for_workers(ThreadPool* pool, std::size_t begin, std::size_t end,
                           const std::function<void(std::size_t, std::size_t)>& body);
-
-/// The same loop on a transient pool of up to `num_threads` threads
-/// (0 = default_thread_count()), for callers that own no pool.
-void parallel_for_workers(std::size_t begin, std::size_t end,
-                          const std::function<void(std::size_t, std::size_t)>& body,
-                          std::size_t num_threads);
 
 }  // namespace fpsched

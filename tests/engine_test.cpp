@@ -281,27 +281,6 @@ TEST(ExperimentEngineTest, ResultCallbackDeliversEveryResultInInputOrder) {
   }
 }
 
-TEST(ExperimentEngineTest, RunHeuristicsMatchesSerialRunner) {
-  const TaskGraph graph = serial_instance(WorkflowKind::cybershake, 70, ScenarioGrid{});
-  const ScheduleEvaluator evaluator(graph, FailureModel(1e-3, 0.0));
-  HeuristicOptions options;
-  options.sweep.stride = 4;
-
-  const std::vector<HeuristicResult> serial =
-      fpsched::run_heuristics(evaluator, all_heuristics(), options);
-  const ExperimentEngine engine({.threads = 4});
-  const std::vector<HeuristicResult> sharded =
-      engine.run_heuristics(evaluator, all_heuristics(), options);
-
-  ASSERT_EQ(serial.size(), sharded.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].spec.name(), sharded[i].spec.name());
-    EXPECT_EQ(serial[i].evaluation.expected_makespan, sharded[i].evaluation.expected_makespan);
-    EXPECT_EQ(serial[i].best_budget, sharded[i].best_budget);
-    EXPECT_EQ(serial[i].schedule.checkpointed, sharded[i].schedule.checkpointed);
-  }
-}
-
 TEST(ExperimentEngineTest, ForEachVisitsEveryIndexOnce) {
   const ExperimentEngine engine({.threads = 3});
   std::vector<int> visits(100, 0);

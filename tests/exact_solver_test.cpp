@@ -12,6 +12,7 @@
 #include "dag/traversal.hpp"
 #include "heuristics/greedy.hpp"
 #include "heuristics/heuristic.hpp"
+#include "obs/metrics.hpp"
 #include "support/error.hpp"
 #include "test_util.hpp"
 #include "workflows/synthetic.hpp"
@@ -59,21 +60,6 @@ TEST(ExactFixedOrder, MatchesChainBruteForce) {
   const ChainSolution chain = solve_chain_bruteforce(graph, model);
   expect_rel_near(chain.expected_makespan, exact.expected_makespan, 1e-9);
   EXPECT_EQ(exact.schedules_evaluated, 64u);
-}
-
-TEST(ExactFixedOrder, SerialAndParallelAgree) {
-  TaskGraph graph = make_paper_figure1(20.0);
-  graph.apply_cost_model(CostModel::proportional(0.1));
-  const ScheduleEvaluator evaluator(graph, FailureModel(0.005, 0.0));
-  const std::vector<VertexId> order{0, 3, 1, 2, 4, 5, 6, 7};
-  ExactSolverOptions serial;
-  serial.threads = 1;
-  ExactSolverOptions parallel;
-  parallel.threads = 8;
-  const ExactSolution a = solve_exact_fixed_order(evaluator, order, serial);
-  const ExactSolution b = solve_exact_fixed_order(evaluator, order, parallel);
-  EXPECT_DOUBLE_EQ(a.expected_makespan, b.expected_makespan);
-  EXPECT_EQ(a.schedule.checkpointed, b.schedule.checkpointed);
 }
 
 TEST(ExactFull, MatchesJoinBruteForce) {
@@ -135,11 +121,16 @@ TEST(ExactSolver, EnforcesLimits) {
   const auto topo = big.dag().topological_order();
   EXPECT_THROW(solve_exact_fixed_order(evaluator, {topo.begin(), topo.end()}),
                InvalidArgument);
-  const TaskGraph wide = make_join(std::vector<double>(10, 1.0), 1.0);  // 10! orders
+
+  // 10 tasks fit the task cap, but the 9-way join has 9! = 362,880 orders,
+  // over the linearization cap: rejected before any schedule is evaluated.
+  const TaskGraph wide = make_join(std::vector<double>(9, 1.0), 1.0);
+  ASSERT_LE(wide.task_count(), kExactMaxTasks);
   const ScheduleEvaluator wide_eval(wide, FailureModel(0.01, 0.0));
-  ExactSolverOptions options;
-  options.max_linearizations = 1000;
-  EXPECT_THROW(solve_exact(wide_eval, options), InvalidArgument);
+  obs::Counter& runs = obs::MetricsRegistry::global().counter("fpsched_eval_runs_total", "");
+  const std::uint64_t runs_before = runs.value();
+  EXPECT_THROW(solve_exact(wide_eval), InvalidArgument);
+  EXPECT_EQ(runs.value() - runs_before, 0u);
 }
 
 }  // namespace

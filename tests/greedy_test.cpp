@@ -83,42 +83,6 @@ TEST(Greedy, AtLeastAsGoodAsEveryPaperHeuristicOnTheSameOrder) {
   }
 }
 
-TEST(Greedy, RemovalCanUndoInsertions) {
-  // allow_removal=false can get stuck with more checkpoints than the
-  // unrestricted search; the unrestricted result is never worse.
-  TaskGraph graph = generate_cybershake({.task_count = 50, .seed = 13});
-  const ScheduleEvaluator evaluator(graph, FailureModel(1e-3, 0.0));
-  const auto order = df_order(graph);
-  GreedyOptions no_removal;
-  no_removal.allow_removal = false;
-  const GreedyResult restricted = greedy_checkpoint_search(evaluator, order, no_removal);
-  const GreedyResult full = greedy_checkpoint_search(evaluator, order);
-  EXPECT_LE(full.expected_makespan, restricted.expected_makespan * (1.0 + 1e-9));
-}
-
-TEST(Greedy, RoundLimitIsHonored) {
-  TaskGraph graph = generate_cybershake({.task_count = 50, .seed = 13});
-  const ScheduleEvaluator evaluator(graph, FailureModel(1e-3, 0.0));
-  GreedyOptions options;
-  options.max_rounds = 3;
-  const GreedyResult result = greedy_checkpoint_search(evaluator, df_order(graph), options);
-  EXPECT_LE(result.rounds, 3u);
-  EXPECT_LE(result.schedule.checkpoint_count(), 3u);
-}
-
-TEST(Greedy, SerialAndParallelAgree) {
-  TaskGraph graph = generate_montage({.task_count = 40, .seed = 21});
-  const ScheduleEvaluator evaluator(graph, FailureModel(1e-3, 0.0));
-  GreedyOptions serial;
-  serial.threads = 1;
-  GreedyOptions parallel;
-  parallel.threads = 8;
-  const GreedyResult a = greedy_checkpoint_search(evaluator, df_order(graph), serial);
-  const GreedyResult b = greedy_checkpoint_search(evaluator, df_order(graph), parallel);
-  EXPECT_DOUBLE_EQ(a.expected_makespan, b.expected_makespan);
-  EXPECT_EQ(a.schedule.checkpointed, b.schedule.checkpointed);
-}
-
 TEST(Greedy, RejectsBadOrder) {
   const TaskGraph graph = make_uniform_chain(3, 1.0);
   const ScheduleEvaluator evaluator(graph, FailureModel(1e-2, 0.0));

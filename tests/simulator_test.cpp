@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 #include "core/evaluator.hpp"
 #include "sim/trial_runner.hpp"
@@ -154,18 +156,37 @@ TEST(Simulator, RejectsInvalidSchedule) {
                ScheduleError);
 }
 
-TEST(TrialRunner, MergesTrialsDeterministically) {
+TEST(TrialRunner, IsAPureFunctionOfSimulatorTrialsAndSeed) {
   TaskGraph graph = make_paper_figure1(10.0);
   graph.apply_cost_model(CostModel::proportional(0.1));
   const Schedule schedule({0, 3, 1, 2, 4, 5, 6, 7}, {0, 0, 0, 1, 1, 0, 0, 0});
   const FaultSimulator sim(graph, FailureModel(0.005, 1.0), schedule);
-  const MonteCarloSummary serial = run_trials(sim, {.trials = 500, .seed = 42, .threads = 1});
-  const MonteCarloSummary parallel = run_trials(sim, {.trials = 500, .seed = 42, .threads = 4});
-  EXPECT_EQ(serial.makespan.count(), 500u);
-  EXPECT_EQ(parallel.makespan.count(), 500u);
-  // Same trial set, different partitioning: identical means (up to merge
-  // rounding).
-  EXPECT_NEAR(serial.mean_makespan(), parallel.mean_makespan(), 1e-7);
+  const TrialOptions options{.trials = 20000, .seed = 42};
+
+  // Trials t = 0..trials-1, each on fork t of the seeded root, pushed in
+  // order into one accumulator.
+  RunningStats expected;
+  const Rng root(options.seed);
+  for (std::size_t t = 0; t < options.trials; ++t) {
+    Rng rng = root.fork(t);
+    expected.push(sim.run(rng).makespan);
+  }
+
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const auto expect_same_bits = [&](const RunningStats& a, const RunningStats& b) {
+    EXPECT_EQ(a.count(), b.count());
+    EXPECT_EQ(bits(a.mean()), bits(b.mean()));
+    EXPECT_EQ(bits(a.variance()), bits(b.variance()));
+    EXPECT_EQ(bits(a.min()), bits(b.min()));
+    EXPECT_EQ(bits(a.max()), bits(b.max()));
+  };
+  const MonteCarloSummary first = run_trials(sim, options);
+  const MonteCarloSummary second = run_trials(sim, options);
+  EXPECT_EQ(first.makespan.count(), options.trials);
+  expect_same_bits(first.makespan, expected);
+  expect_same_bits(first.makespan, second.makespan);
+  expect_same_bits(first.failures, second.failures);
+  expect_same_bits(first.wasted_time, second.wasted_time);
 }
 
 }  // namespace

@@ -167,16 +167,6 @@ TEST(Sweep, NonBudgetedStrategiesReturnASinglePoint) {
   EXPECT_EQ(always.best_schedule.checkpoint_count(), graph.task_count());
 }
 
-TEST(Sweep, IncludeZeroAddsTheEmptyBudget) {
-  TaskGraph graph = generate_montage({.task_count = 25, .seed = 6});
-  const ScheduleEvaluator evaluator(graph, FailureModel(1e-3, 0.0));
-  const auto order = linearize(graph.dag(), graph.weights(), LinearizeMethod::depth_first);
-  const SweepResult result = sweep_checkpoint_budget(evaluator, order, CkptStrategy::by_weight,
-                                                     {.stride = 1, .include_zero = true});
-  EXPECT_EQ(result.curve.front().budget, 0u);
-  EXPECT_EQ(result.curve.front().checkpoints, 0u);
-}
-
 TEST(Sweep, SingleTaskGraph) {
   const TaskGraph graph = make_uniform_chain(1, 5.0);
   const ScheduleEvaluator evaluator(graph, FailureModel(1e-2, 0.0));
