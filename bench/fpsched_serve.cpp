@@ -41,9 +41,6 @@ int main(int argc, char** argv) {
                  "directory for the content-addressed scenario result cache; repeat scenarios "
                  "replay their bytes instead of recomputing, surviving restarts (empty = "
                  "in-memory cache only)");
-  cli.add_option("max-record-lines", "0",
-                 "per-run record-buffer ceiling in NDJSON lines; at the ceiling producers "
-                 "trim cache-replayable lines or block until streams catch up (0 = unbounded)");
   cli.add_option("job-ttl", "0",
                  "seconds a finished run is retained for inspection before eviction "
                  "(0 = keep until the finished-run count ceiling evicts it)");
@@ -58,7 +55,6 @@ int main(int argc, char** argv) {
     options.jobs.max_jobs = cli.get_count("max-jobs", 1);
     options.jobs.max_task_count = cli.get_count("max-task-count", 1);
     options.jobs.cache.directory = cli.get_string("cache-dir");
-    options.jobs.max_record_lines = cli.get_count("max-record-lines");
     options.jobs.job_ttl_seconds = cli.get_count("job-ttl");
 
     ignore_sigpipe();

@@ -1,7 +1,6 @@
 #include "core/schedule.hpp"
 
 #include <algorithm>
-#include <sstream>
 
 #include "dag/traversal.hpp"
 #include "support/error.hpp"
@@ -18,16 +17,6 @@ std::vector<std::uint32_t> Schedule::positions() const {
   std::vector<std::uint32_t> pos(order.size(), 0);
   for (std::size_t i = 0; i < order.size(); ++i) pos[order[i]] = static_cast<std::uint32_t>(i);
   return pos;
-}
-
-std::string Schedule::describe(const TaskGraph& graph) const {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    if (i != 0) os << ' ';
-    os << graph.name(order[i]);
-    if (is_checkpointed(order[i])) os << '*';
-  }
-  return os.str();
 }
 
 Schedule make_schedule(std::vector<VertexId> order) {

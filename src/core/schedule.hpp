@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "dag/graph.hpp"
@@ -32,9 +31,6 @@ struct Schedule {
 
   /// positions()[v] = index of vertex v in `order`.
   std::vector<std::uint32_t> positions() const;
-
-  /// Human-readable one-liner: "T0 T3* T1 ..." (a star marks checkpoints).
-  std::string describe(const TaskGraph& graph) const;
 };
 
 /// Builds a schedule with all-false checkpoint flags from an order.

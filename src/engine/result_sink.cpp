@@ -263,17 +263,6 @@ void CsvSink::emit(const Panel& panel, const std::string& slug) {
   if (log_) *log_ << "  [csv written to " << path << "]\n";
 }
 
-CallbackSink::CallbackSink(RecordFn on_record, FinishFn on_finish)
-    : on_record_(std::move(on_record)), on_finish_(std::move(on_finish)) {
-  ensure(static_cast<bool>(on_record_), "CallbackSink needs a record callback");
-}
-
-void CallbackSink::record(const ResultRecord& record) { on_record_(record); }
-
-void CallbackSink::finish() {
-  if (on_finish_) on_finish_();
-}
-
 NdjsonSink::NdjsonSink(std::ostream& os) : os_(os) {}
 
 void NdjsonSink::record(const ResultRecord& record) { os_ << to_json(record) << '\n'; }

@@ -15,12 +15,11 @@
 // panel coordinates; sharded runs skip this level (their slice does not
 // cover whole panels).
 //
-// Sinks compose freely: the bench harness stacks table + chart + CSV, the
-// fpsched_run driver adds NDJSON/JSON, a future HTTP frontend could
-// stream records as they arrive.
+// Sinks compose freely: the bench harness stacks table + chart + CSV, and
+// fpsched_run adds NDJSON/JSON. The HTTP service streams the same record
+// bytes from record_json_prefix + record_body_json (see below).
 #pragma once
 
-#include <functional>
 #include <iosfwd>
 #include <span>
 #include <string>
@@ -150,26 +149,6 @@ class CsvSink : public ResultSink {
  private:
   std::string directory_;
   std::ostream* log_;
-};
-
-/// Invokes a callback per record (plus an optional one on finish) — the
-/// in-process streaming adapter behind consumers that are not ostreams,
-/// e.g. the HTTP service appending NDJSON lines to a live job buffer.
-/// The record callback is required; the views inside the ResultRecord
-/// only outlive the call if the callback copies what it keeps.
-class CallbackSink : public ResultSink {
- public:
-  using RecordFn = std::function<void(const ResultRecord&)>;
-  using FinishFn = std::function<void()>;
-
-  /// Throws InvalidArgument when `on_record` is empty.
-  explicit CallbackSink(RecordFn on_record, FinishFn on_finish = {});
-  void record(const ResultRecord& record) override;
-  void finish() override;
-
- private:
-  RecordFn on_record_;
-  FinishFn on_finish_;
 };
 
 /// Streams each record as one JSON object per line (NDJSON).

@@ -1,7 +1,6 @@
 #include "service/job_manager.hpp"
 
 #include <map>
-#include <span>
 #include <utility>
 
 #include "engine/result_sink.hpp"
@@ -23,7 +22,6 @@ struct JobMetrics {
   obs::Counter& finished_ok;
   obs::Counter& finished_err;
   obs::Counter& evicted;
-  obs::Gauge& record_lines;
   obs::Histogram& run_seconds;
 };
 
@@ -40,8 +38,6 @@ JobMetrics& job_metrics() {
                           reg.counter("fpsched_jobs_failed_total", "jobs finished with an error"),
                           reg.counter("fpsched_jobs_evicted_total",
                                       "terminal jobs dropped by count/age eviction"),
-                          reg.gauge("fpsched_job_record_lines",
-                                    "NDJSON record lines buffered across all jobs"),
                           reg.histogram("fpsched_job_run_seconds", "execution seconds per job",
                                         obs::latency_buckets_seconds())};
   }();
@@ -139,7 +135,7 @@ JobStatus JobManager::snapshot_locked(const Job& job) const {
   status.id = job.id;
   status.experiment = job.request.experiment;
   status.state = job.state;
-  status.records = job.lines_total;
+  status.records = job.produced;
   status.total_scenarios = job.total_scenarios;
   status.error = job.error;
   return status;
@@ -153,24 +149,14 @@ std::size_t JobManager::active_locked() const {
   return active;
 }
 
-void JobManager::drop_lines_locked(Job& job) {
-  job_metrics().record_lines.add(-static_cast<std::int64_t>(job.lines.size()));
-  job.lines.clear();
-  job.lines_base = job.lines_total;
-  space_.notify_all();
-}
-
 void JobManager::evict_locked(std::uint64_t now_ns) {
   JobMetrics& metrics = job_metrics();
   const auto evict_one = [&](std::map<std::uint64_t, std::shared_ptr<Job>>::iterator it)
                              REQUIRES(mutex_) {
-    Job& job = *it->second;
-    (job.state == JobState::completed ? metrics.completed : metrics.failed).add(-1);
+    (it->second->state == JobState::completed ? metrics.completed : metrics.failed).add(-1);
     metrics.evicted.add(1);
-    // Attached streamers keep the Job alive through their shared_ptr and
-    // replay what they have not sent yet from the result cache
-    // (drop_lines_locked moved the whole window behind lines_base).
-    drop_lines_locked(job);
+    // Attached streamers keep the Job, and its bodies, alive through
+    // their shared_ptr and finish their streams.
     jobs_.erase(it);
   };
 
@@ -184,15 +170,13 @@ void JobManager::evict_locked(std::uint64_t now_ns) {
     }
   }
 
-  const std::size_t max_finished =
-      options_.max_finished_jobs != 0 ? options_.max_finished_jobs : options_.max_jobs;
   std::size_t finished = 0;
   for (const auto& [id, job] : jobs_) {
     if (terminal(*job)) ++finished;
   }
   // Oldest terminal jobs first (map order is id order). Queued and
   // running jobs are never candidates.
-  for (auto it = jobs_.begin(); finished > max_finished && it != jobs_.end();) {
+  for (auto it = jobs_.begin(); finished > options_.max_jobs && it != jobs_.end();) {
     auto next = std::next(it);
     if (terminal(*it->second)) {
       evict_one(it);
@@ -277,10 +261,8 @@ std::optional<JobStatus> JobManager::erase_job(std::uint64_t id) {
       break;
   }
   job->deleted = true;
-  drop_lines_locked(*job);
   jobs_.erase(it);
   changed_.notify_all();
-  space_.notify_all();
   return snapshot;
 }
 
@@ -289,98 +271,36 @@ std::optional<StreamResult> JobManager::stream_records(
   UniqueLock lock(mutex_);
   const auto it = jobs_.find(id);
   if (it == jobs_.end()) return std::nullopt;
-  // The shared_ptr keeps the Job valid across DELETE/eviction while we
-  // stream; positions/slugs are immutable once published, lines and
-  // cursors only change under the lock.
+  // The shared_ptr keeps the Job, and every body it streams, valid across
+  // DELETE/eviction while we stream.
   const std::shared_ptr<Job> job = it->second;
-  const std::uint64_t token = job->next_cursor_token++;
-  job->cursors.emplace(token, 0);
-  const auto detach = [&]() REQUIRES(mutex_) {
-    job->cursors.erase(token);
-    space_.notify_all();
-  };
-
   std::size_t sent = 0;
+  std::string line;
   for (;;) {
-    bool replay_failed = false;
-    while (sent < job->lines_total && !job->deleted && !stopping_) {
-      bool alive;
-      if (sent < job->lines_base) {
-        // This position was trimmed from the buffer: re-render it from
-        // the result cache (head re-attached per job, body by hash).
-        const RecordPos pos = job->positions[sent];
-        std::string line = engine::record_json_prefix(job->request.experiment,
-                                                      job->slugs[pos.slug]);
-        lock.unlock();
-        const std::optional<std::string> body = cache_.fetch(pos.key_hash);
-        if (!body) {
-          // Only reachable with a bounded cache that already evicted the
-          // entry: the stream has a hole, so end it as truncated.
-          lock.lock();
-          replay_failed = true;
-          break;
-        }
-        line += *body;
-        line += '\n';
-        alive = write(line);
-        lock.lock();
-      } else {
-        // Copy the line out so the (possibly slow) client write happens
-        // without blocking the executor appending new records.
-        const std::string line = job->lines[sent - job->lines_base];
-        lock.unlock();
-        alive = write(line);
-        lock.lock();
-      }
+    while (sent < job->produced && !job->deleted && !stopping_) {
+      // Take the body pointer under the lock; render and write without it,
+      // so a slow client never delays the executor or another reader.
+      const RecordBody body = job->bodies[sent];
+      const std::string& prefix = job->prefixes[job->panel_of[sent]];
+      lock.unlock();
+      line.assign(prefix);
+      line += *body;
+      line += '\n';
+      const bool alive = write(line);
+      lock.lock();
       ++sent;
-      job->cursors[token] = sent;
-      space_.notify_all();  // our advance may unblock a producer's trim
-      if (!alive) {
-        detach();
-        return StreamResult{snapshot_locked(*job), false};
-      }
+      if (!alive) return StreamResult{snapshot_locked(*job), false};
     }
-    const bool drained = sent == job->lines_total;
-    if (replay_failed || job->deleted || stopping_ || (terminal(*job) && drained)) {
-      detach();
-      return StreamResult{snapshot_locked(*job),
-                          !replay_failed && !job->deleted && terminal(*job) && drained};
+    const bool drained = sent == job->produced;
+    if (job->deleted || stopping_ || (terminal(*job) && drained)) {
+      return StreamResult{snapshot_locked(*job), !job->deleted && terminal(*job) && drained};
     }
     changed_.wait(lock, mutex_);
   }
 }
 
-bool JobManager::append_line(const std::shared_ptr<Job>& job, std::string line) {
-  UniqueLock lock(mutex_);
-  for (;;) {
-    if (job->deleted || stopping_) return false;
-    if (options_.max_record_lines == 0 || job->lines.size() < options_.max_record_lines) break;
-    // At the ceiling: trim the front line once every attached streamer
-    // is past it (a detached window replays from the cache), otherwise
-    // wait for a streamer to advance, detach, or the job to be deleted.
-    // No deadlock: with no streamers the trim always applies, and an
-    // attached streamer either advances/detaches (notifying space_) or
-    // is itself the backpressure the bound exists to exert.
-    bool trimmable = true;
-    for (const auto& [token, cursor] : job->cursors) {
-      if (cursor <= job->lines_base) {
-        trimmable = false;
-        break;
-      }
-    }
-    if (trimmable) {
-      job->lines.pop_front();
-      ++job->lines_base;
-      job_metrics().record_lines.add(-1);
-      continue;
-    }
-    space_.wait(lock, mutex_);
-  }
-  job->lines.push_back(std::move(line));
-  ++job->lines_total;
-  job_metrics().record_lines.add(1);
-  changed_.notify_all();
-  return true;
+void JobManager::advance_locked(Job& job) {
+  while (job.produced < job.bodies.size() && job.bodies[job.produced]) ++job.produced;
 }
 
 void JobManager::executor_loop() {
@@ -439,83 +359,53 @@ void JobManager::run_job(const std::shared_ptr<Job>& job) {
     const std::vector<engine::PlannedScenario> planned = engine::flatten_plan(plan);
     const EvalMath math = job->request.options.eval_math;
 
-    // Probe the result cache per flatten-plan position. Only the misses
-    // go to the engine; hits replay their bytes at their positions, so
-    // the merged stream is byte-identical to a cold run. lookup() does
-    // the hit/miss counting: a fully cached job shows
+    // Probe the result cache per flatten-plan position: a hit's body goes
+    // into the stream as is, and only the misses go to the engine.
+    // lookup() does the hit/miss counting: a fully cached job shows
     // hits == total_scenarios and an empty evaluator counter delta.
-    std::vector<RecordPos> positions(planned.size());
-    std::vector<std::string> slugs;
+    std::vector<RecordBody> bodies(planned.size());
+    std::vector<std::string> prefixes;
+    std::vector<std::uint32_t> panel_of(planned.size());
     std::vector<engine::ScenarioSpec> miss_specs;
     std::vector<std::size_t> miss_positions;
     for (std::size_t i = 0; i < planned.size(); ++i) {
-      if (slugs.empty() || slugs.back() != planned[i].panel) slugs.push_back(planned[i].panel);
-      const ResultCacheKey key = ResultCacheKey::of(planned[i].spec, math);
-      positions[i] = RecordPos{key.hash, static_cast<std::uint32_t>(slugs.size() - 1)};
-      if (!cache_.lookup(key)) {
+      if (i == 0 || planned[i].panel != planned[i - 1].panel) {
+        prefixes.push_back(engine::record_json_prefix(job->request.experiment, planned[i].panel));
+      }
+      panel_of[i] = static_cast<std::uint32_t>(prefixes.size() - 1);
+      bodies[i] = cache_.lookup(ResultCacheKey::of(planned[i].spec, math));
+      if (!bodies[i]) {
         miss_specs.push_back(planned[i].spec);
         miss_positions.push_back(i);
       }
     }
     {
-      // Publish the replay metadata before the first record; immutable
-      // afterwards, so the producer below reads it without the lock.
+      // Publish the stream; the hits before the first miss are readable
+      // at once.
       const LockGuard lock(mutex_);
-      job->positions = std::move(positions);
-      job->slugs = std::move(slugs);
+      job->bodies = std::move(bodies);
+      job->prefixes = std::move(prefixes);
+      job->panel_of = std::move(panel_of);
+      advance_locked(*job);
+      changed_.notify_all();
     }
 
-    bool live = true;           // false once the job is deleted/stopping
-    bool replay_failed = false;
-    std::size_t emitted = 0;    // stream positions appended so far
-    // Appends the cache-hit positions in [emitted, end) — every position
-    // there that is not a pending miss is a hit, and misses below
-    // `emitted` were appended by the callback that reached them.
-    const auto emit_hits_up_to = [&](std::size_t end) {
-      for (; emitted < end && live; ++emitted) {
-        const RecordPos pos = job->positions[emitted];
-        const std::optional<std::string> body = cache_.fetch(pos.key_hash);
-        if (!body) {
-          // A bounded cache evicted a hit between probe and emit; the
-          // stream cannot be completed faithfully.
-          live = false;
-          replay_failed = true;
-          return;
-        }
-        std::string line =
-            engine::record_json_prefix(job->request.experiment, job->slugs[pos.slug]);
-        line += *body;
-        line += '\n';
-        live = append_line(job, std::move(line));
-      }
-    };
-
-    // The engine's ordered callback serializes deliveries in miss order;
-    // cached positions between two misses are interleaved here so the
-    // stream grows strictly in flatten-plan order, live.
+    // The engine's ordered callback serializes deliveries in miss order,
+    // so the produced prefix grows strictly in flatten-plan order, live.
     const auto on_miss = [&](std::size_t index, const engine::ScenarioResult& result) {
-      const std::size_t pos = miss_positions[index];
-      if (live) emit_hits_up_to(pos);
-      const ResultCacheKey key = ResultCacheKey::of(result.spec, math);
-      const std::string body = engine::record_body_json(result);
-      // Insert BEFORE appending (a deleted job still warms the cache):
-      // every buffered line is replayable the moment it exists.
-      cache_.insert(key, body);
-      if (!live) return;
-      std::string line =
-          engine::record_json_prefix(job->request.experiment, job->slugs[job->positions[pos].slug]);
-      line += body;
-      line += '\n';
-      live = append_line(job, std::move(line));
-      if (live) emitted = pos + 1;
+      // One body, shared by the cache and the stream. The job streams the
+      // body it computed even when insert() is a no-op, so no position
+      // ever holds bytes read by hash alone. A deleted job still warms
+      // the cache.
+      const RecordBody body =
+          std::make_shared<const std::string>(engine::record_body_json(result));
+      cache_.insert(ResultCacheKey::of(result.spec, math), body);
+      const LockGuard lock(mutex_);
+      job->bodies[miss_positions[index]] = body;
+      advance_locked(*job);
+      changed_.notify_all();
     };
     if (!miss_specs.empty()) engine_.run(miss_specs, on_miss, math);
-    if (live) emit_hits_up_to(job->positions.size());
-    if (replay_failed) {
-      throw Error(
-          "a cached record was evicted while its job was assembling; raise the result cache's "
-          "max_entries");
-    }
     finish(JobState::completed, {});
   } catch (const std::exception& e) {
     finish(JobState::failed, e.what());
@@ -529,14 +419,9 @@ void JobManager::stop() {
     stopping_ = true;
   }
   changed_.notify_all();
-  space_.notify_all();
   for (std::thread& executor : executors_) {
     if (executor.joinable()) executor.join();
   }
-  // Release every buffered record line so the process-wide record-lines
-  // gauge does not keep counting buffers of a destroyed manager.
-  const LockGuard lock(mutex_);
-  for (auto& [id, job] : jobs_) drop_lines_locked(*job);
 }
 
 }  // namespace fpsched::service

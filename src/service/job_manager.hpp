@@ -9,26 +9,31 @@
 // default_thread_count() (FPSCHED_THREADS) — the server owns its compute
 // pool, no request sizes it. The executor flattens the job's plan, looks every
 // scenario up in the shared content-addressed ResultCache, and runs only
-// the misses through the engine — cached records are replayed and merged
-// into the stream at their flatten-plan positions, so a cache-served
-// response is byte-identical to a cold one. Streaming readers follow the
-// job's record buffer under a condition variable, so
-// `GET /runs/{id}/records` delivers records live as scenarios complete
-// and the full stream is byte-identical to
-// `fpsched_run <name> --format ndjson`.
+// the misses through the engine.
 //
-// Production hardening (vs. the first service cut):
+// A job's record stream is one shared, immutable body per flatten-plan
+// position plus one line prefix per panel: a hit holds the cache's own
+// body, a miss the body it just computed and inserted. Every record is
+// therefore held once, however many jobs and readers share it, and a
+// cache-served response is byte-identical to a cold one. Streaming
+// readers follow the stream's produced prefix under a condition variable
+// and render each line (prefix + body + "\n") outside the lock, so
+// `GET /runs/{id}/records` delivers records live as scenarios complete,
+// the full stream is byte-identical to `fpsched_run <name> --format
+// ndjson`, and no reader, however slow, holds up the executor.
+//
+// Production hardening:
 //  * Admission counts only ACTIVE jobs (queued + running); finished jobs
-//    are evicted by count and age instead of permanently consuming
-//    max_jobs capacity.
+//    are evicted by count (oldest first, once more than max_jobs of them
+//    are held) and by age instead of permanently consuming capacity.
 //  * DELETE /runs/{id} cancels a queued job, detaches a running one (the
-//    engine pass finishes into the cache, its buffered output dropped),
-//    or drops a finished one — always freeing its capacity.
-//  * Record buffers are bounded (max_record_lines): a producer that gets
-//    ahead either trims cache-replayable lines every attached streamer
-//    has consumed, or blocks until a streamer advances — the server's
-//    memory stays bounded no matter how large the job or slow the
-//    client. Late streamers re-render trimmed lines from the cache.
+//    engine pass finishes into the cache), or drops a finished one —
+//    always freeing its capacity. DELETE and eviction drop only the
+//    manager's reference: an attached reader keeps the job, and with it
+//    its bodies, alive until its stream ends (a deleted job's readers
+//    end early; an evicted job's readers finish).
+//  * Memory is the cache's bodies plus about 20 bytes per position (a
+//    body pointer and a panel index) of each retained job.
 #pragma once
 
 #include <cstdint>
@@ -62,9 +67,9 @@ struct JobRequest {
   engine::FigureOptions options;
 };
 
-/// Point-in-time snapshot of a job (records counts what the job has
-/// produced so far — buffered or already trimmed to the cache;
-/// total_scenarios is the flattened scenario count, known at submission).
+/// Point-in-time snapshot of a job (records counts the stream positions
+/// produced so far; total_scenarios is the flattened scenario count,
+/// known at submission).
 struct JobStatus {
   std::uint64_t id = 0;
   std::string experiment;
@@ -96,9 +101,8 @@ struct JobStats {
 
 /// Outcome of stream_records: the job's status at stream exit plus
 /// whether every produced record line actually reached the writer (false
-/// when the client went away, the job was deleted mid-stream, the
-/// manager stopped, or a trimmed line could no longer be replayed from a
-/// bounded cache).
+/// when the client went away, the job was deleted mid-stream, or the
+/// manager stopped).
 struct StreamResult {
   JobStatus status;
   bool delivered_all = false;
@@ -110,7 +114,8 @@ struct StreamResult {
 struct JobManagerOptions {
   /// Ceiling on ACTIVE jobs (queued + running); submissions beyond it
   /// are rejected with 429. Finished jobs do not count — they are
-  /// retained for inspection and evicted by count/age below.
+  /// retained for inspection, and the oldest beyond max_jobs of them are
+  /// evicted at the next submit (or earlier by age, below).
   std::size_t max_jobs = 64;
   /// Executor threads. 1 serializes jobs — usually right, since each
   /// job saturates the machine through the engine's pool (shared by all
@@ -122,16 +127,9 @@ struct JobManagerOptions {
   /// POST /runs asking for a huge grid size could OOM the server. The
   /// default admits the 10^6-task instances the layer is built for.
   std::size_t max_task_count = 1'000'000;
-  /// Terminal (completed/failed) jobs retained for inspection; the
-  /// oldest beyond this are evicted at the next submit. 0 = max_jobs.
-  std::size_t max_finished_jobs = 0;
   /// Age ceiling for terminal jobs (seconds since finish); 0 disables
   /// age-based eviction.
   std::uint64_t job_ttl_seconds = 0;
-  /// Per-job record-buffer ceiling (NDJSON lines); 0 = unbounded. At the
-  /// ceiling the producer trims replayable lines or blocks (see the
-  /// header comment).
-  std::size_t max_record_lines = 0;
   /// Shared scenario result cache (directory empty = memory-only).
   ResultCacheOptions cache = {};
 };
@@ -165,18 +163,17 @@ class JobManager {
   std::size_t active_count() const;
 
   /// Removes the job: a queued job is cancelled, a running job detached
-  /// (its engine pass finishes into the result cache; its buffered lines
-  /// and any blocked producer are released), a finished job dropped.
-  /// Attached streamers wake and end their streams. Returns the job's
-  /// last status, or nullopt for an unknown id.
+  /// (its engine pass finishes into the result cache), a finished job
+  /// dropped. Attached streamers wake and end their streams. Returns the
+  /// job's last status, or nullopt for an unknown id.
   std::optional<JobStatus> erase_job(std::uint64_t id);
 
   /// Streams the job's NDJSON record lines (each with its trailing
   /// newline) through `write`, in record order, blocking until the job
   /// reaches a terminal state, `write` returns false (client gone), the
-  /// job is deleted, or the manager stops. Lines already trimmed from
-  /// the buffer are re-rendered from the result cache. Returns nullopt
-  /// for an unknown id.
+  /// job is deleted, or the manager stops. Each line is rendered outside
+  /// the manager's lock, so a slow `write` delays only its own stream.
+  /// Returns nullopt for an unknown id.
   std::optional<StreamResult> stream_records(
       std::uint64_t id, const std::function<bool(std::string_view line)>& write) const;
 
@@ -188,42 +185,28 @@ class JobManager {
   void stop();
 
  private:
-  /// One stream position of a job: the cache hash of its record body
-  /// plus the owning panel (index into Job::slugs) — everything needed
-  /// to re-render the line after it was trimmed from the buffer.
-  /// Compact on purpose: a million-scenario job stores one of these per
-  /// record, not a canonical key string.
-  struct RecordPos {
-    std::uint64_t key_hash = 0;
-    std::uint32_t slug = 0;
-  };
-
   // Job fields are guarded by the manager's mutex_ once the job is
-  // visible (submitted): the executor publishes bulk fields (positions,
-  // slugs) under the lock before the first record, and every later
-  // mutation (lines, cursors, state) happens under the lock.
+  // visible (submitted): the executor publishes the stream (bodies,
+  // prefixes, panel_of) under the lock before the first record, and
+  // every later mutation (a body, produced, state) happens under the
+  // lock. prefixes and panel_of are immutable once published.
   struct Job {
     std::uint64_t id = 0;
     JobRequest request;
     JobState state = JobState::queued;
-    /// DELETE arrived: the job is out of the map; the executor drops
-    /// its output (the cache still receives results) and producers and
-    /// streamers release immediately.
+    /// DELETE arrived: the job is out of the map and its streamers end;
+    /// the executor still finishes its engine pass into the cache.
     bool deleted = false;
 
-    /// The buffered window [lines_base, lines_total) of the record
-    /// stream; positions below lines_base were trimmed and replay from
-    /// the cache.
-    std::deque<std::string> lines;  // NDJSON records, each "\n"-terminated
-    std::size_t lines_base = 0;
-    std::size_t lines_total = 0;
-    /// Replay metadata per stream position (published before record 0).
-    std::vector<RecordPos> positions;
-    std::vector<std::string> slugs;
-    /// Attached streamer cursors (token -> next position to send); the
-    /// producer may trim position p only when every cursor is past it.
-    std::map<std::uint64_t, std::size_t> cursors;
-    std::uint64_t next_cursor_token = 1;
+    /// The record stream, sized to the flattened plan when the job
+    /// starts: one body per position (a hit's from the probe, a miss's
+    /// once computed), the record_json_prefix of each panel, and each
+    /// position's panel. Every position below `produced` holds its body;
+    /// its line is prefixes[panel_of[p]] + *bodies[p] + "\n".
+    std::vector<RecordBody> bodies;
+    std::vector<std::string> prefixes;
+    std::vector<std::uint32_t> panel_of;
+    std::size_t produced = 0;
 
     std::size_t total_scenarios = 0;
     std::string error;
@@ -243,14 +226,10 @@ class JobManager {
 
   JobStatus snapshot_locked(const Job& job) const REQUIRES(mutex_);
   std::size_t active_locked() const REQUIRES(mutex_);
-  /// Drops terminal jobs beyond max_finished_jobs / past job_ttl_seconds.
+  /// Drops terminal jobs beyond max_jobs of them / past job_ttl_seconds.
   void evict_locked(std::uint64_t now_ns) REQUIRES(mutex_);
-  /// Releases a job's buffered lines (gauge bookkeeping included).
-  void drop_lines_locked(Job& job) REQUIRES(mutex_);
-  /// Appends one produced line, trimming or blocking at the buffer
-  /// ceiling; returns false when the job was deleted or the manager
-  /// stopped (the line is dropped).
-  bool append_line(const std::shared_ptr<Job>& job, std::string line) EXCLUDES(mutex_);
+  /// Moves job.produced past every position that holds its body.
+  void advance_locked(Job& job) REQUIRES(mutex_);
   void executor_loop() EXCLUDES(mutex_);
   void run_job(const std::shared_ptr<Job>& job) EXCLUDES(mutex_);
 
@@ -264,9 +243,6 @@ class JobManager {
   /// Signals every state change: new records, state transitions, new
   /// queued jobs, deletions, shutdown.
   mutable CondVar changed_;
-  /// Signals buffer space: a streamer advanced or detached, a job was
-  /// deleted, the manager stopped. Producers at the ceiling wait here.
-  mutable CondVar space_;
   /// Jobs by id (ordered, so iteration is oldest-first). shared_ptr:
   /// executors and streamers keep the Job alive across erase_job /
   /// eviction without holding the lock.

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <utility>
 
 #include "engine/result_sink.hpp"
@@ -23,7 +24,6 @@ struct CacheMetrics {
   obs::Counter& hits;
   obs::Counter& misses;
   obs::Counter& inserts;
-  obs::Counter& evicted;
   obs::Gauge& entries;
 };
 
@@ -37,8 +37,6 @@ CacheMetrics& cache_metrics() {
                     "Scenario cache lookups that required an evaluator run"),
         reg.counter("fpsched_result_cache_inserts_total",
                     "Scenario results stored in the cache (excludes restored entries)"),
-        reg.counter("fpsched_result_cache_evicted_total",
-                    "Scenario cache entries dropped by the max_entries FIFO"),
         reg.gauge("fpsched_result_cache_entries",
                   "Scenario results currently held in the cache"),
     };
@@ -102,7 +100,7 @@ ResultCache::~ResultCache() {
   cache_metrics().entries.add(-static_cast<std::int64_t>(entries_.size()));
 }
 
-std::optional<std::string> ResultCache::lookup(const ResultCacheKey& key) {
+RecordBody ResultCache::lookup(const ResultCacheKey& key) {
   LockGuard lock(mutex_);
   const auto it = entries_.find(key.hash);
   // Canonical verification: a 64-bit hash collision (or a corrupted
@@ -110,27 +108,15 @@ std::optional<std::string> ResultCache::lookup(const ResultCacheKey& key) {
   // instead of serving another scenario's bytes.
   if (it == entries_.end() || it->second.canonical != key.canonical) {
     cache_metrics().misses.add();
-    return std::nullopt;
+    return nullptr;
   }
   cache_metrics().hits.add();
-  return it->second.payload;
+  return it->second.body;
 }
 
-bool ResultCache::contains(std::uint64_t hash) const {
+void ResultCache::insert(const ResultCacheKey& key, RecordBody body) {
   LockGuard lock(mutex_);
-  return entries_.find(hash) != entries_.end();
-}
-
-std::optional<std::string> ResultCache::fetch(std::uint64_t hash) const {
-  LockGuard lock(mutex_);
-  const auto it = entries_.find(hash);
-  if (it == entries_.end()) return std::nullopt;
-  return it->second.payload;
-}
-
-void ResultCache::insert(const ResultCacheKey& key, std::string_view payload) {
-  LockGuard lock(mutex_);
-  insert_locked(key, payload, /*persist=*/true);
+  insert_locked(key, std::move(body), /*persist=*/true);
 }
 
 std::size_t ResultCache::size() const {
@@ -138,22 +124,15 @@ std::size_t ResultCache::size() const {
   return entries_.size();
 }
 
-void ResultCache::insert_locked(ResultCacheKey key, std::string_view payload, bool persist) {
-  const auto it = entries_.find(key.hash);
-  if (it != entries_.end()) return;  // first write wins; entries are immutable
-  entries_.emplace(key.hash, Entry{key.canonical, std::string(payload)});
-  insertion_order_.push_back(key.hash);
+void ResultCache::insert_locked(const ResultCacheKey& key, RecordBody body, bool persist) {
+  // First write wins; entries are immutable.
+  const auto [it, inserted] = entries_.try_emplace(key.hash, Entry{key.canonical, std::move(body)});
+  if (!inserted) return;
   auto& metrics = cache_metrics();
   metrics.entries.add(1);
   if (persist) {
     metrics.inserts.add();
-    if (!options_.directory.empty()) append_segment_locked(key, payload);
-  }
-  while (options_.max_entries != 0 && entries_.size() > options_.max_entries) {
-    entries_.erase(insertion_order_.front());
-    insertion_order_.pop_front();
-    metrics.entries.add(-1);
-    metrics.evicted.add();
+    if (!options_.directory.empty()) append_segment_locked(key, *it->second.body);
   }
 }
 
@@ -219,7 +198,8 @@ void ResultCache::load_segments() {
         ResultCacheKey key;
         key.hash = hash;
         key.canonical = spec_it->second;
-        insert_locked(std::move(key), payload_it->second, /*persist=*/false);
+        insert_locked(key, std::make_shared<const std::string>(payload_it->second),
+                      /*persist=*/false);
         if (entries_.size() > before) ++restored_;
       } catch (const Error&) {
         continue;

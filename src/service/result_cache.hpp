@@ -11,6 +11,11 @@
 // pure function of (spec, EvalMath), cached and recomputed responses
 // are byte-identical by construction.
 //
+// Bodies are shared and immutable: lookup() hands out the stored pointer
+// itself, so every job and reader streaming a record holds the one copy
+// the cache holds. Entries are never evicted; the cache grows with the
+// distinct scenarios the server has computed.
+//
 // Persistence: with a directory configured, inserts append to an on-disk
 // NDJSON segment store (`segment-NNNNNN.ndjson`, append-only; a new
 // segment per process start, rotated at max_segment_bytes) and the ctor
@@ -20,9 +25,8 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <fstream>
-#include <optional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -49,17 +53,16 @@ struct ResultCacheOptions {
   /// Segment-store directory; empty = memory-only (the cache still
   /// serves repeat traffic, but dies with the process).
   std::string directory = {};
-  /// Entry ceiling; 0 = unbounded. Beyond it the oldest entries are
-  /// evicted insertion-FIFO. NOTE: jobs replay trimmed record-buffer
-  /// lines through the cache, so a ceiling small enough to evict entries
-  /// of a still-streaming job can truncate that job's late streams.
-  std::size_t max_entries = 0;
   /// Rotate the append segment once it exceeds this many bytes.
   std::size_t max_segment_bytes = 8 * 1024 * 1024;
 };
 
-/// Thread-safe (one mutex; lookups copy the payload out). Shared by every
-/// JobManager executor and record streamer of the service.
+/// One immutable record body, shared by the cache and every job stream
+/// that holds it.
+using RecordBody = std::shared_ptr<const std::string>;
+
+/// Thread-safe (one mutex; lookups hand out a shared pointer, never a
+/// copy). Shared by every JobManager executor of the service.
 class ResultCache {
  public:
   explicit ResultCache(ResultCacheOptions options = {});
@@ -68,21 +71,14 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// The cached record body for `key`, verifying the canonical text;
-  /// counts a hit or a miss.
-  std::optional<std::string> lookup(const ResultCacheKey& key) EXCLUDES(mutex_);
+  /// The stored record body for `key` after verifying the canonical text,
+  /// or null on a miss; counts a hit or a miss.
+  RecordBody lookup(const ResultCacheKey& key) EXCLUDES(mutex_);
 
-  /// Uncounted variants for the replay path (stream_records re-rendering
-  /// trimmed buffer lines): presence / payload by hash only. Sound
-  /// because entries are immutable and were canonical-verified when the
-  /// producing job looked them up or inserted them.
-  bool contains(std::uint64_t hash) const EXCLUDES(mutex_);
-  std::optional<std::string> fetch(std::uint64_t hash) const EXCLUDES(mutex_);
-
-  /// Stores `payload` under `key` (no-op when present — first write wins,
+  /// Stores `body` under `key` (no-op when present — first write wins,
   /// entries are immutable) and appends it to the segment store when one
-  /// is configured. Evicts insertion-FIFO beyond max_entries.
-  void insert(const ResultCacheKey& key, std::string_view payload) EXCLUDES(mutex_);
+  /// is configured.
+  void insert(const ResultCacheKey& key, RecordBody body) EXCLUDES(mutex_);
 
   std::size_t size() const EXCLUDES(mutex_);
 
@@ -92,11 +88,10 @@ class ResultCache {
  private:
   struct Entry {
     std::string canonical;
-    std::string payload;
+    RecordBody body;
   };
 
-  void insert_locked(ResultCacheKey key, std::string_view payload, bool persist)
-      REQUIRES(mutex_);
+  void insert_locked(const ResultCacheKey& key, RecordBody body, bool persist) REQUIRES(mutex_);
   void append_segment_locked(const ResultCacheKey& key, std::string_view payload)
       REQUIRES(mutex_);
   void open_next_segment_locked() REQUIRES(mutex_);
@@ -107,8 +102,6 @@ class ResultCache {
 
   mutable Mutex mutex_;
   std::unordered_map<std::uint64_t, Entry> entries_ GUARDED_BY(mutex_);
-  /// Insertion order (FIFO eviction under max_entries).
-  std::deque<std::uint64_t> insertion_order_ GUARDED_BY(mutex_);
   std::ofstream segment_ GUARDED_BY(mutex_);
   std::size_t segment_bytes_ GUARDED_BY(mutex_) = 0;
   std::size_t next_segment_index_ GUARDED_BY(mutex_) = 1;

@@ -457,11 +457,10 @@ void ExperimentService::register_routes() {
     const auto result = jobs_.stream_records(
         *id, [&](std::string_view line) { return writer.write_chunk(line); });
     // A stream that did not deliver every record of a completed job (the
-    // job failed or was deleted mid-stream, the server is shutting down,
-    // or a trimmed line could not be replayed from a bounded cache) is
-    // truncated data: abandon it without the clean 0-chunk so the
-    // client's HTTP layer flags it, instead of handing over a well-formed
-    // stream that is silently missing records.
+    // job failed or was deleted mid-stream, or the server is shutting
+    // down) is truncated data: abandon it without the clean 0-chunk so
+    // the client's HTTP layer flags it, instead of handing over a
+    // well-formed stream that is silently missing records.
     if (!result || !result->delivered_all || result->status.state != JobState::completed) {
       writer.abort_stream();
     }

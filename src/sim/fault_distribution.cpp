@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "support/error.hpp"
-#include "support/table.hpp"
 
 namespace fpsched {
 
@@ -41,15 +40,6 @@ double FaultDistribution::sample_gap(Rng& rng) const {
     }
   }
   return 0.0;
-}
-
-std::string FaultDistribution::describe() const {
-  switch (law_) {
-    case Law::exponential: return "exponential(lambda=" + format_double(a_, 6) + ")";
-    case Law::weibull:
-      return "weibull(shape=" + format_double(a_, 3) + ", scale=" + format_double(b_, 3) + ")";
-  }
-  return "?";
 }
 
 }  // namespace fpsched

@@ -10,8 +10,6 @@
 // shape > 1 models aging.
 #pragma once
 
-#include <string>
-
 #include "support/rng.hpp"
 
 namespace fpsched {
@@ -38,8 +36,6 @@ class FaultDistribution {
 
   /// Samples the uptime gap until the next failure (renewal process).
   double sample_gap(Rng& rng) const;
-
-  std::string describe() const;
 
  private:
   FaultDistribution(Law law, double a, double b) : law_(law), a_(a), b_(b) {}

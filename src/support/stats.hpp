@@ -8,14 +8,10 @@
 namespace fpsched {
 
 /// Numerically stable streaming mean/variance accumulator (Welford), with
-/// min/max tracking and support for merging partial accumulators produced
-/// by parallel workers (Chan et al. pairwise update).
+/// min/max tracking.
 class RunningStats {
  public:
   void push(double x);
-
-  /// Merges another accumulator into this one.
-  void merge(const RunningStats& other);
 
   std::size_t count() const { return count_; }
   /// NaN when no sample was pushed, like min()/max() — an empty

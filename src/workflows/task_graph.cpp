@@ -3,17 +3,8 @@
 #include <cmath>
 
 #include "support/error.hpp"
-#include "support/table.hpp"
 
 namespace fpsched {
-
-std::string CostModel::describe() const {
-  switch (kind) {
-    case Kind::proportional: return "c_i = r_i = " + format_double(parameter, 3) + " * w_i";
-    case Kind::constant: return "c_i = r_i = " + format_double(parameter, 3) + " s";
-  }
-  return "?";
-}
 
 TypeId TypeTable::intern(std::string_view type) {
   for (std::size_t i = 0; i < names_.size(); ++i) {

@@ -64,8 +64,6 @@ struct CostModel {
   /// Two models derive identical costs iff kind and parameter agree (lets
   /// the engine's instance cache skip redundant apply_cost_model calls).
   bool operator==(const CostModel&) const = default;
-
-  std::string describe() const;
 };
 
 class TaskGraphBuilder;

@@ -66,8 +66,6 @@ TEST(FaultDistribution, Validation) {
   EXPECT_THROW(FaultDistribution::exponential(0.0), InvalidArgument);
   EXPECT_THROW(FaultDistribution::weibull(0.0, 1.0), InvalidArgument);
   EXPECT_THROW(FaultDistribution::weibull_from_mtbf(1.0, -5.0), InvalidArgument);
-  EXPECT_NE(FaultDistribution::weibull(2.0, 10.0).describe().find("weibull"),
-            std::string::npos);
 }
 
 TEST(WeibullSimulation, ExponentialInjectionMatchesTheAnalyticModel) {

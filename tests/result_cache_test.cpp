@@ -1,15 +1,16 @@
 // ResultCache suite: cache-key sensitivity to every ScenarioSpec field,
-// in-memory round trips, FIFO eviction under max_entries, and the
-// on-disk segment store — restart restore, segment rotation, and
-// torn-write tolerance.
+// in-memory round trips of shared bodies, and the on-disk segment
+// store — restart restore, segment rotation, and torn-write tolerance.
 #include "service/result_cache.hpp"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/scenario.hpp"
@@ -33,6 +34,8 @@ engine::ScenarioSpec base_spec() {
   spec.scenario_index = 3;
   return spec;
 }
+
+RecordBody body(std::string text) { return std::make_shared<const std::string>(std::move(text)); }
 
 /// RAII temp directory under the system temp root.
 class TempDir {
@@ -117,36 +120,18 @@ TEST(ResultCacheKeyTest, ExactKeysAreUnchangedAndFastKeysHaveTheirOwnSpelling) {
 TEST(ResultCacheTest, InMemoryRoundTripCountsHitsAndMisses) {
   ResultCache cache;
   const ResultCacheKey key = ResultCacheKey::of(base_spec(), EvalMath::exact);
-  EXPECT_FALSE(cache.lookup(key).has_value());
-  cache.insert(key, "payload-bytes");
-  const auto hit = cache.lookup(key);
-  ASSERT_TRUE(hit.has_value());
+  EXPECT_FALSE(cache.lookup(key));
+  const RecordBody stored = body("payload-bytes");
+  cache.insert(key, stored);
+  const RecordBody hit = cache.lookup(key);
+  ASSERT_TRUE(hit);
   EXPECT_EQ(*hit, "payload-bytes");
+  EXPECT_EQ(hit, stored);  // the stored body itself, not a copy
   EXPECT_EQ(cache.size(), 1u);
   // First write wins; entries are immutable.
-  cache.insert(key, "other-bytes");
+  cache.insert(key, body("other-bytes"));
   EXPECT_EQ(*cache.lookup(key), "payload-bytes");
   EXPECT_EQ(cache.size(), 1u);
-  // The uncounted replay accessors see the same entry by hash.
-  EXPECT_TRUE(cache.contains(key.hash));
-  EXPECT_EQ(*cache.fetch(key.hash), "payload-bytes");
-  EXPECT_FALSE(cache.contains(key.hash + 1));
-  EXPECT_FALSE(cache.fetch(key.hash + 1).has_value());
-}
-
-TEST(ResultCacheTest, EvictsInsertionFifoBeyondMaxEntries) {
-  ResultCache cache({.max_entries = 2});
-  std::vector<ResultCacheKey> keys;
-  for (std::size_t tasks : {50, 60, 70}) {
-    auto spec = base_spec();
-    spec.task_count = tasks;
-    keys.push_back(ResultCacheKey::of(spec, EvalMath::exact));
-    cache.insert(keys.back(), "payload-" + std::to_string(tasks));
-  }
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_FALSE(cache.lookup(keys[0]).has_value());  // oldest evicted
-  EXPECT_TRUE(cache.lookup(keys[1]).has_value());
-  EXPECT_TRUE(cache.lookup(keys[2]).has_value());
 }
 
 TEST(ResultCacheTest, SegmentStoreSurvivesReopen) {
@@ -160,7 +145,7 @@ TEST(ResultCacheTest, SegmentStoreSurvivesReopen) {
   {
     ResultCache cache({.directory = dir.path().string()});
     for (std::size_t i = 0; i < keys.size(); ++i) {
-      cache.insert(keys[i], "payload-" + std::to_string(i));
+      cache.insert(keys[i], body("payload-" + std::to_string(i)));
     }
     EXPECT_EQ(cache.restored(), 0u);
   }
@@ -169,7 +154,7 @@ TEST(ResultCacheTest, SegmentStoreSurvivesReopen) {
   EXPECT_EQ(reopened.size(), 3u);
   for (std::size_t i = 0; i < keys.size(); ++i) {
     const auto hit = reopened.lookup(keys[i]);
-    ASSERT_TRUE(hit.has_value()) << keys[i].canonical;
+    ASSERT_TRUE(hit) << keys[i].canonical;
     EXPECT_EQ(*hit, "payload-" + std::to_string(i));
   }
 }
@@ -182,7 +167,7 @@ TEST(ResultCacheTest, RotatesSegmentsAndLoadsAllOfThem) {
     for (std::size_t tasks : {50, 60, 70}) {
       auto spec = base_spec();
       spec.task_count = tasks;
-      cache.insert(ResultCacheKey::of(spec, EvalMath::exact), "p");
+      cache.insert(ResultCacheKey::of(spec, EvalMath::exact), body("p"));
     }
   }
   std::size_t segments = 0;
@@ -199,7 +184,7 @@ TEST(ResultCacheTest, SkipsTornAndCorruptSegmentLines) {
   const ResultCacheKey key = ResultCacheKey::of(base_spec(), EvalMath::exact);
   {
     ResultCache cache({.directory = dir.path().string()});
-    cache.insert(key, "good-payload");
+    cache.insert(key, body("good-payload"));
   }
   {
     // Simulate a crash mid-append plus stray garbage: neither may poison
@@ -214,7 +199,7 @@ TEST(ResultCacheTest, SkipsTornAndCorruptSegmentLines) {
   ResultCache reopened({.directory = dir.path().string()});
   EXPECT_EQ(reopened.restored(), 1u);
   const auto hit = reopened.lookup(key);
-  ASSERT_TRUE(hit.has_value());
+  ASSERT_TRUE(hit);
   EXPECT_EQ(*hit, "good-payload");
 }
 

@@ -284,33 +284,6 @@ TEST(ResultSinkTest, NdjsonSinkStreamsOneLinePerRecord) {
   EXPECT_NE(out.find("\"panel\":\"b\""), std::string::npos);
 }
 
-TEST(ResultSinkTest, CallbackSinkForwardsRecordsAndFinish) {
-  const ScenarioResult result = sample_result();
-  std::vector<std::string> lines;
-  bool finished = false;
-  CallbackSink sink([&](const ResultRecord& record) { lines.push_back(to_json(record)); },
-                    [&] { finished = true; });
-  sink.record({"fig2", "a", result});
-  sink.record({"fig2", "b", result});
-  EXPECT_FALSE(finished);
-  sink.finish();
-  EXPECT_TRUE(finished);
-  ASSERT_EQ(lines.size(), 2u);
-  // The callback sees the same serialized record the NDJSON sink writes.
-  EXPECT_EQ(lines[0], to_json({"fig2", "a", result}));
-  EXPECT_NE(lines[1].find("\"panel\":\"b\""), std::string::npos);
-}
-
-TEST(ResultSinkTest, CallbackSinkFinishIsOptionalButRecordIsNot) {
-  const ScenarioResult result = sample_result();
-  std::size_t records = 0;
-  CallbackSink sink([&](const ResultRecord&) { ++records; });
-  sink.record({"fig2", "a", result});
-  sink.finish();  // no finish callback registered: a no-op, not a crash
-  EXPECT_EQ(records, 1u);
-  EXPECT_THROW(CallbackSink(nullptr), Error);
-}
-
 TEST(ResultSinkTest, JsonSinkBuffersIntoOneArray) {
   const ScenarioResult result = sample_result();
   std::ostringstream os;

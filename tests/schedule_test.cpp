@@ -36,12 +36,6 @@ TEST(Schedule, PositionsInvertTheOrder) {
     EXPECT_EQ(pos[schedule.order[i]], i);
 }
 
-TEST(Schedule, DescribeMarksCheckpoints) {
-  const TaskGraph graph = make_paper_figure1(1.0);
-  const Schedule schedule({0, 3, 1, 2, 4, 5, 6, 7}, {0, 0, 0, 1, 1, 0, 0, 0});
-  EXPECT_EQ(schedule.describe(graph), "T0 T3* T1 T2 T4* T5 T6 T7");
-}
-
 TEST(Schedule, ValidationAcceptsAnyLinearization) {
   const TaskGraph graph = make_paper_figure1(1.0);
   EXPECT_NO_THROW(validate_schedule(graph, make_schedule({0, 3, 1, 2, 4, 5, 6, 7})));

@@ -249,14 +249,14 @@ TEST(JobManagerTest, FinishedJobsDoNotConsumeAdmissionCapacity) {
     ASSERT_TRUE(result.has_value());
     EXPECT_EQ(result->status.state, JobState::completed);
   }
-  // max_finished_jobs defaults to max_jobs, so at most one terminal job
-  // is retained alongside the latest one.
+  // Eviction runs at the next submit, so at most max_jobs older terminal
+  // jobs are retained beside the latest one.
   EXPECT_LE(manager.job_count(), 2u);
 }
 
 TEST(JobManagerTest, EvictionDropsOldestTerminalJobsNeverActiveOnes) {
   const engine::ExperimentRegistry registry = tiny_registry();
-  JobManager manager(registry, {.max_jobs = 8, .max_finished_jobs = 1});
+  JobManager manager(registry, {.max_jobs = 1});
   std::vector<std::uint64_t> finished;
   for (int round = 0; round < 3; ++round) {
     const std::uint64_t id = manager.submit({"tiny", tiny_options()});
@@ -406,22 +406,58 @@ TEST(JobManagerTest, DiskCacheSurvivesManagerRestart) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(JobManagerTest, BoundedBuffersTrimWithoutStreamersAndReplayFromCache) {
+TEST(JobManagerTest, AStalledReaderNeverHoldsUpTheJob) {
   const engine::ExperimentRegistry registry = tiny_registry();
-  // Buffer bounded to 2 of the 4 records, and nobody streaming while
-  // the job runs: the producer must trim (not block), and a late
-  // streamer re-renders the trimmed lines from the cache.
-  JobManager manager(registry, {.max_record_lines = 2});
+  JobManager manager(registry);
   const std::uint64_t id = manager.submit({"tiny", tiny_options()});
-  for (int spins = 0; spins < 2000; ++spins) {
-    const auto status = manager.status(id);
-    ASSERT_TRUE(status.has_value());
-    if (status->state == JobState::completed) break;
-    ASSERT_NE(status->state, JobState::failed) << status->error;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  ASSERT_EQ(manager.status(id)->state, JobState::completed);
-  EXPECT_EQ(drain_job(manager, id), reference_ndjson(registry, tiny_options()));
+  // The reader takes one record, then stalls inside its write until the
+  // job reports completed (or a ~10 s deadline passes), then drains the
+  // rest. Readers render outside the manager's lock, so the stall holds
+  // up nothing but this stream.
+  std::string streamed;
+  bool completed_while_stalled = false;
+  const auto result = manager.stream_records(id, [&](std::string_view line) {
+    if (streamed.empty()) {
+      for (int spins = 0; spins < 5000 && !completed_while_stalled; ++spins) {
+        completed_while_stalled = manager.status(id)->state == JobState::completed;
+        if (!completed_while_stalled) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+    }
+    streamed.append(line);
+    return true;
+  });
+  EXPECT_TRUE(completed_while_stalled);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->status.state, JobState::completed);
+  EXPECT_TRUE(result->delivered_all);
+  EXPECT_EQ(streamed, reference_ndjson(registry, tiny_options()));
+}
+
+TEST(JobManagerTest, AnEvictedJobKeepsServingItsAttachedStream) {
+  const engine::ExperimentRegistry registry = tiny_registry();
+  const std::string reference = reference_ndjson(registry, tiny_options());
+  JobManager manager(registry, {.max_jobs = 1});
+  const std::uint64_t first = manager.submit({"tiny", tiny_options()});
+  EXPECT_EQ(drain_job(manager, first), reference);  // finished
+
+  // A reader of the finished job takes one record; meanwhile two more
+  // jobs run to completion, and the second submission evicts `first`.
+  std::string streamed;
+  bool evicted_while_attached = false;
+  const auto result = manager.stream_records(first, [&](std::string_view line) {
+    if (streamed.empty()) {
+      drain_job(manager, manager.submit({"tiny", tiny_options()}));
+      drain_job(manager, manager.submit({"tiny", tiny_options()}));
+      evicted_while_attached = !manager.status(first).has_value();
+    }
+    streamed.append(line);
+    return true;
+  });
+  EXPECT_TRUE(evicted_while_attached);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->status.state, JobState::completed);
+  EXPECT_TRUE(result->delivered_all);
+  EXPECT_EQ(streamed, reference);
 }
 
 TEST(JobManagerTest, RunningJobStartsNoThread) {
@@ -441,25 +477,6 @@ TEST(JobManagerTest, RunningJobStartsNoThread) {
     peak = sampler.peak();
   }
   EXPECT_EQ(peak, before);
-}
-
-TEST(JobManagerTest, BackpressureBlocksProducersWithoutDeadlock) {
-  const engine::ExperimentRegistry registry = tiny_registry();
-  // A one-line buffer with an attached (slow) streamer: the producer
-  // blocks at the ceiling and resumes as the streamer advances; the
-  // stream still delivers the full reference bytes.
-  JobManager manager(registry, {.max_record_lines = 1});
-  const std::uint64_t id = manager.submit({"tiny", tiny_options()});
-  std::string streamed;
-  const auto result = manager.stream_records(id, [&](std::string_view line) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    streamed.append(line);
-    return true;
-  });
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(result->status.state, JobState::completed);
-  EXPECT_TRUE(result->delivered_all);
-  EXPECT_EQ(streamed, reference_ndjson(registry, tiny_options()));
 }
 
 // --- The full service over HTTP ----------------------------------------

@@ -56,36 +56,6 @@ TEST(RunningStats, SingleSampleHasZeroVariance) {
   EXPECT_DOUBLE_EQ(stats.standard_error(), 0.0);
 }
 
-TEST(RunningStats, MergeEqualsSequentialPushes) {
-  RunningStats merged_a;
-  RunningStats merged_b;
-  RunningStats sequential;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = std::sin(i * 0.7) * 10.0 + i % 13;
-    sequential.push(x);
-    (i % 2 == 0 ? merged_a : merged_b).push(x);
-  }
-  merged_a.merge(merged_b);
-  EXPECT_EQ(merged_a.count(), sequential.count());
-  EXPECT_NEAR(merged_a.mean(), sequential.mean(), 1e-9);
-  EXPECT_NEAR(merged_a.variance(), sequential.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(merged_a.min(), sequential.min());
-  EXPECT_DOUBLE_EQ(merged_a.max(), sequential.max());
-}
-
-TEST(RunningStats, MergeWithEmptySides) {
-  RunningStats a;
-  RunningStats b;
-  b.push(5.0);
-  b.push(7.0);
-  a.merge(b);  // empty += nonempty
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 6.0);
-  RunningStats c;
-  a.merge(c);  // nonempty += empty
-  EXPECT_EQ(a.count(), 2u);
-}
-
 TEST(RunningStats, CatastrophicCancellationResistance) {
   // Large offset, small variance: Welford keeps precision.
   RunningStats stats;

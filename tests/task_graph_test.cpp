@@ -38,11 +38,6 @@ TEST(TaskGraph, ConstantCostModel) {
   EXPECT_DOUBLE_EQ(graph.recovery_cost(1), 5.0);
 }
 
-TEST(TaskGraph, CostModelDescriptions) {
-  EXPECT_NE(CostModel::proportional(0.1).describe().find("0.100 * w_i"), std::string::npos);
-  EXPECT_NE(CostModel::constant(5.0).describe().find("5.000 s"), std::string::npos);
-}
-
 TEST(TaskGraph, SetCostsAndWeight) {
   TaskGraph graph = make_chain(std::vector<double>{10.0, 20.0});
   graph.set_costs(0, 3.0, 2.0);
