@@ -9,11 +9,12 @@
 //
 // The merged file is byte-identical to the unsharded
 // `fpsched_run fig2 --format ndjson` output. Pass the SAME grid flags
-// the producing runs used (--quick, --sizes, --seed, ...): the merge
-// re-derives the experiment's flattened scenario list from them and
-// checks every record's provenance against the position it lands on, so
-// missing/duplicated/misordered shard files — and option mismatches —
-// fail loudly instead of yielding a plausible-looking wrong merge.
+// the producing runs used (--quick, --sizes, --seed, --downtimes,
+// --trials, ...): the merge re-derives the experiment's flattened
+// scenario list from them and checks every record's provenance against
+// the position it lands on, so missing/duplicated/misordered shard files
+// — and option mismatches — fail loudly instead of yielding a
+// plausible-looking wrong merge.
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -38,6 +39,7 @@ int main(int argc, char** argv) {
                "fail unless the shards cover every scenario of the experiment (without it, a "
                "gapless ordered prefix is accepted)");
   add_sweep_options(cli);
+  add_trial_options(cli);
   try {
     ignore_sigpipe();
     const auto options = parse_figure_options(cli, argc, argv);

@@ -17,39 +17,6 @@ std::vector<std::uint32_t> vertex_levels(const Dag& dag) {
   return level;
 }
 
-CriticalPath critical_path(const Dag& dag, std::span<const double> weights) {
-  const std::size_t n = dag.vertex_count();
-  ensure(weights.size() == n, "weights size must match vertex count");
-  CriticalPath result;
-  if (n == 0) return result;
-
-  std::vector<double> best(n, 0.0);
-  std::vector<VertexId> from(n, static_cast<VertexId>(n));  // n = "no predecessor"
-  double best_total = -1.0;
-  VertexId best_end = 0;
-  for (const VertexId v : dag.topological_order()) {
-    double incoming = 0.0;
-    for (const VertexId p : dag.predecessors(v)) {
-      if (best[p] > incoming) {
-        incoming = best[p];
-        from[v] = p;
-      }
-    }
-    best[v] = incoming + weights[v];
-    if (best[v] > best_total) {
-      best_total = best[v];
-      best_end = v;
-    }
-  }
-  result.length = best_total;
-  for (VertexId v = best_end; v != static_cast<VertexId>(n); v = from[v]) {
-    result.vertices.push_back(v);
-    if (from[v] == static_cast<VertexId>(n)) break;
-  }
-  std::reverse(result.vertices.begin(), result.vertices.end());
-  return result;
-}
-
 Reachability::Reachability(const Dag& dag)
     : n_(dag.vertex_count()), words_((n_ + 63) / 64), bits_(n_ * words_, 0) {
   // Reverse topological sweep: desc(v) = union over successors s of

@@ -1,5 +1,5 @@
 // Graph analyses shared by generators, linearizers, and the theory modules:
-// level structure, critical path, reachability, linearization checking.
+// level structure, reachability, outweights, linearization checking.
 #pragma once
 
 #include <cstdint>
@@ -13,14 +13,6 @@ namespace fpsched {
 /// Longest-path level of each vertex: sources are level 0, every other
 /// vertex is 1 + max level of its predecessors.
 std::vector<std::uint32_t> vertex_levels(const Dag& dag);
-
-/// Length (sum of weights) of the weighted critical path, and the path
-/// itself (vertex ids from a source to a sink).
-struct CriticalPath {
-  double length = 0.0;
-  std::vector<VertexId> vertices;
-};
-CriticalPath critical_path(const Dag& dag, std::span<const double> weights);
 
 /// Dense reachability: descendants(v) as a bitset over vertices.
 /// Memory is n^2/8 bytes — intended for analyses and tests (n up to a few

@@ -228,13 +228,6 @@ std::vector<ScenarioResult> run_cell_group(std::span<const ScenarioSpec* const> 
 
 }  // namespace
 
-ScenarioResult ExperimentEngine::run_scenario(const ScenarioSpec& spec, InstanceCache& cache,
-                                              EvalMath math) const {
-  EvaluatorWorkspace workspace;
-  const ScenarioSpec* const members[] = {&spec};
-  return std::move(run_cell_group(members, cache, worker_options(workspace, math))[0]);
-}
-
 namespace {
 
 /// Per-worker memo of materialized instances. A worker lazily

@@ -110,13 +110,6 @@ class ExperimentEngine {
   void for_each(std::size_t count,
                 const std::function<void(std::size_t, EvaluatorWorkspace&)>& body) const;
 
-  /// Runs one scenario against a materialized instance (a cell group of
-  /// one, on a fresh workspace). `cache.key()` must equal
-  /// InstanceKey::of(spec); the graph and linearizations are replayed
-  /// from the cache, bit-identical to generating them afresh.
-  ScenarioResult run_scenario(const ScenarioSpec& spec, InstanceCache& cache,
-                              EvalMath math = EvalMath::exact) const;
-
  private:
   std::size_t threads_;
   std::unique_ptr<ThreadPool> pool_;  // null when threads_ == 1

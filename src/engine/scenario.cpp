@@ -1,6 +1,5 @@
 #include "engine/scenario.hpp"
 
-#include <bit>
 #include <sstream>
 
 #include "support/error.hpp"
@@ -54,41 +53,6 @@ TaskGraph ScenarioSpec::instantiate() const {
   config.weight_cv = weight_cv;
   config.cost_model = cost_model;
   return generate_workflow(workflow, config);
-}
-
-Rng ScenarioSpec::rng() const {
-  // Root stream from the scenario's full identity, not just the grid
-  // position: run_figure flattens several grids into one batch, and grids
-  // sharing a workflow_seed would otherwise hand the same stream to their
-  // respective scenario 0, 1, ... Mixing every spec field keeps distinct
-  // scenarios on distinct streams while staying a pure function of the
-  // spec — independent of which worker runs the scenario.
-  std::uint64_t state = workflow_seed;
-  const auto mix = [&state](std::uint64_t word) { state = splitmix64(state) ^ word; };
-  mix(static_cast<std::uint64_t>(workflow));
-  mix(task_count);
-  mix(std::bit_cast<std::uint64_t>(model.lambda()));
-  mix(std::bit_cast<std::uint64_t>(model.downtime()));
-  mix(std::bit_cast<std::uint64_t>(weight_cv));
-  mix(static_cast<std::uint64_t>(cost_model.kind));
-  mix(std::bit_cast<std::uint64_t>(cost_model.parameter));
-  mix(static_cast<std::uint64_t>(policy.kind));
-  mix(static_cast<std::uint64_t>(policy.heuristic.linearization));
-  mix(static_cast<std::uint64_t>(policy.heuristic.checkpointing));
-  mix(static_cast<std::uint64_t>(policy.strategy));
-  mix(static_cast<std::uint64_t>(linearize.outweight));
-  mix(linearize.seed);
-  mix(stride);
-  mix(scenario_index);
-  if (policy.kind == ScenarioPolicy::Kind::simulated_best) {
-    // Mixed only for the new kind so every pre-existing scenario keeps
-    // its historical stream.
-    mix(static_cast<std::uint64_t>(policy.sim_distribution));
-    mix(std::bit_cast<std::uint64_t>(policy.sim_shape));
-    mix(policy.sim_trials);
-    mix(policy.sim_seed);
-  }
-  return Rng(state);
 }
 
 std::string canonical_spec_string(const ScenarioSpec& spec) {

@@ -16,7 +16,6 @@
 
 #include "core/failure_model.hpp"
 #include "heuristics/heuristic.hpp"
-#include "support/rng.hpp"
 #include "workflows/generator.hpp"
 
 namespace fpsched::engine {
@@ -79,16 +78,15 @@ struct ScenarioSpec {
   /// results do not depend on who executes the scenario.
   LinearizeOptions linearize;
 
-  /// Forked sub-stream id assigned by ScenarioGrid::enumerate (position in
-  /// the flattened grid). Any scenario-local randomness must come from
-  /// `rng()` so results are identical under any sharding.
+  /// Position in the flattened grid, assigned by ScenarioGrid::enumerate;
+  /// records carry it so a shard merge can check their order. Randomness
+  /// inside a scenario is seeded from spec fields only (the robustness
+  /// study's trials from `policy.sim_seed`), never from who runs it, so
+  /// results are identical under any sharding.
   std::uint64_t scenario_index = 0;
 
   /// The scenario's workflow instance (generation is deterministic).
   TaskGraph instantiate() const;
-
-  /// Independent, reproducible random stream for this scenario.
-  Rng rng() const;
 
   /// "CyberShake n=200 lambda=0.001 DF-CkptW" — for logs and errors.
   std::string label() const;

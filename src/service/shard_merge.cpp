@@ -98,10 +98,19 @@ MergeReport merge_ndjson_shards(const engine::Experiment& experiment,
                         "do not match the producing run");
       }
       // Sequence position alone cannot catch value-only mismatches (a
-      // shard produced with another --seed or --weight-cv has identical
-      // panel/index sequences); pin the spec fields the record carries.
+      // shard produced with another --seed, --weight-cv, --downtimes or
+      // --trials has identical panel/index sequences); pin the spec
+      // fields the record carries. Downtimes are finite, so the record
+      // writes them unquoted at full precision.
+      const bool simulated =
+          planned.spec.policy.kind == engine::ScenarioPolicy::Kind::simulated_best;
       if (!has_field(line, "tasks", std::to_string(planned.spec.task_count),
                      /*quoted=*/false) ||
+          !has_field(line, "downtime", format_double_full(planned.spec.model.downtime()),
+                     /*quoted=*/false) ||
+          (simulated && !has_field(line, "sim_trials",
+                                   std::to_string(planned.spec.policy.sim_trials),
+                                   /*quoted=*/false)) ||
           !has_field(line, "workflow_seed", std::to_string(planned.spec.workflow_seed),
                      /*quoted=*/false) ||
           !has_field(line, "weight_cv", format_double_full(planned.spec.weight_cv),
@@ -111,11 +120,14 @@ MergeReport merge_ndjson_shards(const engine::Experiment& experiment,
         merge_error(path, line_number,
                     "record options do not match: expected tasks=" +
                         std::to_string(planned.spec.task_count) +
+                        " downtime=" + format_double_full(planned.spec.model.downtime()) +
+                        (simulated ? " sim_trials=" + std::to_string(planned.spec.policy.sim_trials)
+                                   : std::string()) +
                         " workflow_seed=" + std::to_string(planned.spec.workflow_seed) +
                         " weight_cv=" + format_double_full(planned.spec.weight_cv) +
                         " stride=" + std::to_string(planned.spec.stride) +
-                        " — pass the same grid flags (--quick, --sizes, --seed, ...) the "
-                        "producing runs used");
+                        " — pass the same grid flags (--quick, --sizes, --seed, --downtimes, "
+                        "--trials, ...) the producing runs used");
       }
       ++position;
     }

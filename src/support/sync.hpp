@@ -2,10 +2,11 @@
 // analysis (-Wthread-safety).
 //
 // The engine nests parallel loops on one shared pool (cell-group workers
-// -> budget sweeps joined through cooperative TaskGroups) next to a
-// multithreaded HTTP service, and its core promise — byte-identical
-// output under every thread count and shard combination — depends on
-// strict lock discipline around the little shared state that exists.
+// -> budget sweeps, whose helpers are plain pool tasks joined through a
+// per-loop gate) next to a multithreaded HTTP service, and its core
+// promise — byte-identical output under every thread count and shard
+// combination — depends on strict lock discipline around the little
+// shared state that exists.
 // TSan only sees the interleavings that actually execute; these wrappers
 // let Clang prove lock discipline at compile time instead:
 //

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <exception>
-#include <optional>
+#include <memory>
 #include <utility>
 
 #include "support/error.hpp"
@@ -42,106 +42,66 @@ ThreadPool::~ThreadPool() {
 std::future<void> ThreadPool::submit(std::function<void()> task) {
   std::packaged_task<void()> packaged(std::move(task));
   std::future<void> future = packaged.get_future();
-  enqueue({std::move(packaged), {}});
-  return future;
-}
-
-void ThreadPool::enqueue(Item item) {
   {
     const LockGuard lock(mutex_);
-    ensure(!stopping_, "enqueue on a stopping pool");
-    queue_.push_back(std::move(item));
+    ensure(!stopping_, "submit on a stopping pool");
+    queue_.push_back(std::move(packaged));
   }
   idle_.fetch_sub(1, std::memory_order_relaxed);
   cv_.notify_one();
-}
-
-bool ThreadPool::GroupState::run_one() {
-  std::function<void()> task;
-  {
-    const LockGuard lock(mutex);
-    if (tasks.empty()) return false;
-    task = std::move(tasks.front());
-    tasks.pop_front();
-  }
-  try {
-    task();
-  } catch (...) {
-    const LockGuard lock(mutex);
-    if (!error) error = std::current_exception();
-  }
-  finish_one();
-  return true;
-}
-
-void ThreadPool::GroupState::finish_one() {
-  bool last = false;
-  {
-    const LockGuard lock(mutex);
-    last = --outstanding == 0;
-  }
-  if (last) done.notify_all();
+  return future;
 }
 
 void ThreadPool::worker_loop() {
   for (;;) {
-    Item item;
+    std::packaged_task<void()> task;
     {
       UniqueLock lock(mutex_);
       while (!stopping_ && queue_.empty()) cv_.wait(lock, mutex_);
       if (queue_.empty()) return;  // stopping_ and drained
-      item = std::move(queue_.front());
+      task = std::move(queue_.front());
       queue_.pop_front();
     }
-    if (item.task.valid()) {
-      item.task();  // exceptions are captured in the packaged_task's future
-    } else if (const std::shared_ptr<GroupState> group = item.group.lock()) {
-      // A ticket whose task the waiter already ran finds nothing to claim.
-      group->run_one();
-    }
+    task();  // exceptions are captured in the packaged_task's future
     idle_.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
-TaskGroup::TaskGroup(ThreadPool& pool)
-    : pool_(&pool), state_(std::make_shared<ThreadPool::GroupState>()) {}
+namespace {
 
-TaskGroup::~TaskGroup() {
-  try {
-    wait();
-  } catch (...) {
-    // Destruction must not throw; call wait() explicitly to observe task
-    // exceptions.
-  }
-}
+/// The join of one parallel_for_workers loop, shared by its caller and
+/// the helpers it posted. A helper enters before it touches the loop's
+/// stack frame and leaves after; once the caller closed the gate, no
+/// helper enters any more.
+struct HelperGate {
+  Mutex mutex;
+  CondVar left;
+  std::size_t running GUARDED_BY(mutex) = 0;
+  bool closed GUARDED_BY(mutex) = false;
 
-void TaskGroup::run(std::function<void()> task) {
-  {
-    const LockGuard lock(state_->mutex);
-    state_->tasks.push_back(std::move(task));
-    ++state_->outstanding;
+  /// False when the loop is over: the helper must return at once.
+  bool enter() EXCLUDES(mutex) {
+    const LockGuard lock(mutex);
+    if (closed) return false;
+    ++running;
+    return true;
   }
-  pool_->enqueue({{}, state_});
-}
 
-void TaskGroup::wait() {
-  // Help first: drain this group's queued tasks on the calling thread.
-  // Only when every remaining task is running on some other thread does
-  // the wait actually block — which is what makes joining from inside a
-  // pool worker safe (the worker never parks while its own work is
-  // claimable).
-  while (state_->run_one()) {
+  void leave() EXCLUDES(mutex) {
+    const LockGuard lock(mutex);
+    if (--running == 0) left.notify_all();
   }
-  {
-    UniqueLock lock(state_->mutex);
-    while (state_->outstanding != 0) state_->done.wait(lock, state_->mutex);
-    if (state_->error) {
-      std::exception_ptr error = std::exchange(state_->error, nullptr);
-      lock.unlock();
-      std::rethrow_exception(error);
-    }
+
+  /// Turns away every helper still to start and waits for the ones that
+  /// entered.
+  void close_and_wait() EXCLUDES(mutex) {
+    UniqueLock lock(mutex);
+    closed = true;
+    while (running != 0) left.wait(lock, mutex);
   }
-}
+};
+
+}  // namespace
 
 void parallel_for_workers(ThreadPool* pool, std::size_t begin, std::size_t end,
                           const std::function<void(std::size_t, std::size_t)>& body) {
@@ -178,7 +138,6 @@ void parallel_for_workers(ThreadPool* pool, std::size_t begin, std::size_t end,
     }
   };
 
-  std::optional<TaskGroup> helpers;  // created by the first post
   std::size_t posted = 0;
   // Whether an unclaimed index is left for one more helper on top of the
   // posted ones that have not started yet.
@@ -186,16 +145,29 @@ void parallel_for_workers(ThreadPool* pool, std::size_t begin, std::size_t end,
     const std::size_t pending = posted - (next_worker.load() - 1);
     return cursor.load() + pending < end;
   };
-  for (std::size_t i = cursor.fetch_add(1); i < end; i = cursor.fetch_add(1)) {
-    // Before each index, hand every idle pool worker a helper.
-    while (posted < max_helpers && pool->has_idle_worker() && work_for_another_helper()) {
-      if (!helpers) helpers.emplace(*pool);
-      helpers->run(helper);
-      ++posted;
+  std::shared_ptr<HelperGate> gate;  // allocated by the first post
+  try {
+    for (std::size_t i = cursor.fetch_add(1); i < end; i = cursor.fetch_add(1)) {
+      // Before each index, hand every idle pool worker a helper.
+      while (posted < max_helpers && pool->has_idle_worker() && work_for_another_helper()) {
+        if (!gate) gate = std::make_shared<HelperGate>();
+        // The future is dropped: run_index catches every body exception.
+        pool->submit([gate, &helper] {
+          if (!gate->enter()) return;
+          helper();
+          gate->leave();
+        });
+        ++posted;
+      }
+      if (!run_index(i, 0)) break;
     }
-    if (!run_index(i, 0)) break;
+  } catch (...) {
+    // A failed post (out of memory): the helpers that entered still use
+    // this frame.
+    if (gate) gate->close_and_wait();
+    throw;
   }
-  if (helpers) helpers->wait();
+  if (gate) gate->close_and_wait();
   std::exception_ptr error;
   {
     const LockGuard lock(error_mutex);

@@ -1,8 +1,8 @@
-// Shared-memory parallelism: a fixed thread pool, cooperative task
-// groups, and parallel_for_workers — the one loop every parallel caller
-// runs, always on a pool the caller owns. Only the experiment engine and
-// the HTTP server (whose connection workers use ThreadPool::submit)
-// construct a pool; everything else runs serially inside their workers.
+// Shared-memory parallelism: a fixed thread pool and parallel_for_workers
+// — the one loop every parallel caller runs, always on a pool the caller
+// owns. Only the experiment engine and the HTTP server (whose connection
+// workers use ThreadPool::submit) construct a pool; everything else runs
+// serially inside their workers.
 //
 // We follow the "think in tasks, not threads" guideline: callers hand an
 // index range to parallel_for_workers, per-worker scratch is picked by
@@ -13,10 +13,14 @@
 // shared atomic cursor. Before each index it posts one helper per idle
 // pool worker (ThreadPool::has_idle_worker, a relaxed counter) as long as
 // unclaimed indices remain for them; a helper claims indices from the
-// same cursor until it runs dry. A saturated pool therefore posts nothing, and a worker that frees
-// up joins an in-flight loop within one body call. Helpers are TaskGroup
-// tasks, so a loop nested in another loop's body (a budget sweep inside a
-// scenario) joins through the cooperative wait and cannot deadlock.
+// same cursor until it runs dry. A saturated pool therefore posts
+// nothing, and a worker that frees up joins an in-flight loop within one
+// body call. Helpers are plain pool tasks. Once out of indices, the
+// caller waits only for the helpers that already started; a helper the
+// pool starts later returns at once and touches nothing of the loop. No
+// wait depends on a queued task being picked up, so a loop nested in
+// another loop's body (a budget sweep inside a scenario) cannot deadlock,
+// even on a one-worker pool.
 #pragma once
 
 #include <atomic>
@@ -24,7 +28,6 @@
 #include <deque>
 #include <functional>
 #include <future>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -54,74 +57,15 @@ class ThreadPool {
   bool has_idle_worker() const { return idle_.load(std::memory_order_relaxed) > 0; }
 
  private:
-  friend class TaskGroup;
-
-  /// Shared state of one TaskGroup, owned by the group. The pool queue
-  /// holds weak tickets to it: a ticket popped after the group's waiter
-  /// already ran the task itself (or after the group is gone) is simply
-  /// dropped, and it never keeps a finished group's state alive.
-  struct GroupState {
-    Mutex mutex;
-    CondVar done;
-    std::deque<std::function<void()>> tasks GUARDED_BY(mutex);  // submitted, not yet claimed
-    std::size_t outstanding GUARDED_BY(mutex) = 0;              // queued + currently running
-    std::exception_ptr error GUARDED_BY(mutex);                 // first task exception
-
-    /// Claims and runs one queued task (helper for workers and waiters).
-    /// Returns false when no task was queued. Takes the group mutex
-    /// internally (the task itself runs unlocked).
-    bool run_one() EXCLUDES(mutex);
-    void finish_one() EXCLUDES(mutex);
-  };
-
-  /// One queue entry: a plain submitted task, or (task invalid) a group
-  /// ticket.
-  struct Item {
-    std::packaged_task<void()> task;
-    std::weak_ptr<GroupState> group;
-  };
-
-  void enqueue(Item item);
   void worker_loop();
 
   std::vector<std::thread> workers_;
   Mutex mutex_;
   CondVar cv_;
-  std::deque<Item> queue_ GUARDED_BY(mutex_);
+  std::deque<std::packaged_task<void()>> queue_ GUARDED_BY(mutex_);
   bool stopping_ GUARDED_BY(mutex_) = false;
-  /// Workers minus running tasks minus queued entries.
+  /// Workers minus running tasks minus queued tasks.
   std::atomic<std::ptrdiff_t> idle_;
-};
-
-/// A batch of subtasks executed on a shared ThreadPool and joined with a
-/// cooperative wait. Single owner: only the constructing thread may call
-/// run()/wait(). Tasks must not call run() on their own group, but they
-/// may create *their own* TaskGroups on the same pool — wait() helps with
-/// the calling group's tasks only, so nesting (scenario -> budget sweep)
-/// is deadlock-free by induction: a waiter can always execute its group's
-/// queued tasks itself, and the tasks it waits on only ever wait on
-/// deeper groups.
-class TaskGroup {
- public:
-  explicit TaskGroup(ThreadPool& pool);
-  /// Joins outstanding tasks (exceptions are swallowed; call wait() to
-  /// observe them).
-  ~TaskGroup();
-
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  /// Enqueues one task onto the shared pool.
-  void run(std::function<void()> task);
-
-  /// Runs queued tasks of this group on the calling thread until every
-  /// task completed (blocking only while the leftovers run on other
-  /// threads). Rethrows the first exception any task raised.
-  void wait();
-
- private:
-  ThreadPool* pool_;
-  std::shared_ptr<ThreadPool::GroupState> state_;
 };
 
 /// Upper bound (exclusive) on the worker index parallel_for_workers

@@ -152,7 +152,7 @@ class TaskGraphBuilder {
 
   std::size_t task_count() const { return weights_.size(); }
 
-  /// Freezes the DAG (validation, CSR, topo order, SP classification) and
+  /// Freezes the DAG (validation, CSRs, topo order, sources and sinks) and
   /// assembles the SoA TaskGraph. Checkpoint/recovery costs start at 0;
   /// callers apply a cost model afterwards.
   TaskGraph finish() &&;

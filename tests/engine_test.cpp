@@ -503,26 +503,5 @@ TEST(ExperimentEngineTest, SerialEngineStartsNoThread) {
   EXPECT_EQ(peak, before);
 }
 
-TEST(ExperimentEngineTest, CachedRunScenarioRejectsMismatchedCache) {
-  const ScenarioGrid grid = small_fig2_grid();
-  const auto specs = grid.enumerate();
-  InstanceCache cache(specs.front());
-  ScenarioSpec other = specs.front();
-  other.workflow_seed += 1;  // different instance
-  const ExperimentEngine engine({.threads = 1});
-  EXPECT_THROW(engine.run_scenario(other, cache), Error);
-}
-
-TEST(ExperimentEngineTest, ScenarioRngIsPerIndexDeterministic) {
-  const ScenarioGrid grid = small_fig2_grid();
-  const auto specs = grid.enumerate();
-  Rng a = specs[0].rng();
-  Rng b = specs[1].rng();
-  Rng a_again = grid.enumerate()[0].rng();
-  EXPECT_NE(a(), b());  // independent streams
-  Rng a2 = specs[0].rng();
-  EXPECT_EQ(a2(), a_again());  // reproducible
-}
-
 }  // namespace
 }  // namespace fpsched::engine

@@ -41,6 +41,26 @@ engine::Experiment tiny_experiment() {
           }};
 }
 
+/// One simulated-best scenario per size at the first of the options'
+/// downtimes, with the options' trial count: its records carry the
+/// fields that --downtimes and --trials set.
+engine::Experiment tiny_simulated_experiment() {
+  return {"tinysim", "merge test experiment with a simulated policy",
+          [](const engine::FigureOptions& options) {
+            engine::FigurePlan plan;
+            engine::ScenarioGrid grid;
+            grid.workflows = {WorkflowKind::montage};
+            grid.sizes = options.sizes;
+            grid.lambdas = {1e-3};
+            grid.downtime = options.downtimes.front();
+            grid.stride = 16;
+            grid.policies = {engine::ScenarioPolicy::simulated(
+                engine::ScenarioPolicy::SimDistribution::exponential, 1.0, options.trials)};
+            plan.panels = {{grid, "panel", "tinysim_panel"}};
+            return plan;
+          }};
+}
+
 engine::FigureOptions tiny_options() {
   engine::FigureOptions options;
   options.sizes = {50, 60, 70};
@@ -182,6 +202,25 @@ TEST_F(ShardMergeTest, RejectsShardsProducedWithDifferentOptions) {
   wider.weight_cv = 0.5;
   const std::string c = write_file("cv.ndjson", run_ndjson(experiment_, wider, {}));
   EXPECT_THROW(merge({c}), InvalidArgument);
+
+  // --downtimes and --trials each move one value of a record and nothing
+  // of the sequence.
+  const engine::Experiment simulated = tiny_simulated_experiment();
+  engine::FigureOptions expected = tiny_options();
+  expected.trials = 50;
+  const auto merge_simulated = [&](const engine::FigureOptions& producer) {
+    const std::string shard = write_file("sim.ndjson", run_ndjson(simulated, producer, {}));
+    std::ostringstream os;
+    merge_ndjson_shards(simulated, expected, {shard}, os, {.require_complete = true});
+    return os.str();
+  };
+  EXPECT_EQ(merge_simulated(expected), run_ndjson(simulated, expected, {}));
+  engine::FigureOptions other_downtime = expected;
+  other_downtime.downtimes = {60};
+  EXPECT_THROW(merge_simulated(other_downtime), InvalidArgument);
+  engine::FigureOptions fewer_trials = expected;
+  fewer_trials.trials = 5;
+  EXPECT_THROW(merge_simulated(fewer_trials), InvalidArgument);
 }
 
 TEST_F(ShardMergeTest, ReportCountsFilesAndRecords) {

@@ -1,9 +1,10 @@
-// Tests for the thread pool, nested task groups, the pool-backed
-// parallel_for_workers loop, and the thread-count default.
+// Tests for the thread pool, the pool-backed parallel_for_workers loop
+// (nested and with late helpers), and the thread-count default.
 #include "support/threading.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -73,120 +74,6 @@ TEST(ThreadPool, PropagatesExceptionsThroughFutures) {
 
 TEST(ThreadPool, RejectsZeroWorkers) { EXPECT_THROW(ThreadPool(0), InvalidArgument); }
 
-TEST(TaskGroup, RunsEveryTaskExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(200);
-  TaskGroup group(pool);
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    group.run([&hits, i] { hits[i].fetch_add(1); });
-  }
-  group.wait();
-  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i;
-}
-
-TEST(TaskGroup, WaitWithoutTasksReturnsImmediately) {
-  ThreadPool pool(2);
-  TaskGroup group(pool);
-  group.wait();
-}
-
-TEST(TaskGroup, RethrowsTheFirstTaskException) {
-  ThreadPool pool(2);
-  TaskGroup group(pool);
-  std::atomic<int> completed{0};
-  for (int i = 0; i < 32; ++i) {
-    group.run([&completed, i] {
-      if (i == 7) throw std::runtime_error("task 7");
-      completed.fetch_add(1);
-    });
-  }
-  EXPECT_THROW(group.wait(), std::runtime_error);
-  // The pool survives: plain submits still work.
-  auto ok = pool.submit([] {});
-  EXPECT_NO_THROW(ok.get());
-}
-
-TEST(TaskGroup, NestedGroupsOnOneWorkerDoNotDeadlock) {
-  // The hard case: a pool with a SINGLE worker, where an outer task joins
-  // an inner group. Without the cooperative wait (waiters executing their
-  // own group's queued tasks) this deadlocks instantly — the one worker
-  // is parked inside the outer task.
-  expect_finishes_within(30, [] {
-    ThreadPool pool(1);
-    std::atomic<int> inner_total{0};
-    TaskGroup outer(pool);
-    for (int i = 0; i < 8; ++i) {
-      outer.run([&pool, &inner_total] {
-        TaskGroup inner(pool);
-        for (int j = 0; j < 16; ++j) inner.run([&inner_total] { inner_total.fetch_add(1); });
-        inner.wait();
-      });
-    }
-    outer.wait();
-    EXPECT_EQ(inner_total.load(), 8 * 16);
-  });
-}
-
-TEST(TaskGroup, ThreeLevelNestingUnderContention) {
-  // Three levels of nesting, more groups than workers at every level,
-  // joined from inside pool tasks throughout.
-  expect_finishes_within(60, [] {
-    ThreadPool pool(3);
-    std::atomic<int> leaves{0};
-    TaskGroup scenarios(pool);
-    for (int s = 0; s < 6; ++s) {
-      scenarios.run([&pool, &leaves] {
-        TaskGroup budgets(pool);
-        for (int b = 0; b < 5; ++b) {
-          budgets.run([&pool, &leaves] {
-            TaskGroup blocks(pool);
-            for (int k = 0; k < 4; ++k) blocks.run([&leaves] { leaves.fetch_add(1); });
-            blocks.wait();
-          });
-        }
-        budgets.wait();
-      });
-    }
-    scenarios.wait();
-    EXPECT_EQ(leaves.load(), 6 * 5 * 4);
-  });
-}
-
-TEST(TaskGroup, MixesWithPlainSubmits) {
-  ThreadPool pool(2);
-  std::atomic<int> plain{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 16; ++i) futures.push_back(pool.submit([&plain] { plain.fetch_add(1); }));
-  TaskGroup group(pool);
-  std::atomic<int> grouped{0};
-  for (int i = 0; i < 16; ++i) group.run([&grouped] { grouped.fetch_add(1); });
-  group.wait();
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(plain.load(), 16);
-  EXPECT_EQ(grouped.load(), 16);
-}
-
-TEST(TaskGroup, StaleTicketOutlivingItsGroupIsDropped) {
-  // The single worker is parked on a gate while a group's waiter runs
-  // the group's task itself; the worker later pops the leftover ticket of
-  // a group that no longer exists and must simply drop it.
-  ThreadPool pool(1);
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  auto blocker = pool.submit([opened] { opened.wait(); });
-  int ran = 0;
-  {
-    TaskGroup group(pool);
-    group.run([&ran] { ++ran; });
-    group.wait();
-  }
-  EXPECT_EQ(ran, 1);
-  gate.set_value();
-  blocker.get();
-  auto ok = pool.submit([] {});
-  EXPECT_NO_THROW(ok.get());
-}
-
 TEST(ThreadPool, IdleWorkersAreVisibleUntilClaimed) {
   ThreadPool pool(1);
   EXPECT_TRUE(pool.has_idle_worker());
@@ -254,6 +141,36 @@ TEST(ParallelForWorkers, SweepNestedInAScenarioOnAOneWorkerPoolCompletes) {
     });
     EXPECT_EQ(leaves.load(), 8 * 16);
   });
+}
+
+TEST(ParallelForWorkers, ThreeLevelNestingUnderContention) {
+  // Three levels of nested loops, more indices than workers at every
+  // level, each level called from inside the bodies of the one above.
+  expect_finishes_within(60, [] {
+    ThreadPool pool(3);
+    std::atomic<int> leaves{0};
+    parallel_for_workers(&pool, 0, 6, [&](std::size_t, std::size_t) {
+      parallel_for_workers(&pool, 0, 5, [&](std::size_t, std::size_t) {
+        parallel_for_workers(&pool, 0, 4,
+                             [&](std::size_t, std::size_t) { leaves.fetch_add(1); });
+      });
+    });
+    EXPECT_EQ(leaves.load(), 6 * 5 * 4);
+  });
+}
+
+TEST(ParallelForWorkers, HelpersStartingAfterTheLoopReturnedDoNothing) {
+  // The caller usually runs both indices before the one worker wakes for
+  // the helper it posted, so most helpers start after their loop returned
+  // and the next round reuses its stack frame. Such a helper must claim
+  // nothing, neither of its own loop nor of a later one.
+  ThreadPool pool(1);
+  for (int round = 0; round < 20000; ++round) {
+    std::array<int, 2> hits{};
+    parallel_for_workers(&pool, 0, 2, [&](std::size_t i, std::size_t) { ++hits[i]; });
+    ASSERT_EQ(hits[0], 1) << "round " << round;
+    ASSERT_EQ(hits[1], 1) << "round " << round;
+  }
 }
 
 TEST(ParallelForWorkers, PropagatesTheFirstException) {

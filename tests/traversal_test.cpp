@@ -1,5 +1,5 @@
-// Tests for levels, critical path, reachability, outweights, and
-// linearization validation.
+// Tests for levels, reachability, outweights, and linearization
+// validation.
 #include "dag/traversal.hpp"
 
 #include <gtest/gtest.h>
@@ -23,21 +23,6 @@ TEST(Traversal, LevelsOnPaperFigure1) {
   EXPECT_EQ(levels[4], 2u);
   EXPECT_EQ(levels[7], 2u);
   EXPECT_EQ(levels[6], 3u);
-}
-
-TEST(Traversal, CriticalPathOnWeightedChain) {
-  const TaskGraph chain = make_chain(std::vector<double>{3.0, 4.0, 5.0});
-  const CriticalPath cp = critical_path(chain.dag(), chain.weights());
-  EXPECT_DOUBLE_EQ(cp.length, 12.0);
-  EXPECT_EQ(cp.vertices, (std::vector<VertexId>{0, 1, 2}));
-}
-
-TEST(Traversal, CriticalPathPicksHeaviestBranch) {
-  // Fork: source 10, sinks 1 and 30 -> path through the heavy sink.
-  const TaskGraph fork = make_fork(10.0, std::vector<double>{1.0, 30.0});
-  const CriticalPath cp = critical_path(fork.dag(), fork.weights());
-  EXPECT_DOUBLE_EQ(cp.length, 40.0);
-  EXPECT_EQ(cp.vertices, (std::vector<VertexId>{0, 2}));
 }
 
 TEST(Reachability, PaperFigure1) {
