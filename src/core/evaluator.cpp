@@ -20,8 +20,8 @@ namespace {
 // factor of the multi-model calls. `records` counts the (k, i) records the
 // walks staged and `dfs_records` those whose DFS ran (the rest had no
 // predecessor before k); `factor_lookups` counts the L > 0 records seen
-// by live lanes and `factor_misses` those swept rather than read from the
-// lane's memo.
+// by live lanes and `factor_misses` those computed rather than read from
+// the lane's memo.
 struct EvalMetrics {
   obs::Counter& runs;
   obs::Counter& walks;
@@ -53,7 +53,7 @@ EvalMetrics& eval_metrics() {
         reg.counter("fpsched_eval_factor_lookups_total",
                     "records with lost work seen by live lanes (each a factor memo lookup)"),
         reg.counter("fpsched_eval_factor_misses_total",
-                    "factor memo misses: lost-work records whose factors were swept"),
+                    "factor memo misses: lost-work records whose factors were computed"),
         reg.counter("fpsched_eval_ns_total", "nanoseconds spent inside evaluator calls")};
   }();
   return *metrics;
@@ -256,7 +256,7 @@ void ScheduleEvaluator::run(const Schedule& schedule, std::span<const FailureMod
     return lost;
   };
 
-  std::size_t staged_passes = 0;  // (lane, pass) pairs; each issues 3 (exact) or 2 sweeps
+  std::size_t staged_passes = 0;  // (lane, pass) pairs; each issues 1 (exact) or 0 sweeps
   std::size_t staged_records = 0;
   std::size_t dfs_records = 0;
   std::size_t factor_lookups = 0;
@@ -273,13 +273,10 @@ void ScheduleEvaluator::run(const Schedule& schedule, std::span<const FailureMod
     // outlive each lane's sweep, so they go to a shared buffer that every
     // lane sweeps out of place into q.
     const bool shared = lanes.size() > 1;
-    // The compacted record lists and miss buffers take at most n entries
-    // per pass; sizing them once up front keeps their growth (and their
-    // heap placement) out of the pass loop.
-    pass.lost_idx.reserve(n);
+    // The compacted record list takes at most n entries per pass; sizing
+    // it once up front keeps its growth (and its heap placement) out of
+    // the pass loop.
     pass.lost_rec.reserve(n);
-    pass.arg_a.reserve(n);
-    pass.arg_b.reserve(n);
     if (shared) pass.span.resize(n);
     double* const staged_span = shared ? pass.span.data() : pass.q.data();
     const double* const staged_lost = pass.lost.data();
@@ -297,10 +294,10 @@ void ScheduleEvaluator::run(const Schedule& schedule, std::span<const FailureMod
     // transcendentals on the (dominant) zero-loss pairs of the O(n^2)
     // loop below.
     //
-    // Like every pass below, the transcendental arguments are staged into
-    // contiguous buffers and handed to the batched sweeps
-    // (math_kernels.hpp) in one call each, which is bit-identical to the
-    // historical element-wise loop.
+    // Like the per-record exp of every pass below, the pass's
+    // transcendental arguments are staged into contiguous buffers and
+    // handed to the batched sweeps (math_kernels.hpp) in one call each,
+    // which is bit-identical to the element-wise port.
     if constexpr (kMath == EvalMath::exact) {
       double elapsed = 0.0;  // sum of w_j + delta_j c_j, j < i
       for (std::size_t i = 0; i < n; ++i) {
@@ -384,41 +381,29 @@ void ScheduleEvaluator::run(const Schedule& schedule, std::span<const FailureMod
           continue;
         }
 
-        // Per live lane, batch the pass's transcendentals as three sweeps:
-        // q <- e^{-lambda S} for all records, and for the compacted L > 0
-        // records that miss the memo a <- e^{-lambda L}, b <- expm1(lambda
-        // (L + w_i + delta_i c_i)). The staged expressions and guards
-        // mirror the historical element-wise code token for token, so the
-        // accumulate consumes bit-identical factors under the exact
-        // backend.
+        // Per live lane, sweep q <- e^{-lambda S} for all records, and
+        // compute the factors of the L > 0 records that miss the memo,
+        // a <- e^{-lambda L} and b <- expm1(lambda (L + w_i + delta_i c_i)),
+        // with the scalar port. The expressions and guards mirror the
+        // historical element-wise code token for token, so the accumulate
+        // consumes bit-identical factors.
         const double lambda = lane.lambda;
         vexp_neg_mul(lambda, staged_span, pass.q.data(), records);
-        pass.lost_idx.clear();
-        pass.arg_a.clear();
-        pass.arg_b.clear();
         for (const std::uint32_t r : pass.lost_rec) {
           // A record with q == 0 has p == 0: its factors are never read.
           const std::size_t i = k + 1 + r;
           const double lost = staged_lost[r];
           if (pass.q[r] > 0.0 && lane.memo_lost[i] != lost) {
-            pass.lost_idx.push_back(static_cast<std::uint32_t>(r));
-            pass.arg_a.push_back(lost);
-            pass.arg_b.push_back(lambda * (lost + ws.work[i] + ws.ckpt[i]));
+            // An overflowed expm1 makes the Eq.-(1) term +inf, as Algorithm 1
+            // computes it; a = 1 keeps an underflowed p * a from turning it
+            // into 0 * inf = NaN.
+            const double b = expm1_port(lambda * (lost + ws.work[i] + ws.ckpt[i]));
+            lane.memo_lost[i] = lost;
+            lane.memo_a[i] = b == kInf ? 1.0 : exp_port(-lambda * lost);
+            lane.memo_b[i] = b;
+            ++factor_misses;
           }
         }
-        vexp_neg_mul(lambda, pass.arg_a.data(), pass.arg_a.data(), pass.arg_a.size());
-        vexpm1(pass.arg_b.data(), pass.arg_b.data(), pass.arg_b.size());
-        for (std::size_t j = 0; j < pass.lost_idx.size(); ++j) {
-          // An overflowed expm1 makes the Eq.-(1) term +inf, as Algorithm 1
-          // computes it; a = 1 keeps an underflowed p * a from turning it
-          // into 0 * inf = NaN.
-          const std::uint32_t r = pass.lost_idx[j];
-          const std::size_t i = k + 1 + r;
-          lane.memo_lost[i] = staged_lost[r];
-          lane.memo_a[i] = pass.arg_b[j] == kInf ? 1.0 : pass.arg_a[j];
-          lane.memo_b[i] = pass.arg_b[j];
-        }
-        factor_misses += pass.lost_idx.size();
 
         // Accumulate the pass from its staged factors, i ascending.
         for (std::size_t r = 0; r < records; ++r) {
@@ -460,8 +445,7 @@ void ScheduleEvaluator::run(const Schedule& schedule, std::span<const FailureMod
       if (accum[i] != 0.0 && ws.self_loss[i] == 0.0) {
         xi = rate_factor * accum[i];
       } else if (accum[i] != 0.0) {
-        // determinism-ok: serial O(n) combine tail, not a pass sweep (staging would cost more)
-        xi = std::exp(lambda * ws.self_loss[i]) * rate_factor * accum[i];
+        xi = exp_port(lambda * ws.self_loss[i]) * rate_factor * accum[i];
       }
       if (per_task) (*per_task)[i] = xi;
       total += xi;
@@ -472,7 +456,7 @@ void ScheduleEvaluator::run(const Schedule& schedule, std::span<const FailureMod
   if (!lanes.empty()) metrics.walks.add(1);
   metrics.lanes.add(lane_count);
   // Pass -1 issues 2 sweeps per lane in either mode.
-  metrics.sweeps.add(2 * lane_count + (kMath == EvalMath::fast ? 2 : 3) * staged_passes);
+  metrics.sweeps.add(2 * lane_count + (kMath == EvalMath::exact ? staged_passes : 0));
   metrics.records.add(staged_records);
   metrics.dfs_records.add(dfs_records);
   metrics.factor_lookups.add(factor_lookups);
@@ -486,31 +470,21 @@ std::size_t ScheduleEvaluator::recurrence_step(EvaluatorWorkspace& ws,
   const double lambda = lane.lambda;
   const double* const staged_lost = pass.lost.data();
   const double* const decay_wc = lane.decay_wc();
-  // Sweep the L > 0 records that miss the memo, and memoize each one's
-  // step factor e^{-lambda L} e^{-lambda (w_i + delta_i c_i)} and Eq.-(1)
-  // factor e^{-lambda L} expm1(lambda (L + w_i + delta_i c_i)).
-  pass.lost_idx.clear();
-  pass.arg_a.clear();
-  pass.arg_b.clear();
+  // For each L > 0 record that misses the memo, memoize its step factor
+  // e^{-lambda L} e^{-lambda (w_i + delta_i c_i)} and its Eq.-(1) factor
+  // e^{-lambda L} expm1(lambda (L + w_i + delta_i c_i)).
+  std::size_t misses = 0;
   for (const std::uint32_t r : pass.lost_rec) {
     const std::size_t i = first + r;
     const double lost = staged_lost[r];
     if (lane.memo_lost[i] != lost) {
-      pass.lost_idx.push_back(static_cast<std::uint32_t>(r));
-      pass.arg_a.push_back(lost);
-      pass.arg_b.push_back(lambda * (lost + ws.work[i] + ws.ckpt[i]));
+      const double a = exp_port(-lambda * lost);
+      const double b = expm1_port(lambda * (lost + ws.work[i] + ws.ckpt[i]));
+      lane.memo_lost[i] = lost;
+      lane.memo_a[i] = a * decay_wc[i];
+      lane.memo_b[i] = b == kInf ? kInf : a * b;  // as exact: an overflowed expm1 is +inf
+      ++misses;
     }
-  }
-  vexp_neg_mul(lambda, pass.arg_a.data(), pass.arg_a.data(), pass.arg_a.size());
-  vexpm1(pass.arg_b.data(), pass.arg_b.data(), pass.arg_b.size());
-  for (std::size_t j = 0; j < pass.lost_idx.size(); ++j) {
-    const std::uint32_t r = pass.lost_idx[j];
-    const std::size_t i = first + r;
-    const double a = pass.arg_a[j];
-    const double b = pass.arg_b[j];
-    lane.memo_lost[i] = staged_lost[r];
-    lane.memo_a[i] = a * decay_wc[i];
-    lane.memo_b[i] = b == kInf ? kInf : a * b;  // as exact: an overflowed expm1 is +inf
   }
 
   // P(Z^i_k) = q_i P(Z^{k+1}_k) with q_{k+1} = 1 (S^{k+1}_k = 0) and q
@@ -527,7 +501,7 @@ std::size_t ScheduleEvaluator::recurrence_step(EvaluatorWorkspace& ws,
     lane.sum_prob[i] += p;
     q *= lost ? lane.memo_a[i] : decay_wc[i];
   }
-  return pass.lost_idx.size();
+  return misses;
 }
 
 }  // namespace fpsched

@@ -48,24 +48,38 @@
 //    task i sits at position >= k (min_pred[i] >= k): nothing before the
 //    failure is needed, so L^i_k = 0 and the DFS would mark nothing. On
 //    the figure grids 35-70% of the records take this exit.
-//  * each lane memoizes, per position i, the last L^i_k > 0 it swept and
+//  * each lane memoizes, per position i, the last L^i_k > 0 it met and
 //    the two factors it derived from it. Within one call those factors are
 //    a pure function of (lambda, i, L^i_k), and T|k_i rarely changes from
 //    one pass to the next (94-98% of the records with lost work repeat
-//    their task's previous L), so only memo misses go to the batched
-//    sweeps; a hit reads the very doubles the sweep would return. T|k_i
+//    their task's previous L), so only memo misses compute their factors;
+//    a hit reads the very doubles that computation would return. T|k_i
 //    only ever grows with k (if a record before i recovers a task in pass
 //    k', some record before i recovers it in every earlier pass k in which
 //    it is already lost), so a replaced L never comes back and one entry
 //    per position is enough. The memo is reset on every call, since w_i
 //    and delta_i c_i are not fixed across calls.
 //
+// Every exp and expm1 of both algorithms comes from the repository's own
+// port of glibc 2.36's FMA variants (math_kernels.hpp), never from libm,
+// so a record has the same bytes on every host:
+//  * the port is self-contained: glibc picks its own exp and expm1 per
+//    CPU at load time, and its FMA and generic variants round
+//    differently, but no libm routine runs here;
+//  * its fused multiply-adds round correctly everywhere (the FMA
+//    instruction, or an exact software emulation where the CPU has none),
+//    so the port computes the same doubles with and without FMA hardware;
+//  * the build uses -ffp-contract=off, so no compiler flag can fuse an
+//    operation that the code does not fuse explicitly.
+// On FMA hosts (any x86-64 CPU with AVX2 and FMA, where glibc ran its FMA
+// variants) these are the bytes of every earlier release.
+//
 // Two algorithms share that loop and differ only in each lane's step
 // (EvalMath, selected per call; the engine, CLI --eval-math and HTTP
 // eval_math thread it down, and nothing selects `fast` implicitly):
 //  * exact — P(Z^i_k) = exp(-lambda S^i_k) P(Z^{k+1}_k), one exp per
-//    (k, i) record, in the historical expression shapes: bit-identical to
-//    every earlier release and on every host. The default everywhere.
+//    (k, i) record, in the historical expression shapes. The default
+//    everywhere.
 //  * fast — the same probabilities as a running product. Within a pass
 //    S^i_k is a prefix sum, so e^{-lambda S} steps from record to record
 //    by the success factor e^{-lambda L^i_k} e^{-lambda (w_i + d_i c_i)}:
@@ -75,9 +89,9 @@
 //    exp per record. The product drifts from the exp of the sum by O(n)
 //    ulp: within 1e-10 relative of exact and of Algorithm 1
 //    (tests/evaluator_reference_test.cpp). It is as deterministic as
-//    exact: serial libm arithmetic with no CPU-specific code path, so
-//    neither the thread count, the shard split nor the host's CPU moves
-//    a byte.
+//    exact: serial arithmetic on the same port, so neither the thread
+//    count, the shard split nor the host's CPU moves a byte. Fast records
+//    carry "eval_math":"fast", so that no fast record passes for exact.
 //
 // Every evaluation is serial: the engine parallelizes over cell groups
 // and budget candidates, which already fill the cores (see engine.hpp).
@@ -96,7 +110,7 @@ namespace fpsched {
 
 /// Which algorithm an evaluation uses for the failure probabilities.
 enum class EvalMath : std::uint8_t {
-  exact,  ///< one exp per record; bit-identical to the historical output.
+  exact,  ///< one exp per record; the historical output, on every host.
   fast,   ///< prefix-product recurrence, within 1e-10 relative of exact.
 };
 
@@ -134,12 +148,12 @@ class alignas(64) EvaluatorWorkspace {
 
   /// Per-pass staging shared by every lane of a call. The walk stages the
   /// lambda-independent S^i_k and L^i_k of every (k, i) record once; each
-  /// live lane then sweeps its factors from them in the shared scratch.
-  /// The L > 0 records that miss the lane's memo are gathered into the
-  /// compact lost_idx/arg_a/arg_b triple and swept to e^{-lambda L^i_k}
-  /// and expm1(lambda (L^i_k + w_i + delta_i c_i)) (see math_kernels.hpp),
-  /// which the lane's memo then keeps; records with L^i_k == 0 reuse the
-  /// lane's expm1_wc[i]. exact also sweeps q = e^{-lambda S^i_k}.
+  /// live lane then computes its factors from them. The L > 0 records
+  /// (lost_rec) that miss the lane's memo get e^{-lambda L^i_k} and
+  /// expm1(lambda (L^i_k + w_i + delta_i c_i)) from the scalar port (see
+  /// math_kernels.hpp), which the lane's memo then keeps; records with
+  /// L^i_k == 0 reuse the lane's expm1_wc[i]. exact also sweeps
+  /// q = e^{-lambda S^i_k}.
   struct PassScratch {
     std::vector<std::int32_t> recovered_at;
     std::vector<std::uint32_t> dfs_stack;
@@ -150,9 +164,6 @@ class alignas(64) EvaluatorWorkspace {
     std::vector<double> lost;             // staged L^i_k, read by every lane
     std::vector<std::uint32_t> lost_rec;  // record index of each L^i_k > 0
     std::vector<double> q;
-    std::vector<std::uint32_t> lost_idx;  // record index of each swept entry
-    std::vector<double> arg_a;            // staged L, swept to e^{-lambda L}
-    std::vector<double> arg_b;            // staged expm1 argument, swept in place
   };
 
   /// The lambda-dependent state of one lane (a distinct lambda > 0 of a
@@ -168,7 +179,7 @@ class alignas(64) EvaluatorWorkspace {
     /// independent of fast mode; placement alone moves the exact evaluator
     /// by several percent at n = 700.
     std::vector<double> expm1_wc;
-    /// The factor memo, by position i: the last L^i_k > 0 this lane swept
+    /// The factor memo, by position i: the last L^i_k > 0 this lane met
     /// (0.0 = none yet this call) and the two factors derived from it —
     /// exact: a = e^{-lambda L} (1 where b overflowed) and b = expm1(lambda
     /// (L + w_i + delta_i c_i)); fast: the step factor e^{-lambda L}
@@ -250,7 +261,7 @@ class ScheduleEvaluator {
 
   /// The fast lane step of one pass: accumulates the pass's `records`
   /// staged records, the first at position `first`, into `lane` by the
-  /// prefix-product recurrence. Returns the memo misses it swept.
+  /// prefix-product recurrence. Returns its memo misses.
   static std::size_t recurrence_step(EvaluatorWorkspace& ws, EvaluatorWorkspace::Lane& lane,
                                      std::size_t first, std::size_t records);
 

@@ -222,6 +222,7 @@ std::vector<ScenarioResult> run_cell_group(std::span<const ScenarioSpec* const> 
   for (std::size_t m = 0; m < members.size(); ++m) {
     results.push_back(execute_policy(*members[m], graph, [&](const HeuristicSpec& heuristic)
                                          -> const HeuristicResult& { return runs_of(heuristic)[m]; }));
+    results.back().eval_math = options.sweep.eval;
   }
   return results;
 }

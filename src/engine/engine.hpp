@@ -60,6 +60,9 @@ struct ScenarioResult {
   /// policies, the winner; fixed policies echo the spec).
   LinearizeMethod linearization = LinearizeMethod::depth_first;
   std::size_t best_budget = 0;
+  /// The evaluator algorithm that produced `evaluation`; fast records say
+  /// so in their bytes.
+  EvalMath eval_math = EvalMath::exact;
 
   double ratio() const { return evaluation.ratio; }
 };

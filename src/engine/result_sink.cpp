@@ -200,8 +200,11 @@ std::string record_body_json(const ScenarioResult& result) {
        << ",\"sim_seed\":" << spec.policy.sim_seed;
   }
   os << ",\"workflow_seed\":" << spec.workflow_seed
-     << ",\"weight_cv\":" << json_number(spec.weight_cv) << ",\"stride\":" << spec.stride
-     << ",\"scenario_index\":" << spec.scenario_index
+     << ",\"weight_cv\":" << json_number(spec.weight_cv) << ",\"stride\":" << spec.stride;
+  // Only fast records name their algorithm: exact records keep their
+  // historical bytes.
+  if (result.eval_math == EvalMath::fast) os << ",\"eval_math\":\"fast\"";
+  os << ",\"scenario_index\":" << spec.scenario_index
      << ",\"linearization\":" << json_quote(to_string(result.linearization))
      << ",\"best_budget\":" << result.best_budget
      << ",\"expected_makespan\":" << json_number(result.evaluation.expected_makespan)

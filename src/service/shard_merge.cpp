@@ -129,6 +129,16 @@ MergeReport merge_ndjson_shards(const engine::Experiment& experiment,
                         " — pass the same grid flags (--quick, --sizes, --seed, --downtimes, "
                         "--trials, ...) the producing runs used");
       }
+      // Fast records say so; exact ones keep their historical bytes and
+      // carry no such field.
+      const bool fast_record = has_field(line, "eval_math", "fast", /*quoted=*/true);
+      if (fast_record != (options.eval_math == EvalMath::fast)) {
+        merge_error(path, line_number,
+                    std::string("record was computed with --eval-math ") +
+                        (fast_record ? "fast" : "exact") + ", expected " +
+                        to_string(options.eval_math) +
+                        " — pass the same --eval-math the producing runs used");
+      }
       ++position;
     }
     // Validated: forward the shard's bytes verbatim, preserving the

@@ -42,7 +42,9 @@ struct MergeReport {
 /// Validates `shard_paths` (in shard order) against the experiment's
 /// flattened scenario list and writes their concatenation to `out`.
 /// Each line must carry the experiment name, panel slug, and
-/// scenario_index of the position it lands on — the concatenation must
+/// scenario_index of the position it lands on, the spec fields of that
+/// position, and `"eval_math":"fast"` exactly when `options.eval_math` is
+/// fast (exact records carry no such field) — the concatenation must
 /// form a gapless ordered prefix of the flattened list (empty shard
 /// files are fine; a shard count above the scenario count produces
 /// them). Throws InvalidArgument naming the file and line on any

@@ -7,11 +7,18 @@
 
 namespace fpsched {
 void vexpm1(const double* x, double* out, unsigned n);
+double exp_port(double x);
 }
 
 // Batched kernel sweep: the blessed way to take exp/expm1 in a pass.
 void good_pass(std::vector<double>& staged) {
   fpsched::vexpm1(staged.data(), staged.data(), static_cast<unsigned>(staged.size()));
+}
+
+// The port's scalar entry point, and names that merely start with exp.
+double good_scalar(double x) {
+  const double exp_core = fpsched::exp_port(x);
+  return exp_core + expected_value(x);
 }
 
 // Ordered containers iterate deterministically.

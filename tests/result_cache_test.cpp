@@ -105,13 +105,15 @@ TEST(ResultCacheKeyTest, EveryFieldChangesTheKey) {
 TEST(ResultCacheKeyTest, ExactKeysAreUnchangedAndFastKeysHaveTheirOwnSpelling) {
   // Exact keys keep their historical form, so existing disk caches stay
   // valid. Fast keys are spelled so that no earlier build's fast entry —
-  // `math=fast` (polynomial kernels) or `math=fast kernel=<clone>` (their
-  // per-CPU clones) — can match and serve bytes of the old algorithm.
+  // `math=fast` (polynomial kernels), `math=fast kernel=<clone>` (their
+  // per-CPU clones) or `math=fast-recurrence` (records without the
+  // eval_math field) — can match and serve bytes this build does not make.
   const std::string canonical = engine::canonical_spec_string(base_spec());
   EXPECT_EQ(ResultCacheKey::of(base_spec(), EvalMath::exact).canonical, canonical + " math=exact");
   const ResultCacheKey fast = ResultCacheKey::of(base_spec(), EvalMath::fast);
-  EXPECT_EQ(fast.canonical, canonical + " math=fast-recurrence");
-  for (const char* old : {" math=fast", " math=fast kernel=default", " math=fast kernel=x86-64-v3"}) {
+  EXPECT_EQ(fast.canonical, canonical + " math=fast-recurrence/2");
+  for (const char* old : {" math=fast", " math=fast kernel=default", " math=fast kernel=x86-64-v3",
+                          " math=fast-recurrence"}) {
     EXPECT_NE(fast.canonical, canonical + old);
     EXPECT_NE(fast.hash, engine::fnv1a64(canonical + old)) << old;
   }

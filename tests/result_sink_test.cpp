@@ -259,6 +259,18 @@ TEST(ResultSinkTest, ToJsonGoldenRecord) {
             "\"expected_makespan\":1887.5,\"ratio\":1.25}");
 }
 
+TEST(ResultSinkTest, FastRecordsNameTheirAlgorithmAfterTheStride) {
+  ScenarioResult result = sample_result();
+  result.eval_math = EvalMath::fast;
+  EXPECT_EQ(record_body_json(result),
+            "\"workflow\":\"Montage\",\"tasks\":50,\"lambda\":0.001,\"downtime\":60,"
+            "\"cost_model\":\"proportional\",\"cost_parameter\":0.10000000000000001,"
+            "\"policy_kind\":\"fixed\",\"policy\":\"DF-CkptW\",\"workflow_seed\":42,"
+            "\"weight_cv\":0.25,\"stride\":4,\"eval_math\":\"fast\",\"scenario_index\":7,"
+            "\"linearization\":\"DF\",\"best_budget\":13,\"expected_makespan\":1887.5,"
+            "\"ratio\":1.25}");
+}
+
 TEST(ResultSinkTest, ToJsonRoundTripsRatiosAndQuotesNonFinite) {
   ScenarioResult result = sample_result();
   result.evaluation.ratio = 0.1 + 0.2;  // classically unrepresentable as "0.3"

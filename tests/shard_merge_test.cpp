@@ -223,6 +223,29 @@ TEST_F(ShardMergeTest, RejectsShardsProducedWithDifferentOptions) {
   EXPECT_THROW(merge_simulated(fewer_trials), InvalidArgument);
 }
 
+TEST_F(ShardMergeTest, RejectsShardsOfTheOtherEvalMath) {
+  // Fast and exact records share every spec field and the whole sequence;
+  // only the fast records' eval_math field tells them apart.
+  engine::FigureOptions fast = tiny_options();
+  fast.eval_math = EvalMath::fast;
+  std::vector<std::string> fast_paths;
+  for (const std::size_t index : {1u, 2u}) {
+    fast_paths.push_back(write_file("fast-" + std::to_string(index) + ".ndjson",
+                                    run_ndjson(experiment_, fast, {index, 2})));
+  }
+  EXPECT_THROW(merge(fast_paths), InvalidArgument);  // fast shards, exact options
+
+  const std::vector<std::string> exact_paths = write_shards(2);
+  const auto merge_as_fast = [&](const std::vector<std::string>& paths) {
+    std::ostringstream os;
+    merge_ndjson_shards(experiment_, fast, paths, os, {.require_complete = true});
+    return os.str();
+  };
+  EXPECT_THROW(merge_as_fast(exact_paths), InvalidArgument);  // exact shards, fast options
+  EXPECT_EQ(merge_as_fast(fast_paths), run_ndjson(experiment_, fast, {}));
+  EXPECT_EQ(merge(exact_paths), unsharded_);
+}
+
 TEST_F(ShardMergeTest, ReportCountsFilesAndRecords) {
   const std::vector<std::string> paths = write_shards(4);
   std::ostringstream os;

@@ -26,12 +26,18 @@ functional test:
                        use obs::monotonic_ns()/obs::ScopedTimer, whose
                        values only ever reach /metrics and trace files.
 
-  raw-exp              element-wise exp/expm1 in the evaluator pass files
-                       (src/core/evaluator*.{hpp,cpp}): the Theorem-3
-                       passes must stage arguments and sweep them through
-                       the batched kernels in src/core/math_kernels so
-                       the exact and fast-math paths keep their pinned FP
-                       operation order.
+  raw-exp              any libm spelling of exp/expm1 on the record path
+                       (src/core/evaluator*.{hpp,cpp} and
+                       src/core/math_kernels.*): std::exp, ::exp, exp,
+                       __builtin_exp and their expm1, float and long
+                       double forms, called or named. glibc picks a
+                       variant of each per CPU at load time, and its FMA
+                       and generic variants round differently, so record
+                       bytes would depend on the host. The record path
+                       calls the repository's own port instead
+                       (exp_port/expm1_port and the vexp_neg_mul/vexpm1
+                       sweeps of src/core/math_kernels), which gives the
+                       same bits everywhere.
 
 Scanned tree: src/core, src/engine and src/obs under --root (the layers
 that produce record bytes, plus the telemetry layer — which is exempt
@@ -90,11 +96,14 @@ RULES = [
     ),
     (
         "raw-exp",
-        lambda path: path.name.startswith("evaluator") and "math_kernels" not in path.name,
-        re.compile(r"(?<![\w.])(?:std::)?(?:exp|expm1)\s*\("),
-        "element-wise exp/expm1 in an evaluator pass: stage the arguments "
-        "and sweep them through the batched kernels (vexpm1/vexp_neg_mul "
-        "in core/math_kernels) to keep the pinned FP order",
+        lambda path: path.name.startswith(("evaluator", "math_kernels")),
+        re.compile(
+            r"(?<![\w.])(?:(?:std)?::)?(?:__builtin_)?(?:exp|expm1)[fl]?\s*\("
+            r"|(?<![\w.])(?:std)?::(?:exp|expm1)[fl]?\b"
+        ),
+        "libm exp/expm1 on the record path: glibc's per-CPU variants round "
+        "differently, so the bytes would depend on the host; call exp_port/"
+        "expm1_port or the vexp_neg_mul/vexpm1 sweeps of core/math_kernels",
     ),
 ]
 
