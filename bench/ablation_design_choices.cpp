@@ -12,16 +12,28 @@
 #include <chrono>
 #include <iostream>
 
-#include "bench_common.hpp"
 #include "engine/engine.hpp"
+#include "engine/experiment.hpp"
 #include "heuristics/greedy.hpp"
+#include "support/cli.hpp"
 #include "support/error.hpp"
 #include "support/table.hpp"
 
 using namespace fpsched;
-using namespace fpsched::bench;
+using engine::FigureOptions;
 
 namespace {
+
+/// The paper's instance of `kind` at `size` (c = 0.1 w), generated as
+/// every figure scenario's is (seed + size).
+TaskGraph make_instance(WorkflowKind kind, std::size_t size, const FigureOptions& options) {
+  engine::ScenarioSpec spec;
+  spec.workflow = kind;
+  spec.task_count = size;
+  spec.workflow_seed = options.seed;
+  spec.weight_cv = options.weight_cv;
+  return spec.instantiate();
+}
 
 /// Worker-local heuristic options: sweeps run on the cell's workspace,
 /// joined by idle engine workers.
@@ -47,8 +59,7 @@ void stride_ablation(std::ostream& os, const FigureOptions& options,
   eng.for_each(cells.size(), [&](std::size_t i, EvaluatorWorkspace& ws) {
     const std::size_t size = sizes[i / strides.size()];
     const std::size_t stride = strides[i % strides.size()];
-    const TaskGraph graph =
-        make_instance(WorkflowKind::cybershake, size, CostModel::proportional(0.1), options);
+    const TaskGraph graph = make_instance(WorkflowKind::cybershake, size, options);
     const ScheduleEvaluator evaluator(graph, FailureModel(1e-3, 0.0));
     const auto start = std::chrono::steady_clock::now();
     const HeuristicResult result =
@@ -91,7 +102,7 @@ void outweight_ablation(std::ostream& os, const FigureOptions& options,
   eng.for_each(cells.size(), [&](std::size_t i, EvaluatorWorkspace& ws) {
     const WorkflowKind kind = kinds[i / sizes.size()];
     const std::size_t size = sizes[i % sizes.size()];
-    const TaskGraph graph = make_instance(kind, size, CostModel::proportional(0.1), options);
+    const TaskGraph graph = make_instance(kind, size, options);
     const ScheduleEvaluator evaluator(graph, FailureModel(paper_lambda(kind), 0.0));
     HeuristicOptions direct = cell_options(eng, options, options.stride, ws);
     direct.linearize.outweight = OutweightMode::direct;
@@ -130,8 +141,7 @@ void weight_cv_ablation(std::ostream& os, const FigureOptions& options,
   eng.for_each(cvs.size(), [&](std::size_t i, EvaluatorWorkspace& ws) {
     FigureOptions local = options;
     local.weight_cv = cvs[i];
-    const TaskGraph graph =
-        make_instance(WorkflowKind::montage, 200, CostModel::proportional(0.1), local);
+    const TaskGraph graph = make_instance(WorkflowKind::montage, 200, local);
     const ScheduleEvaluator evaluator(graph, FailureModel(1e-3, 0.0));
     for (std::size_t s = 0; s < strategies.size(); ++s) {
       ratios[i][s] = run_heuristic(evaluator, {LinearizeMethod::depth_first, strategies[s]},
@@ -170,7 +180,7 @@ void greedy_extension(std::ostream& os, const FigureOptions& options,
   std::vector<Cell> cells(kinds.size());
   eng.for_each(cells.size(), [&](std::size_t i, EvaluatorWorkspace& ws) {
     const WorkflowKind kind = kinds[i];
-    const TaskGraph graph = make_instance(kind, size, CostModel::proportional(0.1), options);
+    const TaskGraph graph = make_instance(kind, size, options);
     const ScheduleEvaluator evaluator(graph, FailureModel(paper_lambda(kind), 0.0));
     const auto results =
         run_heuristics(evaluator, all_heuristics(), cell_options(eng, options, options.stride, ws));
@@ -208,14 +218,15 @@ int main(int argc, char** argv) {
   CliParser cli("Design-choice ablations: sweep stride, outweight mode, weight variability, "
                 "greedy extension.");
   try {
-    const auto options = parse_figure_options(cli, argc, argv);
-    if (!options) return 0;
-    const engine::ExperimentEngine eng({.threads = options->threads});
+    engine::add_figure_options(cli);
+    if (!cli.parse(argc, argv)) return 0;
+    const FigureOptions options = engine::read_figure_options(cli);
+    const engine::ExperimentEngine eng({.threads = options.threads});
     std::cout << "Design-choice ablations\n";
-    stride_ablation(std::cout, *options, eng);
-    outweight_ablation(std::cout, *options, eng);
-    weight_cv_ablation(std::cout, *options, eng);
-    greedy_extension(std::cout, *options, eng);
+    stride_ablation(std::cout, options, eng);
+    outweight_ablation(std::cout, options, eng);
+    weight_cv_ablation(std::cout, options, eng);
+    greedy_extension(std::cout, options, eng);
   } catch (const Error& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

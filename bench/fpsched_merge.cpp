@@ -8,24 +8,23 @@
 //       --experiment fig2 --require-complete --out fig2.ndjson
 //
 // The merged file is byte-identical to the unsharded
-// `fpsched_run fig2 --format ndjson` output. Pass the SAME grid flags
-// the producing runs used (--quick, --sizes, --seed, --downtimes,
-// --trials, ...): the merge re-derives the experiment's flattened
-// scenario list from them and checks every record's provenance against
-// the position it lands on, so missing/duplicated/misordered shard files
-// — and option mismatches — fail loudly instead of yielding a
-// plausible-looking wrong merge.
+// `fpsched_run fig2 --format ndjson` output. Pass the SAME options the
+// producing runs used (--quick, --sizes, --seed, --eval-math, ...): the
+// merge re-derives the experiment's flattened scenario list from them
+// and requires every record to start with every field before
+// "linearization" as its position renders them, so missing, duplicated
+// or misordered shard files and option mismatches fail loudly instead
+// of yielding a plausible-looking wrong merge.
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 
-#include "bench_common.hpp"
 #include "service/shard_merge.hpp"
+#include "support/cli.hpp"
 #include "support/error.hpp"
 #include "support/socket.hpp"
 
 using namespace fpsched;
-using namespace fpsched::bench;
 
 int main(int argc, char** argv) {
   CliParser cli(
@@ -38,12 +37,11 @@ int main(int argc, char** argv) {
   cli.add_flag("require-complete",
                "fail unless the shards cover every scenario of the experiment (without it, a "
                "gapless ordered prefix is accepted)");
-  add_sweep_options(cli);
-  add_trial_options(cli);
+  engine::add_figure_options(cli);
   try {
     ignore_sigpipe();
-    const auto options = parse_figure_options(cli, argc, argv);
-    if (!options) return 0;
+    if (!cli.parse(argc, argv)) return 0;
+    const engine::FigureOptions options = engine::read_figure_options(cli);
     const std::string name = cli.get_string("experiment");
     if (name.empty()) {
       throw InvalidArgument("--experiment is required (see fpsched_run --list)");
@@ -80,7 +78,7 @@ int main(int argc, char** argv) {
     std::ostream& out = out_path.empty() ? std::cout : out_file;
 
     const service::MergeReport report =
-        service::merge_ndjson_shards(experiment, *options, files, out, merge);
+        service::merge_ndjson_shards(experiment, options, files, out, merge);
     out.flush();
     if (!out.good()) throw InvalidArgument("error writing the merged stream");
     std::cerr << "merged " << report.files << " shard file" << (report.files == 1 ? "" : "s")

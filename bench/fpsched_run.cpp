@@ -1,13 +1,14 @@
 // fpsched_run — ONE driver for every registered experiment.
 //
 //   $ fpsched_run --list
-//   $ fpsched_run fig2 --quick                      # table + chart, as the shim binaries
+//   $ fpsched_run fig2 --quick                      # table + chart on stdout
 //   $ fpsched_run fig2 fig7 --quick --format ndjson --out results/
 //   $ fpsched_run fig2 --format ndjson --shard 1/2 --out results/   # process sharding
 //
-// Output is controlled by --format, a comma list over two sink levels:
-// panel presentation (table, chart, csv) and per-scenario records
-// (ndjson, json). Record sinks write full-precision (round-trip)
+// The experiment options (--quick, --sizes, ...) are engine/options.hpp's
+// table. Output is controlled by --format, a comma list over two sink
+// levels: panel presentation (table, chart, csv) and per-scenario
+// records (ndjson, json). Record sinks write full-precision (round-trip)
 // values; scenario results are pure functions of their specs, so the
 // NDJSON streams of `--shard 1/N .. N/N` concatenate to the
 // bit-identical unsharded output — the basis for multi-process (and
@@ -17,25 +18,24 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <set>
 #include <vector>
 
-#include "bench_common.hpp"
+#include "engine/experiment.hpp"
 #include "engine/result_sink.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "support/cli.hpp"
 #include "support/error.hpp"
 #include "support/socket.hpp"
 
 using namespace fpsched;
-using namespace fpsched::bench;
 
 namespace {
 
 const std::vector<std::string>& known_formats() {
   // Canonical order doubles as emission order, so `--format csv,table`
-  // still renders panels as table, chart, csv — matching the shims.
+  // still renders panels as table, chart, csv.
   static const std::vector<std::string> kFormats{"table", "chart", "csv", "ndjson", "json"};
   return kFormats;
 }
@@ -104,7 +104,7 @@ std::ostream& open_record_stream(SinkStack& stack, const std::string& out_dir,
   return os;
 }
 
-SinkStack make_sinks(const std::set<std::string>& formats, const FigureOptions& options,
+SinkStack make_sinks(const std::set<std::string>& formats, const std::string& csv_dir,
                      const std::string& out_dir, const std::string& experiment,
                      const engine::ShardSpec& shard) {
   SinkStack stack;
@@ -117,7 +117,7 @@ SinkStack make_sinks(const std::set<std::string>& formats, const FigureOptions& 
       stack.sinks.push_back(std::make_unique<engine::AsciiChartSink>(std::cout));
       stack.text = true;
     } else if (format == "csv") {
-      const std::string dir = options.csv_dir.empty() ? out_dir : options.csv_dir;
+      const std::string dir = csv_dir.empty() ? out_dir : csv_dir;
       if (dir.empty()) {
         throw InvalidArgument("csv output needs a directory: pass --csv <dir> or --out <dir>");
       }
@@ -146,11 +146,11 @@ int main(int argc, char** argv) {
   cli.add_option("out", "",
                  "output directory for file sinks (<experiment>.ndjson/.json, CSV when --csv "
                  "is not given); empty streams records to stdout");
+  cli.add_option("csv", "", "directory for CSV output (<panel>.csv, created on demand)");
   cli.add_option("shard", "",
                  "run slice I/N of the flattened scenario list (e.g. 1/2); --format ndjson "
                  "only — shard outputs concatenate to the bit-identical unsharded run");
-  add_sweep_options(cli);
-  add_trial_options(cli);
+  engine::add_figure_options(cli);
   // Observability is stderr/file-only: record and panel output stay
   // byte-identical whether these are on or off.
   cli.add_option("trace", "",
@@ -162,8 +162,8 @@ int main(int argc, char** argv) {
     // with the signal ignored, writes fail with EPIPE, the stream check
     // after each run reports it, and the process exits cleanly.
     ignore_sigpipe();
-    const auto options = parse_figure_options(cli, argc, argv);
-    if (!options) return 0;
+    if (!cli.parse(argc, argv)) return 0;
+    const engine::FigureOptions options = engine::read_figure_options(cli);
     if (cli.get_flag("list")) {
       list_experiments(std::cout);
       return 0;
@@ -183,8 +183,12 @@ int main(int argc, char** argv) {
       shard = engine::ShardSpec::parse(raw);
     }
     std::set<std::string> formats = parse_formats(cli);
-    // --csv implies the csv sink, as with the per-figure binaries.
-    if (!options->csv_dir.empty()) formats.insert("csv");
+    // --csv implies the csv sink; its directory is claimed up front.
+    const std::string csv_dir = cli.get_string("csv");
+    if (!csv_dir.empty()) {
+      formats.insert("csv");
+      engine::ensure_output_directory(csv_dir);
+    }
     if (shard.active()) {
       for (const std::string& format : formats) {
         // Panel formats need the whole grid; JSON arrays are complete
@@ -203,7 +207,7 @@ int main(int argc, char** argv) {
       // hours-long run must not end with a created-but-empty directory.
       // CSV counts only when it falls back to --out (--csv wins).
       const bool out_used = formats.contains("ndjson") || formats.contains("json") ||
-                            (formats.contains("csv") && options->csv_dir.empty());
+                            (formats.contains("csv") && csv_dir.empty());
       if (!out_used) {
         throw InvalidArgument(
             "--out would receive no output: add ndjson, json or csv to --format "
@@ -223,9 +227,9 @@ int main(int argc, char** argv) {
     const bool records_to_stdout =
         out_dir.empty() && (formats.contains("ndjson") || formats.contains("json"));
     for (const engine::Experiment* experiment : experiments) {
-      const SinkStack stack = make_sinks(formats, *options, out_dir, experiment->name, shard);
+      const SinkStack stack = make_sinks(formats, csv_dir, out_dir, experiment->name, shard);
       const auto sinks = stack.pointers();
-      engine::run_experiment(*experiment, *options, sinks, stack.text ? &std::cout : nullptr,
+      engine::run_experiment(*experiment, options, sinks, stack.text ? &std::cout : nullptr,
                              shard);
       // With SIGPIPE ignored a dead consumer surfaces as a failed
       // stream, not a dead process — but silently truncated output must

@@ -22,6 +22,7 @@
 #include "heuristics/greedy.hpp"
 #include "support/cli.hpp"
 #include "support/error.hpp"
+#include "support/parse.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
 #include "workflows/synthetic.hpp"
@@ -76,7 +77,7 @@ int main(int argc, char** argv) {
   cli.add_option("threads", "0", "study-shard worker threads (0 = all cores)");
   try {
     if (!cli.parse(argc, argv)) return 0;
-    Rng rng(static_cast<std::uint64_t>(cli.get_int("seed")));
+    Rng rng(parse_u64(cli.get_string("seed"), "option --seed"));
 
     std::vector<StudySpec> specs;
     {

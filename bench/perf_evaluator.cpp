@@ -44,6 +44,7 @@
 #include "obs/trace.hpp"
 #include "support/cli.hpp"
 #include "support/error.hpp"
+#include "support/parse.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
 #include "workflows/generator.hpp"
@@ -233,9 +234,8 @@ int main(int argc, char** argv) {
     const std::string trace_path = cli.get_string("trace");
     if (!trace_path.empty()) obs::start_tracing();
     std::vector<std::size_t> sizes;
-    for (const auto s : cli.get_int_list("sizes")) {
-      if (s < 1) throw InvalidArgument("option --sizes: task counts must be >= 1");
-      sizes.push_back(static_cast<std::size_t>(s));
+    for (const std::string& item : cli.get_string_list("sizes")) {
+      sizes.push_back(parse_count(item, "option --sizes", 1));
     }
     std::vector<EvalMath> backends;
     for (const std::string& name : cli.get_string_list("math")) {
@@ -254,9 +254,8 @@ int main(int argc, char** argv) {
 
     std::vector<std::size_t> instance_sizes;
     if (!cli.get_string("instance-sizes").empty()) {
-      for (const auto s : cli.get_int_list("instance-sizes")) {
-        if (s < 1) throw InvalidArgument("option --instance-sizes: task counts must be >= 1");
-        instance_sizes.push_back(static_cast<std::size_t>(s));
+      for (const std::string& item : cli.get_string_list("instance-sizes")) {
+        instance_sizes.push_back(parse_count(item, "option --instance-sizes", 1));
       }
     }
     WorkflowKind instance_kind = WorkflowKind::genome;

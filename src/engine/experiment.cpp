@@ -1,11 +1,11 @@
 #include "engine/experiment.hpp"
 
-#include <algorithm>
 #include <ostream>
 
 #include "engine/engine.hpp"
 #include "obs/trace.hpp"
 #include "support/error.hpp"
+#include "support/parse.hpp"
 
 namespace fpsched::engine {
 
@@ -56,25 +56,17 @@ ExperimentRegistry& ExperimentRegistry::global() {
 }
 
 ShardSpec ShardSpec::parse(const std::string& text) {
-  const auto fail = [&] {
+  const std::string_view view(text);
+  const std::size_t slash = view.find('/');
+  ShardSpec shard;
+  if (slash != std::string_view::npos) {
+    shard.index = parse_count(view.substr(0, slash), "shard index", 1);
+    shard.count = parse_count(view.substr(slash + 1), "shard count", 1);
+  }
+  if (slash == std::string_view::npos || shard.index > shard.count) {
     throw InvalidArgument("shard must be I/N with 1 <= I <= N (e.g. \"2/4\"), got '" + text +
                           "'");
-  };
-  const std::size_t slash = text.find('/');
-  if (slash == std::string::npos) fail();
-  const auto parse_count = [&](const std::string& part) -> std::size_t {
-    if (part.empty() || part.find_first_not_of("0123456789") != std::string::npos) fail();
-    try {
-      return static_cast<std::size_t>(std::stoull(part));
-    } catch (const std::exception&) {
-      fail();
-    }
-    return 0;  // unreachable
-  };
-  ShardSpec shard;
-  shard.index = parse_count(text.substr(0, slash));
-  shard.count = parse_count(text.substr(slash + 1));
-  if (shard.count < 1 || shard.index < 1 || shard.index > shard.count) fail();
+  }
   return shard;
 }
 
@@ -86,11 +78,6 @@ std::pair<std::size_t, std::size_t> shard_range(std::size_t total, const ShardSp
   // which is what makes concatenated shard outputs equal the unsharded
   // run byte for byte.
   return {total * (shard.index - 1) / shard.count, total * shard.index / shard.count};
-}
-
-void apply_quick_options(FigureOptions& options) {
-  options.sizes = {50, 100, 200, 300};
-  options.stride = std::max<std::size_t>(options.stride, 4);
 }
 
 std::vector<PlannedScenario> flatten_plan(const FigurePlan& plan) {
@@ -107,6 +94,7 @@ void run_experiment(const Experiment& experiment, const FigureOptions& options,
                     std::span<ResultSink* const> sinks, std::ostream* text,
                     const ShardSpec& shard) {
   const obs::TraceSpan span([&] { return "experiment " + experiment.name; });
+  check_figure_options(options);
   const FigurePlan plan = experiment.build(options);
 
   // Flatten every panel's grid into one list so the whole figure shards

@@ -21,35 +21,11 @@
 #include <utility>
 #include <vector>
 
-#include "core/evaluator.hpp"
+#include "engine/options.hpp"
 #include "engine/result_sink.hpp"
 #include "engine/scenario.hpp"
 
 namespace fpsched::engine {
-
-/// The shared experiment knobs every figure builder consumes (the CLI of
-/// fpsched_run maps onto this 1:1).
-struct FigureOptions {
-  std::vector<std::size_t> sizes{50, 100, 200, 300, 400, 500, 600, 700};
-  std::size_t stride = 1;   // N-sweep stride (1 = exhaustive, as the paper)
-  std::uint64_t seed = 42;  // workflow generation seed
-  double weight_cv = 0.2;
-  std::string csv_dir;       // empty = no CSV output
-  std::size_t threads = 0;   // engine workers (CLI --threads); 0 = all cores
-  /// Evaluator algorithm (--eval-math / eval_math query param): `exact`
-  /// (default, bit-identical to earlier releases) or `fast` (the
-  /// prefix-product recurrence, within 1e-10 relative — see
-  /// evaluator.hpp).
-  EvalMath eval_math = EvalMath::exact;
-  /// Fixed workflow size for the sweep figures (fig7's lambda sweep, the
-  /// downtime sweep); the size-axis figures ignore it.
-  std::size_t tasks = 200;
-  /// Downtime grid of the downtime-sweep experiment (seconds).
-  std::vector<double> downtimes{0, 60, 300, 900, 3600};
-  /// Monte-Carlo trials per simulated cell (the robustness study); the
-  /// analytic experiments ignore it.
-  std::size_t trials = 20000;
-};
 
 /// One declared figure panel: the scenario grid plus presentation.
 struct PanelSpec {
@@ -125,11 +101,6 @@ struct ShardSpec {
 /// exhaustive, and balanced to within one element.
 std::pair<std::size_t, std::size_t> shard_range(std::size_t total, const ShardSpec& shard);
 
-/// The `--quick` shrink shared by the bench CLI and the HTTP service:
-/// small size grid, sweep stride raised to at least 4. Kept in one place
-/// so a service-run "quick" grid is the same grid the binaries smoke-run.
-void apply_quick_options(FigureOptions& options);
-
 /// One record-producing position of a plan: the owning panel's slug plus
 /// the enumerated spec (spec.scenario_index is grid-local, so the pair
 /// `(panel, spec.scenario_index)` identifies the position).
@@ -171,9 +142,10 @@ ScenarioGrid downtime_sweep_grid(WorkflowKind kind, std::size_t size, double lam
 std::string panel_title(WorkflowKind kind, const std::string& subtitle);
 std::string best_lin_panel_title(WorkflowKind kind, const std::string& subtitle);
 
-/// Builds the experiment's plan, runs every panel's scenarios through ONE
-/// sharded engine pass (so the whole figure, not just each panel,
-/// load-balances across workers), and streams the output through `sinks`:
+/// Checks `options` (check_figure_options), builds the experiment's plan,
+/// runs every panel's scenarios through ONE sharded engine pass (so the
+/// whole figure, not just each panel, load-balances across workers), and
+/// streams the output through `sinks`:
 /// every scenario result as a ResultRecord first — delivered live, in
 /// flattened order, as the completed prefix grows (the engine's ordered
 /// callback), so record sinks see results while later scenarios still

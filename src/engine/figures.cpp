@@ -8,7 +8,6 @@
 #include <cctype>
 
 #include "engine/experiment.hpp"
-#include "support/error.hpp"
 #include "support/table.hpp"
 #include "workflows/generator.hpp"
 
@@ -179,7 +178,6 @@ FigurePlan build_fig6(const FigureOptions& options) {
 FigurePlan build_fig7(const FigureOptions& options) {
   FigurePlan plan;
   const std::size_t size = options.tasks;
-  ensure(size >= 1, "fig7 needs tasks >= 1");
   plan.heading = "Figure 7 — checkpointing strategies vs failure rate (" + std::to_string(size) +
                  " tasks, c_i = r_i = 0.1 w_i)";
   const CostModel cost = CostModel::proportional(0.1);
@@ -204,10 +202,6 @@ FigurePlan build_fig7(const FigureOptions& options) {
 FigurePlan build_downtime(const FigureOptions& options) {
   FigurePlan plan;
   const std::size_t size = options.tasks;
-  ensure(size >= 1, "the downtime sweep needs tasks >= 1");
-  for (const double d : options.downtimes) {
-    ensure(d >= 0.0, "downtimes must be >= 0");
-  }
   plan.heading = "Downtime sweep — checkpointing strategies vs downtime D (" +
                  std::to_string(size) + " tasks, paper lambdas, c_i = r_i = 0.1 w_i)";
   const CostModel cost = CostModel::proportional(0.1);
@@ -280,8 +274,6 @@ FigurePlan build_robustness(const FigureOptions& options) {
   // Weibull shape 1.5 (aging), all at the exponential model's MTBF.
   FigurePlan plan;
   const std::size_t size = options.tasks;
-  ensure(size >= 1, "the robustness study needs tasks >= 1");
-  ensure(options.trials >= 1, "the robustness study needs trials >= 1");
   plan.heading = "Robustness — exponential-optimized schedules under Weibull failures (" +
                  std::to_string(size) + " tasks, c_i = r_i = 0.1 w_i, " +
                  std::to_string(options.trials) + " trials/cell, equal MTBF across rows)";

@@ -175,15 +175,8 @@ std::string_view sim_distribution_name(ScenarioPolicy::SimDistribution distribut
   return "?";
 }
 
-}  // namespace
-
-std::string record_json_prefix(std::string_view experiment, std::string_view panel) {
-  return "{\"experiment\":" + json_quote(experiment) + ",\"panel\":" + json_quote(panel) + ",";
-}
-
-std::string record_body_json(const ScenarioResult& result) {
-  const ScenarioSpec& spec = result.spec;
-  std::ostringstream os;
+/// The spec part: "workflow" through "scenario_index":N and its comma.
+void write_record_spec(std::ostream& os, const ScenarioSpec& spec, EvalMath eval_math) {
   os << "\"workflow\":" << json_quote(to_string(spec.workflow))
      << ",\"tasks\":" << spec.task_count << ",\"lambda\":" << json_number(spec.model.lambda())
      << ",\"downtime\":" << json_number(spec.model.downtime())
@@ -203,9 +196,26 @@ std::string record_body_json(const ScenarioResult& result) {
      << ",\"weight_cv\":" << json_number(spec.weight_cv) << ",\"stride\":" << spec.stride;
   // Only fast records name their algorithm: exact records keep their
   // historical bytes.
-  if (result.eval_math == EvalMath::fast) os << ",\"eval_math\":\"fast\"";
-  os << ",\"scenario_index\":" << spec.scenario_index
-     << ",\"linearization\":" << json_quote(to_string(result.linearization))
+  if (eval_math == EvalMath::fast) os << ",\"eval_math\":\"fast\"";
+  os << ",\"scenario_index\":" << spec.scenario_index << ',';
+}
+
+}  // namespace
+
+std::string record_json_prefix(std::string_view experiment, std::string_view panel) {
+  return "{\"experiment\":" + json_quote(experiment) + ",\"panel\":" + json_quote(panel) + ",";
+}
+
+std::string record_spec_json(const ScenarioSpec& spec, EvalMath eval_math) {
+  std::ostringstream os;
+  write_record_spec(os, spec, eval_math);
+  return os.str();
+}
+
+std::string record_body_json(const ScenarioResult& result) {
+  std::ostringstream os;
+  write_record_spec(os, result.spec, result.eval_math);
+  os << "\"linearization\":" << json_quote(to_string(result.linearization))
      << ",\"best_budget\":" << result.best_budget
      << ",\"expected_makespan\":" << json_number(result.evaluation.expected_makespan)
      << ",\"ratio\":" << json_number(result.evaluation.ratio) << '}';

@@ -73,6 +73,13 @@ std::string to_json(const ResultRecord& record);
 std::string record_json_prefix(std::string_view experiment, std::string_view panel);
 std::string record_body_json(const ScenarioResult& result);
 
+/// The body's spec part: every field from "workflow" through
+/// `"scenario_index":N,` ("eval_math" included), a pure function of
+/// (spec, eval_math); the result part ("linearization" onward) follows
+/// it. A shard merge requires each record line to start with
+/// record_json_prefix + record_spec_json of its planned position.
+std::string record_spec_json(const ScenarioSpec& spec, EvalMath eval_math);
+
 /// `value` as a quoted JSON string (escapes quotes, backslashes and
 /// control characters) — the one escaper every JSON-emitting layer
 /// (records, HTTP service) shares.

@@ -4,31 +4,22 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "support/error.hpp"
+#include "support/table.hpp"
 
 namespace fpsched::obs {
 
 namespace {
 
 // Shortest decimal form that parses back to the same double — keeps
-// bucket labels like le="0.001" readable instead of 17-digit dumps.
+// bucket labels like le="0.001" readable instead of 17-digit dumps —
+// with the exposition format's spelling of the non-finite values.
 std::string format_shortest(double value) {
   if (std::isinf(value)) return value > 0 ? "+Inf" : "-Inf";
   if (std::isnan(value)) return "NaN";
-  char buffer[64];
-  // Integral values render plainly ("10", not the %.1g spelling "1e+01").
-  if (value == std::floor(value) && std::abs(value) < 1e15) {
-    std::snprintf(buffer, sizeof buffer, "%.0f", value);
-    return buffer;
-  }
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::snprintf(buffer, sizeof buffer, "%.*g", precision, value);
-    if (std::strtod(buffer, nullptr) == value) break;
-  }
-  return buffer;
+  return format_double_shortest(value);
 }
 
 // Minimal JSON string escape for metric names/labels (which we control,

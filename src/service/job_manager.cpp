@@ -88,11 +88,12 @@ JobManager::JobManager(const engine::ExperimentRegistry& registry, Options optio
 JobManager::~JobManager() { stop(); }
 
 std::uint64_t JobManager::submit(JobRequest request) {
-  // Validate the whole request up front — the registry lookup, the plan
-  // build, and the grid validation all throw InvalidArgument with a
-  // message worth relaying to the client — so a bad request fails the
-  // submission, never the executor.
+  // Validate the whole request up front — the registry lookup, the
+  // option table's range checks, the plan build, and the grid validation
+  // all throw InvalidArgument with a message worth relaying to the
+  // client — so a bad request fails the submission, never the executor.
   const engine::Experiment& experiment = registry_.find(request.experiment);
+  engine::check_figure_options(request.options);
   const engine::FigurePlan plan = experiment.build(request.options);
   std::size_t total = 0;
   for (const engine::PanelSpec& panel : plan.panels) {

@@ -145,8 +145,9 @@ class JobManager {
   JobManager& operator=(const JobManager&) = delete;
 
   /// Validates and enqueues; returns the job id. Throws InvalidArgument
-  /// for an unknown experiment or options the builder rejects, and
-  /// TooManyJobs when max_jobs ACTIVE jobs are already held.
+  /// for an unknown experiment, options out of the option table's range
+  /// (check_figure_options) or a plan the grid rejects, and TooManyJobs
+  /// when max_jobs ACTIVE jobs are already held.
   std::uint64_t submit(JobRequest request);
 
   std::optional<JobStatus> status(std::uint64_t id) const;

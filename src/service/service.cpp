@@ -1,129 +1,27 @@
 #include "service/service.hpp"
 
 #include <cctype>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 
 #include "engine/result_sink.hpp"
 #include "obs/metrics.hpp"
+#include "support/parse.hpp"
 #include "support/version.hpp"
 
 namespace fpsched::service {
 
 using engine::json_quote;
 
-namespace {
-
-// --- Option-value parsers (the HTTP twin of CliParser's getters) -------
-
-[[noreturn]] void bad_value(const std::string& key, const std::string& value,
-                            const std::string& expected) {
-  throw InvalidArgument("parameter '" + key + "': expected " + expected + ", got '" + value +
-                        "'");
-}
-
-std::uint64_t parse_u64(const std::string& key, const std::string& value) {
-  if (value.empty() || value.find_first_not_of("0123456789") != std::string::npos) {
-    bad_value(key, value, "a non-negative integer");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value.c_str(), &end, 10);
-  if (errno == ERANGE || end != value.c_str() + value.size()) {
-    bad_value(key, value, "a non-negative integer");
-  }
-  return parsed;
-}
-
-double parse_number(const std::string& key, const std::string& value) {
-  errno = 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(value.c_str(), &end);
-  if (value.empty() || errno == ERANGE || end != value.c_str() + value.size()) {
-    bad_value(key, value, "a number");
-  }
-  return parsed;
-}
-
-bool parse_bool(const std::string& key, std::string value) {
-  for (char& c : value) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  // A bare query key ("?quick") arrives as the empty string and means on.
-  if (value.empty() || value == "1" || value == "true" || value == "yes" || value == "on") {
-    return true;
-  }
-  if (value == "0" || value == "false" || value == "no" || value == "off") return false;
-  bad_value(key, value, "a boolean (1/0, true/false, yes/no, on/off)");
-}
-
-std::vector<std::string> split_list(const std::string& key, const std::string& value) {
-  std::vector<std::string> items;
-  std::size_t start = 0;
-  while (start <= value.size()) {
-    std::size_t end = value.find(',', start);
-    if (end == std::string::npos) end = value.size();
-    if (end == start) bad_value(key, value, "a non-empty comma-separated list");
-    items.push_back(value.substr(start, end - start));
-    start = end + 1;
-  }
-  return items;
-}
-
-}  // namespace
-
 JobRequest parse_job_request(const std::map<std::string, std::string>& params) {
+  std::map<std::string, std::string> options = params;
   JobRequest request;
-  bool quick = false;
-  for (const auto& [key, value] : params) {
-    if (key == "experiment") {
-      request.experiment = value;
-    } else if (key == "sizes") {
-      request.options.sizes.clear();
-      for (const std::string& item : split_list(key, value)) {
-        const std::uint64_t size = parse_u64(key, item);
-        if (size < 1) bad_value(key, item, "a task count >= 1");
-        request.options.sizes.push_back(static_cast<std::size_t>(size));
-      }
-    } else if (key == "stride") {
-      const std::uint64_t stride = parse_u64(key, value);
-      if (stride < 1) bad_value(key, value, "a stride >= 1");
-      request.options.stride = static_cast<std::size_t>(stride);
-    } else if (key == "seed") {
-      request.options.seed = parse_u64(key, value);
-    } else if (key == "weight_cv") {
-      request.options.weight_cv = parse_number(key, value);
-    } else if (key == "eval_math") {
-      request.options.eval_math = parse_eval_math(value);
-    } else if (key == "tasks") {
-      const std::uint64_t tasks = parse_u64(key, value);
-      if (tasks < 1) bad_value(key, value, "a task count >= 1");
-      request.options.tasks = static_cast<std::size_t>(tasks);
-    } else if (key == "downtimes") {
-      request.options.downtimes.clear();
-      for (const std::string& item : split_list(key, value)) {
-        const double downtime = parse_number(key, item);
-        if (downtime < 0.0) bad_value(key, item, "a downtime >= 0");
-        request.options.downtimes.push_back(downtime);
-      }
-    } else if (key == "trials") {
-      const std::uint64_t trials = parse_u64(key, value);
-      if (trials < 1) bad_value(key, value, "a trial count >= 1");
-      request.options.trials = static_cast<std::size_t>(trials);
-    } else if (key == "quick") {
-      quick = parse_bool(key, value);
-    } else {
-      // Server resources (threads) are not request parameters: the
-      // server's engine is sized once, by FPSCHED_THREADS.
-      throw InvalidArgument("unknown parameter '" + key +
-                            "' (known: experiment, sizes, stride, seed, weight_cv, eval_math, "
-                            "tasks, downtimes, trials, quick)");
-    }
-  }
+  if (auto experiment = options.extract("experiment")) request.experiment = experiment.mapped();
   if (request.experiment.empty()) {
     throw InvalidArgument("missing required parameter 'experiment' (see GET /experiments)");
   }
-  // Same precedence as the CLI: --quick overrides an explicit size grid.
-  if (quick) engine::apply_quick_options(request.options);
+  // The rest is the option table's: server resources (threads) are no
+  // row of it, so they are unknown keys like any typo.
+  request.options = engine::read_figure_options(options);
   return request;
 }
 
@@ -337,7 +235,7 @@ namespace {
 
 std::optional<std::uint64_t> parse_job_id(const std::string& text) {
   try {
-    return parse_u64("id", text);
+    return parse_u64(text, "id");
   } catch (const InvalidArgument&) {
     return std::nullopt;  // an unparseable id is just an unknown run
   }

@@ -35,14 +35,12 @@
 
 namespace fpsched::service {
 
-/// Request params -> run request. Requires "experiment"; understands the
-/// FigureOptions surface of the CLI except server resources: sizes,
-/// stride, seed, weight_cv, eval_math, tasks, downtimes, trials, quick.
-/// Unknown keys — including `threads` — are rejected (a typo must not
-/// silently run the default grid, and a client must not size the
-/// server's pool). Boolean values accept 1/0, true/false, yes/no, on/off,
-/// and the bare-key form ("?quick"). Like --quick, quick=1 overrides
-/// sizes/stride.
+/// Request params -> run request. Requires "experiment"; every other key
+/// is a row of the option table (engine/options.hpp), parsed and
+/// range-checked by engine::read_figure_options exactly as the CLI's
+/// `--` spelling is. Unknown keys — including `threads` — are rejected (a
+/// typo must not silently run the default grid, and a client must not
+/// size the server's pool). Like --quick, quick=1 overrides sizes.
 JobRequest parse_job_request(const std::map<std::string, std::string>& params);
 
 /// Flat JSON object -> params map, for POST /runs bodies: values may be

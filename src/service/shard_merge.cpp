@@ -6,34 +6,30 @@
 #include <sstream>
 #include <string_view>
 
+#include "engine/result_sink.hpp"
 #include "support/error.hpp"
-#include "support/table.hpp"
 
 namespace fpsched::service {
 
 namespace {
 
-/// Whether the record line carries `"key":<value>` ("value" for
-/// strings). Matching the serialized field beats a full JSON parse here:
-/// the lines were produced by to_json(), and the merged output must be
-/// byte-identical to them anyway, so the raw text is the ground truth.
-bool has_field(std::string_view line, std::string_view key, std::string_view value,
-               bool quoted) {
-  std::string needle = "\"";
-  needle += key;
-  needle += "\":";
-  if (quoted) needle += '"';
-  needle += value;
-  if (quoted) {
-    needle += '"';
-    return line.find(needle) != std::string_view::npos;
-  }
-  // Unquoted (numeric) values need a terminator check so scenario_index
-  // 1 does not match 10.
-  const std::size_t at = line.find(needle);
-  if (at == std::string_view::npos) return false;
-  const std::size_t end = at + needle.size();
-  return end < line.size() && (line[end] == ',' || line[end] == '}');
+/// Why `line` does not start with `expected` (a record's prefix and spec
+/// part): the first field that differs, as planned and as found. Fields
+/// are split at `,"`, which a JSON string value cannot hold unescaped.
+std::string first_difference(std::string_view line, std::string_view expected) {
+  const std::size_t differs =
+      std::mismatch(expected.begin(), expected.end(), line.begin(), line.end()).first -
+      expected.begin();
+  const std::size_t comma = differs == 0 ? std::string_view::npos
+                                         : expected.rfind(",\"", differs - 1);
+  const std::size_t start = comma == std::string_view::npos ? 0 : comma + 1;
+  const auto field = [start](std::string_view text) {
+    if (start >= text.size()) return std::string("nothing");
+    std::string_view found = text.substr(start, text.find(",\"", start) - start);
+    if (found.ends_with(',')) found.remove_suffix(1);  // the spec part's last comma
+    return std::string(found.substr(0, 80));
+  };
+  return "expected " + field(expected) + ", found " + field(line);
 }
 
 [[noreturn]] void merge_error(const std::string& path, std::size_t line_number,
@@ -47,8 +43,14 @@ MergeReport merge_ndjson_shards(const engine::Experiment& experiment,
                                 const engine::FigureOptions& options,
                                 const std::vector<std::string>& shard_paths, std::ostream& out,
                                 const MergeOptions& merge) {
+  engine::check_figure_options(options);
   const std::vector<engine::PlannedScenario> flattened =
       engine::flatten_plan(experiment.build(options));
+  std::string option_names;
+  for (const engine::FigureOption& option : engine::figure_option_table()) {
+    option_names += option_names.empty() ? "--" : ", --";
+    option_names += option.cli_name();
+  }
 
   MergeReport report;
   report.expected = flattened.size();
@@ -81,63 +83,20 @@ MergeReport merge_ndjson_shards(const engine::Experiment& experiment,
                         " scenarios — duplicated shard, or options that do not match the "
                         "producing run");
       }
+      // Every field before "linearization" is a function of the planned
+      // position and the options: one comparison pins them all.
       const engine::PlannedScenario& planned = flattened[position];
-      if (!has_field(line, "experiment", experiment.name, /*quoted=*/true)) {
+      const std::string expected = engine::record_json_prefix(experiment.name, planned.panel) +
+                                   engine::record_spec_json(planned.spec, options.eval_math);
+      if (!line.starts_with(expected)) {
         merge_error(path, line_number,
-                    "record does not belong to experiment '" + experiment.name + "'");
-      }
-      if (!has_field(line, "panel", planned.panel, /*quoted=*/true) ||
-          !has_field(line, "scenario_index", std::to_string(planned.spec.scenario_index),
-                     /*quoted=*/false)) {
-        merge_error(path, line_number,
-                    "record out of sequence: expected panel '" + planned.panel +
-                        "' scenario_index " + std::to_string(planned.spec.scenario_index) +
-                        " (position " + std::to_string(position) + " of " +
-                        std::to_string(flattened.size()) +
-                        ") — shard files out of order, a gap between shards, or options that "
-                        "do not match the producing run");
-      }
-      // Sequence position alone cannot catch value-only mismatches (a
-      // shard produced with another --seed, --weight-cv, --downtimes or
-      // --trials has identical panel/index sequences); pin the spec
-      // fields the record carries. Downtimes are finite, so the record
-      // writes them unquoted at full precision.
-      const bool simulated =
-          planned.spec.policy.kind == engine::ScenarioPolicy::Kind::simulated_best;
-      if (!has_field(line, "tasks", std::to_string(planned.spec.task_count),
-                     /*quoted=*/false) ||
-          !has_field(line, "downtime", format_double_full(planned.spec.model.downtime()),
-                     /*quoted=*/false) ||
-          (simulated && !has_field(line, "sim_trials",
-                                   std::to_string(planned.spec.policy.sim_trials),
-                                   /*quoted=*/false)) ||
-          !has_field(line, "workflow_seed", std::to_string(planned.spec.workflow_seed),
-                     /*quoted=*/false) ||
-          !has_field(line, "weight_cv", format_double_full(planned.spec.weight_cv),
-                     /*quoted=*/false) ||
-          !has_field(line, "stride", std::to_string(planned.spec.stride),
-                     /*quoted=*/false)) {
-        merge_error(path, line_number,
-                    "record options do not match: expected tasks=" +
-                        std::to_string(planned.spec.task_count) +
-                        " downtime=" + format_double_full(planned.spec.model.downtime()) +
-                        (simulated ? " sim_trials=" + std::to_string(planned.spec.policy.sim_trials)
-                                   : std::string()) +
-                        " workflow_seed=" + std::to_string(planned.spec.workflow_seed) +
-                        " weight_cv=" + format_double_full(planned.spec.weight_cv) +
-                        " stride=" + std::to_string(planned.spec.stride) +
-                        " — pass the same grid flags (--quick, --sizes, --seed, --downtimes, "
-                        "--trials, ...) the producing runs used");
-      }
-      // Fast records say so; exact ones keep their historical bytes and
-      // carry no such field.
-      const bool fast_record = has_field(line, "eval_math", "fast", /*quoted=*/true);
-      if (fast_record != (options.eval_math == EvalMath::fast)) {
-        merge_error(path, line_number,
-                    std::string("record was computed with --eval-math ") +
-                        (fast_record ? "fast" : "exact") + ", expected " +
-                        to_string(options.eval_math) +
-                        " — pass the same --eval-math the producing runs used");
+                    "record does not match position " + std::to_string(position) + " of " +
+                        std::to_string(flattened.size()) + " (panel '" + planned.panel +
+                        "', scenario_index " + std::to_string(planned.spec.scenario_index) +
+                        "): " + first_difference(line, expected) +
+                        " — shard files out of order, a gap between shards, or options that "
+                        "differ from the producing run's (pass the same " +
+                        option_names + ")");
       }
       ++position;
     }

@@ -1,45 +1,12 @@
 #include "support/cli.hpp"
 
-#include <cerrno>
-#include <cstdlib>
 #include <iostream>
 #include <sstream>
 
 #include "support/error.hpp"
+#include "support/parse.hpp"
 
 namespace fpsched {
-
-namespace {
-
-/// strtoll with full-string and range checking. strtoll clamps
-/// out-of-range input to LLONG_MIN/LLONG_MAX and only reports it via
-/// errno, so errno must be cleared first and ERANGE rejected — otherwise
-/// `--trials 99999999999999999999` silently becomes LLONG_MAX.
-std::int64_t parse_int(const std::string& raw, const std::string& what) {
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(raw.c_str(), &end, 10);
-  if (end == raw.c_str() || *end != '\0')
-    throw InvalidArgument(what + " expects an integer, got '" + raw + "'");
-  if (errno == ERANGE)
-    throw InvalidArgument(what + ": integer out of range: '" + raw + "'");
-  return v;
-}
-
-/// strtod with the same discipline: overflow clamps to +-HUGE_VAL (and
-/// underflow to a denormal or zero) with only errno raised.
-double parse_double(const std::string& raw, const std::string& what) {
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(raw.c_str(), &end);
-  if (end == raw.c_str() || *end != '\0')
-    throw InvalidArgument(what + " expects a number, got '" + raw + "'");
-  if (errno == ERANGE)
-    throw InvalidArgument(what + ": number out of range: '" + raw + "'");
-  return v;
-}
-
-}  // namespace
 
 CliParser::CliParser(std::string program_summary) : summary_(std::move(program_summary)) {}
 
@@ -59,8 +26,6 @@ void CliParser::allow_positionals(const std::string& placeholder, const std::str
   positional_placeholder_ = placeholder;
   positional_help_ = help;
 }
-
-bool CliParser::has_option(const std::string& name) const { return options_.contains(name); }
 
 const CliParser::Option& CliParser::find(const std::string& name) const {
   const auto it = options_.find(name);
@@ -112,67 +77,18 @@ std::string CliParser::get_string(const std::string& name) const {
   return it == values_.end() ? opt.default_value : it->second;
 }
 
-std::int64_t CliParser::get_int(const std::string& name) const {
-  return parse_int(get_string(name), "option --" + name);
-}
-
 double CliParser::get_double(const std::string& name) const {
-  return parse_double(get_string(name), "option --" + name);
+  return parse_number(get_string(name), "option --" + name);
 }
 
 bool CliParser::get_flag(const std::string& name) const { return get_string(name) == "true"; }
 
 std::size_t CliParser::get_count(const std::string& name, std::size_t min_value) const {
-  const std::int64_t v = get_int(name);
-  if (v < 0 || static_cast<std::uint64_t>(v) < min_value) {
-    throw InvalidArgument("option --" + name + " must be an integer >= " +
-                          std::to_string(min_value) + ", got " + std::to_string(v));
-  }
-  return static_cast<std::size_t>(v);
-}
-
-namespace {
-/// Strict comma splitting: empty segments ("1,,2", a trailing comma, a
-/// bare ",") and an empty resulting list are user errors, not values to
-/// drop silently — "--sizes 100,,200" almost certainly lost a number.
-std::vector<std::string> split_commas(const std::string& raw, const std::string& what) {
-  std::vector<std::string> parts;
-  std::stringstream ss(raw);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty())
-      throw InvalidArgument(what + ": empty list element in '" + raw + "'");
-    parts.push_back(item);
-  }
-  // getline yields nothing for "" and swallows a trailing empty segment
-  // ("1,2,"); catch both.
-  if (parts.empty()) throw InvalidArgument(what + ": expected a non-empty comma-separated list");
-  if (!raw.empty() && raw.back() == ',')
-    throw InvalidArgument(what + ": empty list element in '" + raw + "'");
-  return parts;
-}
-}  // namespace
-
-std::vector<std::int64_t> CliParser::get_int_list(const std::string& name) const {
-  std::vector<std::int64_t> out;
-  const std::string what = "option --" + name;
-  for (const auto& part : split_commas(get_string(name), what)) {
-    out.push_back(parse_int(part, what));
-  }
-  return out;
-}
-
-std::vector<double> CliParser::get_double_list(const std::string& name) const {
-  std::vector<double> out;
-  const std::string what = "option --" + name;
-  for (const auto& part : split_commas(get_string(name), what)) {
-    out.push_back(parse_double(part, what));
-  }
-  return out;
+  return parse_count(get_string(name), "option --" + name, min_value);
 }
 
 std::vector<std::string> CliParser::get_string_list(const std::string& name) const {
-  return split_commas(get_string(name), "option --" + name);
+  return parse_list(get_string(name), "option --" + name);
 }
 
 std::string CliParser::help_text() const {

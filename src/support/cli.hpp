@@ -5,9 +5,7 @@
 // binary self-documents via `--help`.
 #pragma once
 
-#include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,32 +29,23 @@ class CliParser {
   /// a stray positional is almost always a mistyped option value.
   void allow_positionals(const std::string& placeholder, const std::string& help);
 
-  /// Whether an option or flag with this name has been registered; lets
-  /// shared option blocks read extras only where a binary declared them.
-  bool has_option(const std::string& name) const;
-
   /// Parses argv. Returns false when --help was requested (help text is
   /// written to stdout); throws InvalidArgument on unknown or malformed
   /// arguments.
   bool parse(int argc, const char* const* argv);
 
+  // The typed getters read through the shared parsers of
+  // support/parse.hpp and throw InvalidArgument naming the option.
   std::string get_string(const std::string& name) const;
-  std::int64_t get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_flag(const std::string& name) const;
 
-  /// Non-negative integer >= `min_value`, safe to use as a std::size_t.
-  /// Throws InvalidArgument for negative or too-small values — guards
-  /// options like `--stride 0` or `--tasks -5` that a raw size_t cast
-  /// would silently turn into garbage (or an endless sweep).
+  /// Non-negative integer >= `min_value`, safe to use as a std::size_t
+  /// (`--stride 0` and `--tasks -5` are errors, not garbage).
   std::size_t get_count(const std::string& name, std::size_t min_value = 0) const;
 
-  /// Comma-separated list of integers (e.g. "50,100,200").
-  std::vector<std::int64_t> get_int_list(const std::string& name) const;
-  /// Comma-separated list of doubles.
-  std::vector<double> get_double_list(const std::string& name) const;
-  /// Comma-separated list of strings (e.g. "table,chart"); rejects empty
-  /// elements and empty lists like the numeric getters.
+  /// Comma-separated list (e.g. "table,chart"); rejects empty items and
+  /// empty lists.
   std::vector<std::string> get_string_list(const std::string& name) const;
 
   /// Positional arguments in command-line order (requires

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <iomanip>
 #include <limits>
 #include <ostream>
@@ -27,6 +29,21 @@ std::string format_double_full(double value) {
   std::ostringstream os;
   os << std::setprecision(std::numeric_limits<double>::max_digits10) << value;
   return os.str();
+}
+
+std::string format_double_shortest(double value) {
+  if (!std::isfinite(value)) return format_double_full(value);
+  char buffer[64];
+  // Integral values render plainly ("10", not the %.1g spelling "1e+01").
+  if (value == std::floor(value) && std::abs(value) < 1e15) {
+    std::snprintf(buffer, sizeof buffer, "%.0f", value);
+    return buffer;
+  }
+  for (int precision = 1; precision <= 17; ++precision) {
+    std::snprintf(buffer, sizeof buffer, "%.*g", precision, value);
+    if (std::strtod(buffer, nullptr) == value) break;
+  }
+  return buffer;
 }
 
 Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {

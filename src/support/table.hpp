@@ -16,6 +16,10 @@ std::string format_double(double value, int digits = 3);
 /// tables keep format_double's fixed decimals.
 std::string format_double_full(double value);
 
+/// The shortest decimal text that strtod reads back as the same double
+/// ("0.2", "3600", not 17-digit dumps); non-finite values as above.
+std::string format_double_shortest(double value);
+
 /// A small column-aligned table. Cells are strings; numeric helpers are
 /// provided for the common case. Rendering pads every column to its widest
 /// cell; `to_csv` emits RFC-4180-style rows (quoting cells that need it).

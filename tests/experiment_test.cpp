@@ -98,9 +98,19 @@ TEST(ExperimentFiguresTest, Fig7UsesTheTasksOption) {
 }
 
 TEST(ExperimentFiguresTest, DowntimeSweepRejectsNegativeDowntimes) {
+  // The option table's downtimes row rejects them, naming the option,
+  // wherever the options come from; run_experiment runs that check.
   FigureOptions options;
   options.downtimes = {0.0, -5.0};
-  EXPECT_THROW(ExperimentRegistry::global().find("downtime").build(options), Error);
+  try {
+    check_figure_options(options);
+    FAIL() << "a negative downtime must be rejected";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("downtimes"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW(
+      run_experiment(ExperimentRegistry::global().find("downtime"), options, {}, nullptr),
+      InvalidArgument);
 }
 
 // --- Shard partitioning ------------------------------------------------

@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <map>
 #include <optional>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -18,6 +20,7 @@
 
 #include "engine/result_sink.hpp"
 #include "http_test_util.hpp"
+#include "support/cli.hpp"
 #include "support/error.hpp"
 #include "test_util.hpp"
 
@@ -96,6 +99,186 @@ TEST(ParseJobRequestTest, RejectsBadRequests) {
                InvalidArgument);
   EXPECT_THROW(parse_job_request({{"experiment", "fig2"}, {"eval_math", "float"}}),
                InvalidArgument);  // backend names are exact | fast only
+  // Values the generators or the failure model cannot use fail here, at
+  // POST, not inside the job.
+  for (const std::string cv : {"-1", "nan", "inf", "1e160"}) {
+    EXPECT_THROW(parse_job_request({{"experiment", "theory"}, {"weight_cv", cv}}),
+                 InvalidArgument)
+        << cv;
+  }
+  EXPECT_THROW(parse_job_request({{"experiment", "downtime"}, {"downtimes", "inf"}}),
+               InvalidArgument);
+}
+
+// --- One option table, two front ends ----------------------------------
+
+using Settings = std::vector<std::pair<std::string, std::string>>;
+
+std::string describe(const Settings& settings) {
+  std::string out;
+  for (const auto& [name, value] : settings) out += name + "='" + value + "' ";
+  return out;
+}
+
+/// What the CLI front end reads from `--name=value` (a set flag is its
+/// bare name), or nullopt when it rejects the arguments.
+std::optional<engine::FigureOptions> cli_options(const Settings& settings) {
+  std::vector<std::string> args{"prog"};
+  for (const auto& [name, value] : settings) {
+    std::string flag = "--" + name;
+    std::replace(flag.begin(), flag.end(), '_', '-');
+    args.push_back(name == "quick" ? flag : flag + "=" + value);
+  }
+  std::vector<const char*> argv;
+  for (const std::string& arg : args) argv.push_back(arg.c_str());
+  CliParser cli("test");
+  engine::add_figure_options(cli);
+  try {
+    EXPECT_TRUE(cli.parse(static_cast<int>(argv.size()), argv.data()));
+    return engine::read_figure_options(cli);
+  } catch (const InvalidArgument&) {
+    return std::nullopt;
+  }
+}
+
+/// What POST /runs reads from the same pairs as query parameters.
+std::optional<engine::FigureOptions> http_options(const Settings& settings) {
+  std::map<std::string, std::string> params{{"experiment", "fig2"}};
+  for (const auto& [name, value] : settings) params[name] = value;
+  try {
+    return parse_job_request(params).options;
+  } catch (const InvalidArgument&) {
+    return std::nullopt;
+  }
+}
+
+TEST(OptionTableTest, CliAndHttpReadOneSurface) {
+  // Equal options or a rejection on both sides, also for `seed=-1`, which
+  // a signed parse wraps to 2^64 - 1, and `+50`, which strtoull accepts.
+  const std::vector<Settings> cases = {
+      {},
+      {{"seed", "-1"}},
+      {{"seed", "18446744073709551615"}},
+      {{"sizes", "+50"}},
+      {{"sizes", "50,,100"}},
+      {{"sizes", "60,70"}},
+      {{"stride", "0"}},
+      {{"stride", " 3"}},
+      {{"quick", "1"}},
+      {{"sizes", "600,700"}, {"stride", "16"}, {"quick", "1"}},
+      {{"weight_cv", "-1"}},
+      {{"weight_cv", "0"}},
+      {{"weight_cv", "1e-150"}},
+      {{"weight_cv", "0x1p-2"}},
+      {{"eval_math", "fast"}},
+      {{"eval_math", "FAST"}},
+      {{"tasks", "30"}, {"trials", "5"}},
+      {{"tasks", "0"}},
+      {{"downtimes", "0,60.5"}},
+      {{"downtimes", "inf"}},
+      {{"trials", "1e3"}},
+  };
+  for (const Settings& settings : cases) {
+    const auto cli = cli_options(settings);
+    const auto http = http_options(settings);
+    ASSERT_EQ(cli.has_value(), http.has_value()) << describe(settings);
+    if (!cli) continue;
+    for (const engine::FigureOption& row : engine::figure_option_table()) {
+      EXPECT_EQ(row.show(*cli), row.show(*http)) << row.name << " after " << describe(settings);
+    }
+    EXPECT_EQ(cli->threads, http->threads) << describe(settings);
+  }
+  EXPECT_FALSE(http_options({{"seed", "-1"}}));
+  EXPECT_FALSE(http_options({{"sizes", "+50"}}));
+  EXPECT_EQ(cli_options({})->sizes, engine::FigureOptions{}.sizes);  // --help's defaults
+}
+
+TEST(OptionTableTest, SeededMutationsFailAtParseOrInstantiate) {
+  // Admission's invariant over 10^4 query maps and 10^4 flat-JSON
+  // bodies: a request either throws InvalidArgument (a 400 at POST) or
+  // yields options whose plan flattens and whose first scenario, at 20
+  // tasks, instantiates — never a job that fails later.
+  const engine::ExperimentRegistry& registry = engine::ExperimentRegistry::global();
+  std::vector<std::string> experiments;
+  for (const engine::Experiment* experiment : registry.experiments()) {
+    experiments.push_back(experiment->name);
+  }
+  const std::vector<std::string> tokens = {
+      "", "0", "1", "7", "-1", "+5", " 5", "4.5", "-0", "1e3", "3600", "0x10", "abc",
+      "nan", "inf", "-inf", "1e150", "1e152", "1e153", "1e160", "1e-150", "1e-154", "1e-160",
+      "1e-320", "1e999", "18446744073709551615", "18446744073709551616", "50,60", "1,,2", ",",
+      "0,inf", "exact", "fast", "true", "off", "maybe"};
+  const std::string bytes = "{}[]\",:0123456789.-+eE tnfalusxyz_\\";
+  std::mt19937_64 rng(20261019);
+  const auto pick = [&](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  const auto mutate = [&](std::string text) {
+    for (std::size_t edits = 1 + pick(3); edits > 0; --edits) {
+      const std::size_t at = pick(text.size() + 1);
+      const char c = bytes[pick(bytes.size())];
+      switch (pick(3)) {
+        case 0: text.insert(at, 1, c); break;
+        case 1: if (at < text.size()) text.erase(at, 1); break;
+        default: if (at < text.size()) text[at] = c; break;
+      }
+    }
+    return text;
+  };
+  std::size_t accepted = 0;
+  for (int i = 0; i < 20000; ++i) {
+    std::map<std::string, std::string> params;
+    if (pick(20) != 0) params["experiment"] = experiments[pick(experiments.size())];
+    for (const engine::FigureOption& row : engine::figure_option_table()) {
+      if (pick(3) != 0) continue;
+      const std::string valid = row.show(engine::FigureOptions{});
+      const std::size_t kind = pick(3);
+      params[std::string(row.name)] =
+          kind == 0 ? tokens[pick(tokens.size())] : kind == 1 ? mutate(valid) : valid;
+    }
+    if (pick(25) == 0) params[mutate("seed")] = "1";
+    std::string body;
+    if (i % 2 == 1) {
+      // The same request as a flat JSON body, with lists as arrays,
+      // bare tokens unquoted, and sometimes a few bytes garbled.
+      body = "{";
+      for (const auto& [key, value] : params) {
+        if (body.size() > 1) body += ',';
+        body += "\"" + key + "\":";
+        const bool bare = !value.empty() && value.find_first_not_of(
+                                                "0123456789.+-eEnaifxtrulsbcdom") == std::string::npos;
+        if (value.find(',') != std::string::npos) {
+          body += "[" + value + "]";
+        } else {
+          body += bare ? value : "\"" + value + "\"";
+        }
+      }
+      body += "}";
+      if (pick(2) == 0) body = mutate(body);
+    }
+    const engine::Experiment* experiment = nullptr;
+    engine::FigureOptions options;
+    try {
+      if (i % 2 == 1) params = parse_flat_json(body);
+      const JobRequest request = parse_job_request(params);
+      experiment = &registry.find(request.experiment);
+      options = request.options;
+    } catch (const InvalidArgument&) {
+      continue;
+    }
+    ++accepted;
+    std::string request = body;
+    for (const auto& [key, value] : params) request += " " + key + "='" + value + "'";
+    try {
+      const std::vector<engine::PlannedScenario> plan = engine::flatten_plan(
+          experiment->build(options));
+      ASSERT_FALSE(plan.empty()) << request;
+      engine::ScenarioSpec spec = plan.front().spec;
+      spec.task_count = 20;
+      spec.instantiate();
+    } catch (const std::exception& e) {
+      FAIL() << "accepted request fails later: " << request << ": " << e.what();
+    }
+  }
+  EXPECT_GT(accepted, 1000u);  // the walk reaches past the parser
 }
 
 TEST(ParseFlatJsonTest, ParsesScalarsAndScalarArrays) {
@@ -624,6 +807,12 @@ TEST_F(ExperimentServiceTest, ErrorPathsMapToHttpStatuses) {
   EXPECT_EQ(http_status(http_exchange(
                 port(), "POST /runs?experiment=tiny&threads=2 HTTP/1.1\r\nHost: t\r\n\r\n")),
             400);
+  for (const std::string bad : {"weight_cv=-1", "downtimes=inf"}) {
+    EXPECT_EQ(http_status(http_exchange(
+                  port(), "POST /runs?experiment=tiny&" + bad + " HTTP/1.1\r\nHost: t\r\n\r\n")),
+              400)
+        << bad;
+  }
   EXPECT_EQ(http_status(http_get(port(), "/runs/7")), 404);
   EXPECT_EQ(http_status(http_get(port(), "/runs/7/records")), 404);
   EXPECT_EQ(http_status(http_get(port(), "/runs/notanumber")), 404);

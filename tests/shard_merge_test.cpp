@@ -2,18 +2,22 @@
 // of per-shard NDJSON files reproduces the unsharded stream bit for bit,
 // including degenerate shardings (more shards than scenarios, empty
 // shards) — and the failure modes (misordered/duplicated/missing shards,
-// truncated files, option mismatches) that must fail loudly.
+// truncated files, option mismatches, edited records) that must fail
+// loudly. The last test walks the option table: every option reaches the
+// records, the cache keys and so the merge.
 #include "service/shard_merge.hpp"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "engine/result_sink.hpp"
+#include "service/result_cache.hpp"
 #include "support/error.hpp"
 
 namespace fpsched::service {
@@ -246,6 +250,50 @@ TEST_F(ShardMergeTest, RejectsShardsOfTheOtherEvalMath) {
   EXPECT_EQ(merge(exact_paths), unsharded_);
 }
 
+TEST_F(ShardMergeTest, RejectsAnEditedSpecFieldAndNamesIt) {
+  // Every field before "linearization" is pinned by one comparison: a
+  // shard whose record says another lambda, policy, cost parameter or
+  // simulation seed than its planned position does not merge.
+  const auto edit = [&](const std::string& records, std::size_t line, const std::string& from,
+                        const std::string& to) {
+    std::size_t start = 0;
+    for (std::size_t i = 0; i < line; ++i) start = records.find('\n', start) + 1;
+    const std::size_t at = records.find(from, start);
+    EXPECT_LT(at, records.find('\n', start)) << from << " not on line " << line;
+    std::string edited = records;
+    edited.replace(at, from.size(), to);
+    return write_file("edited.ndjson", edited);
+  };
+  const auto expect_named = [&](const engine::Experiment& experiment,
+                                const engine::FigureOptions& options, const std::string& path,
+                                const std::string& field) {
+    try {
+      std::ostringstream os;
+      merge_ndjson_shards(experiment, options, {path}, os, {});
+      ADD_FAILURE() << "a record with an edited " << field << " merged";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("\"" + field + "\":"), std::string::npos) << e.what();
+    }
+  };
+  expect_named(experiment_, tiny_options(),
+               edit(unsharded_, 0, "\"lambda\":0.001", "\"lambda\":0.002"), "lambda");
+  expect_named(experiment_, tiny_options(),
+               edit(unsharded_, 1, "\"policy\":\"BF-CkptC\"", "\"policy\":\"DF-CkptC\""),
+               "policy");
+  expect_named(experiment_, tiny_options(),
+               edit(unsharded_, 2, "\"cost_parameter\":0.10000000000000001",
+                    "\"cost_parameter\":0.5"),
+               "cost_parameter");
+
+  const engine::Experiment simulated = tiny_simulated_experiment();
+  engine::FigureOptions options = tiny_options();
+  options.trials = 50;
+  expect_named(simulated, options,
+               edit(run_ndjson(simulated, options, {}), 1, "\"sim_seed\":31",
+                    "\"sim_seed\":32"),
+               "sim_seed");
+}
+
 TEST_F(ShardMergeTest, ReportCountsFilesAndRecords) {
   const std::vector<std::string> paths = write_shards(4);
   std::ostringstream os;
@@ -255,6 +303,66 @@ TEST_F(ShardMergeTest, ReportCountsFilesAndRecords) {
   EXPECT_EQ(report.records, 6u);
   EXPECT_EQ(report.expected, 6u);
   EXPECT_TRUE(report.complete());
+}
+
+// --- The option table is the records' provenance -----------------------
+
+TEST(OptionTableProvenanceTest, EveryRowReachesTheRecordTheCacheKeyAndTheMerge) {
+  // A non-default value per row, with a registered experiment whose plan
+  // reads it. A row the table gains without an entry here fails.
+  const std::map<std::string, std::pair<std::string, std::string>> changed = {
+      {"sizes", {"60,70", "fig2"}},     {"stride", {"3", "fig2"}},
+      {"seed", {"7", "fig2"}},          {"weight_cv", {"0.5", "fig4"}},
+      {"eval_math", {"fast", "fig2"}},  {"tasks", {"123", "fig7"}},
+      {"downtimes", {"0,30", "downtime"}}, {"trials", {"500", "robustness"}},
+      {"quick", {"1", "fig3"}},
+  };
+  // Records are rendered, never computed: plans only, no evaluator.
+  const std::string result_part =
+      "\"linearization\":\"DF\",\"best_budget\":0,\"expected_makespan\":1,\"ratio\":1}\n";
+  const std::string dir = ::testing::TempDir() + "/fpsched_option_provenance_test";
+  std::filesystem::create_directories(dir);
+  const engine::FigureOptions defaults;
+  for (const engine::FigureOption& row : engine::figure_option_table()) {
+    const std::string name(row.name);
+    ASSERT_TRUE(changed.contains(name)) << "no non-default value for option " << name;
+    const auto& [value, experiment_name] = changed.at(name);
+    const engine::FigureOptions options = engine::read_figure_options({{name, value}});
+    const engine::Experiment& experiment =
+        engine::ExperimentRegistry::global().find(experiment_name);
+    const auto base = engine::flatten_plan(experiment.build(defaults));
+    const auto plan = engine::flatten_plan(experiment.build(options));
+    const auto head = [&](const engine::PlannedScenario& planned, EvalMath math) {
+      return engine::record_json_prefix(experiment.name, planned.panel) +
+             engine::record_spec_json(planned.spec, math);
+    };
+
+    bool key_moved = plan.size() != base.size();
+    bool head_moved = key_moved;
+    std::string records;
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+      records += head(plan[i], options.eval_math) + result_part;
+      if (i >= base.size()) continue;
+      key_moved = key_moved || ResultCacheKey::of(plan[i].spec, options.eval_math).canonical !=
+                                   ResultCacheKey::of(base[i].spec, defaults.eval_math).canonical;
+      head_moved = head_moved ||
+                   head(plan[i], options.eval_math) != head(base[i], defaults.eval_math);
+    }
+    EXPECT_TRUE(key_moved) << name << " changes no cache key";
+    EXPECT_TRUE(head_moved) << name << " changes no record's spec part";
+
+    const std::string path = dir + "/" + name + ".ndjson";
+    std::ofstream(path, std::ios::binary) << records;
+    std::ostringstream merged;
+    EXPECT_THROW(merge_ndjson_shards(experiment, defaults, {path}, merged, {}), InvalidArgument)
+        << "shards made with " << name << "=" << value << " merge under the defaults";
+    std::ostringstream out;
+    const MergeReport report =
+        merge_ndjson_shards(experiment, options, {path}, out, {.require_complete = true});
+    EXPECT_TRUE(report.complete()) << name;
+    EXPECT_EQ(out.str(), records) << name;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
