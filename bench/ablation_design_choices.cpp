@@ -39,8 +39,9 @@ TaskGraph make_instance(WorkflowKind kind, std::size_t size, const FigureOptions
 /// joined by idle engine workers.
 HeuristicOptions cell_options(const engine::ExperimentEngine& eng, const FigureOptions& options,
                               std::size_t stride, EvaluatorWorkspace& ws) {
-  HeuristicOptions heuristic = eng.worker_options(ws, options.eval_math);
-  heuristic.sweep.stride = stride;
+  HeuristicOptions heuristic = eng.worker_options(ws);
+  heuristic.stride = stride;
+  heuristic.eval = options.eval_math;
   return heuristic;
 }
 

@@ -75,8 +75,9 @@
 // variants) these are the bytes of every earlier release.
 //
 // Two algorithms share that loop and differ only in each lane's step
-// (EvalMath, selected per call; the engine, CLI --eval-math and HTTP
-// eval_math thread it down, and nothing selects `fast` implicitly):
+// (EvalMath, selected per call; CLI --eval-math and HTTP eval_math set
+// the ScenarioSpec field the engine reads, and nothing selects `fast`
+// implicitly):
 //  * exact — P(Z^i_k) = exp(-lambda S^i_k) P(Z^{k+1}_k), one exp per
 //    (k, i) record, in the historical expression shapes. The default
 //    everywhere.

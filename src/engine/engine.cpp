@@ -67,12 +67,10 @@ ExperimentEngine::ExperimentEngine(EngineOptions options)
 
 ExperimentEngine::~ExperimentEngine() = default;
 
-HeuristicOptions ExperimentEngine::worker_options(EvaluatorWorkspace& workspace,
-                                                  EvalMath math) const {
+HeuristicOptions ExperimentEngine::worker_options(EvaluatorWorkspace& workspace) const {
   HeuristicOptions options;
-  options.sweep.workspace = &workspace;
-  options.sweep.pool = pool_.get();
-  options.sweep.eval = math;
+  options.workspace = &workspace;
+  options.pool = pool_.get();
   return options;
 }
 
@@ -181,7 +179,8 @@ std::vector<std::vector<std::size_t>> cell_groups(std::span<const ScenarioSpec> 
 /// failure models together (see run_heuristic's multi-model overload),
 /// and each member's policy then selects from its own model's results —
 /// bit-identical to running the members one by one. `options` carries
-/// the worker's workspace, pool and math backend.
+/// the worker's workspace and pool; the stride and the evaluator
+/// algorithm come from the group's spec.
 std::vector<ScenarioResult> run_cell_group(std::span<const ScenarioSpec* const> members,
                                            InstanceCache& cache, HeuristicOptions options) {
   const ScenarioSpec& first = *members.front();
@@ -203,8 +202,8 @@ std::vector<ScenarioResult> run_cell_group(std::span<const ScenarioSpec* const> 
   std::vector<FailureModel> models;
   models.reserve(members.size());
   for (const ScenarioSpec* spec : members) models.push_back(spec->model);
-  options.linearize = first.linearize;
-  options.sweep.stride = first.stride;
+  options.stride = first.stride;
+  options.eval = first.eval_math;
 
   // One entry per heuristic run so far, results by member; a deque keeps
   // earlier entries in place while later ones are added.
@@ -222,7 +221,6 @@ std::vector<ScenarioResult> run_cell_group(std::span<const ScenarioSpec* const> 
   for (std::size_t m = 0; m < members.size(); ++m) {
     results.push_back(execute_policy(*members[m], graph, [&](const HeuristicSpec& heuristic)
                                          -> const HeuristicResult& { return runs_of(heuristic)[m]; }));
-    results.back().eval_math = options.sweep.eval;
   }
   return results;
 }
@@ -296,8 +294,7 @@ class OrderedEmitter {
 }  // namespace
 
 std::vector<ScenarioResult> ExperimentEngine::run(std::span<const ScenarioSpec> specs,
-                                                  const ResultCallback& on_result,
-                                                  EvalMath math) const {
+                                                  const ResultCallback& on_result) const {
   EngineMetrics& metrics = engine_metrics();
   metrics.runs.add(1);
   const obs::ScopedTimer run_timer(metrics.run_seconds);
@@ -322,7 +319,7 @@ std::vector<ScenarioResult> ExperimentEngine::run(std::span<const ScenarioSpec> 
     for (const std::size_t index : group) members.push_back(&specs[index]);
     InstanceCache& cache = caches[worker].for_group(*members.front(), members.size());
     std::vector<ScenarioResult> computed =
-        run_cell_group(members, cache, worker_options(workspaces[worker], math));
+        run_cell_group(members, cache, worker_options(workspaces[worker]));
     for (std::size_t m = 0; m < group.size(); ++m) {
       results[group[m]] = std::move(computed[m]);
       emitter.complete(group[m]);

@@ -26,8 +26,9 @@
 // helpers at all. The worker index picks per-worker scratch: the
 // instance memo and evaluator workspace of a group worker, the workspace
 // of a sweep helper. Every scenario's result depends only on its
-// ScenarioSpec (instance seeds and RNG streams are part of the spec), so
-// results are bit-for-bit identical for any thread count or grouping.
+// ScenarioSpec (instance seeds, RNG streams and the evaluator algorithm
+// are part of the spec), so results are bit-for-bit identical for any
+// thread count or grouping.
 #pragma once
 
 #include <cstddef>
@@ -60,9 +61,6 @@ struct ScenarioResult {
   /// policies, the winner; fixed policies echo the spec).
   LinearizeMethod linearization = LinearizeMethod::depth_first;
   std::size_t best_budget = 0;
-  /// The evaluator algorithm that produced `evaluation`; fast records say
-  /// so in their bytes.
-  EvalMath eval_math = EvalMath::exact;
 
   double ratio() const { return evaluation.ratio; }
 };
@@ -80,10 +78,9 @@ class ExperimentEngine {
 
   /// Heuristic options for code running inside one of this engine's
   /// workers: sweeps evaluate on `workspace` and may be joined by idle
-  /// workers of the engine's pool, with `math` as the backend. Callers
-  /// layer their stride / linearization on top.
-  HeuristicOptions worker_options(EvaluatorWorkspace& workspace,
-                                  EvalMath math = EvalMath::exact) const;
+  /// workers of the engine's pool. Callers layer their stride,
+  /// linearization and evaluator algorithm on top.
+  HeuristicOptions worker_options(EvaluatorWorkspace& workspace) const;
 
   /// Streaming hook for run(): called once per scenario with its input
   /// index and result. Deliveries are serialized and strictly ordered —
@@ -92,15 +89,15 @@ class ExperimentEngine {
   /// still computing on other workers.
   using ResultCallback = std::function<void(std::size_t, const ScenarioResult&)>;
 
-  /// Runs every scenario with `math` as the evaluator backend, one cell
-  /// group per work unit (groups start in first-appearance order);
-  /// results come back in input order and are independent of the thread
-  /// count and of the grouping. A non-null `on_result` receives each
-  /// result in input order as soon as its ordered prefix completes, so a
-  /// record may wait for the rest of its group. Safe to call concurrently.
+  /// Runs every scenario, one cell group per work unit (groups start in
+  /// first-appearance order); each result is a function of its spec
+  /// alone, evaluator algorithm included. Results come back in input
+  /// order and are independent of the thread count and of the grouping.
+  /// A non-null `on_result` receives each result in input order as soon as
+  /// its ordered prefix completes, so a record may wait for the rest of
+  /// its group. Safe to call concurrently.
   std::vector<ScenarioResult> run(std::span<const ScenarioSpec> specs,
-                                  const ResultCallback& on_result = {},
-                                  EvalMath math = EvalMath::exact) const;
+                                  const ResultCallback& on_result = {}) const;
 
   /// Enumerates and runs a grid.
   std::vector<ScenarioResult> run(const ScenarioGrid& grid) const;

@@ -128,8 +128,7 @@ void run_experiment(const Experiment& experiment, const FigureOptions& options,
         while (panel_index + 1 < offsets.size() && i >= offsets[panel_index + 1]) ++panel_index;
         const ResultRecord record{experiment.name, plan.panels[panel_index].slug, result};
         for (ResultSink* sink : sinks) sink->record(record);
-      },
-      options.eval_math);
+      });
 
   // Level 2: assembled panels — only when this process ran the whole
   // grid (a shard's slice does not cover whole panels).

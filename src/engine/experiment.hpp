@@ -44,7 +44,9 @@ struct FigurePlan {
 };
 
 /// A registered experiment: everything fpsched_run needs to list and run
-/// a figure or study by name.
+/// a figure or study by name. The builder carries every option it honors
+/// into its grids (and so into each ScenarioSpec): options reach the
+/// engine, the records and the cache keys only through the plan.
 struct Experiment {
   std::string name;     // registry key, e.g. "fig2"
   std::string summary;  // one-liner for --list
@@ -144,8 +146,9 @@ std::string best_lin_panel_title(WorkflowKind kind, const std::string& subtitle)
 
 /// Checks `options` (check_figure_options), builds the experiment's plan,
 /// runs every panel's scenarios through ONE sharded engine pass (so the
-/// whole figure, not just each panel, load-balances across workers), and
-/// streams the output through `sinks`:
+/// whole figure, not just each panel, load-balances across workers; the
+/// evaluator algorithm, like every other option, comes from the specs),
+/// and streams the output through `sinks`:
 /// every scenario result as a ResultRecord first — delivered live, in
 /// flattened order, as the completed prefix grows (the engine's ordered
 /// callback), so record sinks see results while later scenarios still

@@ -15,10 +15,9 @@ namespace fpsched::engine {
 
 namespace {
 
-/// The shared grid knobs every panel inherits from the options. The cost
-/// model rides on the generalized grid dimension (a one-point
-/// checkpoint-cost list) so every figure grid uses the same axis
-/// machinery; a singleton list enumerates identically to the scalar.
+/// The shared grid knobs every panel inherits from the options: every
+/// registered experiment builds its grids here, so each spec carries the
+/// options' stride, seed, weight cv and evaluator algorithm.
 ScenarioGrid base_grid(WorkflowKind kind, const CostModel& cost_model,
                        const FigureOptions& options) {
   ScenarioGrid grid;
@@ -28,6 +27,7 @@ ScenarioGrid base_grid(WorkflowKind kind, const CostModel& cost_model,
   grid.seed = options.seed;
   grid.weight_cv = options.weight_cv;
   grid.stride = options.stride;
+  grid.eval_math = options.eval_math;
   return grid;
 }
 
@@ -245,7 +245,7 @@ FigurePlan build_theory(const FigureOptions& options) {
   for (std::size_t i = 0; i < 4; ++i) {
     ScenarioGrid grid = base_grid(kinds[i], cost, options);
     grid.sizes = {20, 26, 32};
-    grid.downtime = 1.0;  // exercise the downtime term of Eq. (1) too
+    grid.downtimes = {1.0};  // exercise the downtime term of Eq. (1) too
     grid.policies = best_lin_policies();
     plan.panels.push_back(
         {std::move(grid),

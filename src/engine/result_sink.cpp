@@ -17,8 +17,8 @@ Table panel_table(const Panel& panel, bool machine_precision) {
   std::vector<std::string> headers{panel.x_label};
   for (const PanelSeries& series : panel.series) headers.push_back(series.name);
   Table table(headers);
-  // Task counts are integers, lambdas need their leading decimals, the
-  // other axes (downtime seconds, cost-model parameters) use 3 decimals.
+  // Task counts are integers, lambdas need their leading decimals,
+  // downtime seconds use 3 decimals.
   const auto format_x = [&](double x) {
     if (panel.axis == GridAxis::task_count) return std::to_string(static_cast<long long>(x));
     return format_double(x, panel.axis == GridAxis::lambda ? 6 : 3);
@@ -68,7 +68,8 @@ Panel assemble_panel(const ScenarioGrid& grid, std::span<const ScenarioResult> r
   single(GridAxis::task_count, grid.sizes.size());
   single(GridAxis::lambda, grid.lambdas.size());
   single(GridAxis::downtime, grid.downtimes.size());
-  single(GridAxis::checkpoint_cost, grid.cost_models.size());
+  ensure(grid.cost_models.size() <= 1, "a " + to_string(grid.axis) + " panel of " + kind_name +
+                                           " needs a single cost model");
 
   Panel panel;
   panel.title = std::move(title);
@@ -83,11 +84,6 @@ Panel assemble_panel(const ScenarioGrid& grid, std::span<const ScenarioResult> r
       break;
     case GridAxis::downtime:
       panel.xs = grid.downtimes;
-      break;
-    case GridAxis::checkpoint_cost:
-      // The x coordinate is the model parameter (the factor of c = f*w or
-      // the constant cost in seconds, depending on the models' kind).
-      for (const CostModel& model : grid.cost_models) panel.xs.push_back(model.parameter);
       break;
   }
 
@@ -176,7 +172,7 @@ std::string_view sim_distribution_name(ScenarioPolicy::SimDistribution distribut
 }
 
 /// The spec part: "workflow" through "scenario_index":N and its comma.
-void write_record_spec(std::ostream& os, const ScenarioSpec& spec, EvalMath eval_math) {
+void write_record_spec(std::ostream& os, const ScenarioSpec& spec) {
   os << "\"workflow\":" << json_quote(to_string(spec.workflow))
      << ",\"tasks\":" << spec.task_count << ",\"lambda\":" << json_number(spec.model.lambda())
      << ",\"downtime\":" << json_number(spec.model.downtime())
@@ -196,7 +192,7 @@ void write_record_spec(std::ostream& os, const ScenarioSpec& spec, EvalMath eval
      << ",\"weight_cv\":" << json_number(spec.weight_cv) << ",\"stride\":" << spec.stride;
   // Only fast records name their algorithm: exact records keep their
   // historical bytes.
-  if (eval_math == EvalMath::fast) os << ",\"eval_math\":\"fast\"";
+  if (spec.eval_math == EvalMath::fast) os << ",\"eval_math\":\"fast\"";
   os << ",\"scenario_index\":" << spec.scenario_index << ',';
 }
 
@@ -206,15 +202,15 @@ std::string record_json_prefix(std::string_view experiment, std::string_view pan
   return "{\"experiment\":" + json_quote(experiment) + ",\"panel\":" + json_quote(panel) + ",";
 }
 
-std::string record_spec_json(const ScenarioSpec& spec, EvalMath eval_math) {
+std::string record_spec_json(const ScenarioSpec& spec) {
   std::ostringstream os;
-  write_record_spec(os, spec, eval_math);
+  write_record_spec(os, spec);
   return os.str();
 }
 
 std::string record_body_json(const ScenarioResult& result) {
   std::ostringstream os;
-  write_record_spec(os, result.spec, result.eval_math);
+  write_record_spec(os, result.spec);
   os << "\"linearization\":" << json_quote(to_string(result.linearization))
      << ",\"best_budget\":" << result.best_budget
      << ",\"expected_makespan\":" << json_number(result.evaluation.expected_makespan)

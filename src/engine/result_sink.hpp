@@ -8,9 +8,9 @@
 // unsharded stream.
 //
 // Level 2: a Panel is the paper's figure unit — an x grid (task counts,
-// failure rates, downtimes or checkpoint-cost parameters, per the grid's
-// axis) with one T/T_inf series per policy. Presentation sinks render
-// panels — a fixed-width table, an ASCII chart, a CSV file.
+// failure rates or downtimes, per the grid's axis) with one T/T_inf
+// series per policy. Presentation sinks render panels — a fixed-width
+// table, an ASCII chart, a CSV file.
 // assemble_panel() maps a grid's flattened ScenarioResults back onto
 // panel coordinates; sharded runs skip this level (their slice does not
 // cover whole panels).
@@ -68,17 +68,17 @@ std::string to_json(const ResultRecord& record);
 /// to_json(record) == record_json_prefix(record.experiment, record.panel)
 ///                    + record_body_json(record.result), byte for byte.
 /// The body starts at the "workflow" field and includes the closing
-/// brace; it is a pure function of (spec, math backend) — everything a
-/// ResultCacheKey pins down.
+/// brace; it is a pure function of the spec — everything a ResultCacheKey
+/// pins down.
 std::string record_json_prefix(std::string_view experiment, std::string_view panel);
 std::string record_body_json(const ScenarioResult& result);
 
 /// The body's spec part: every field from "workflow" through
-/// `"scenario_index":N,` ("eval_math" included), a pure function of
-/// (spec, eval_math); the result part ("linearization" onward) follows
-/// it. A shard merge requires each record line to start with
-/// record_json_prefix + record_spec_json of its planned position.
-std::string record_spec_json(const ScenarioSpec& spec, EvalMath eval_math);
+/// `"scenario_index":N,` ("eval_math" included), a pure function of the
+/// spec; the result part ("linearization" onward) follows it. A shard
+/// merge requires each record line to start with record_json_prefix +
+/// record_spec_json of its planned position.
+std::string record_spec_json(const ScenarioSpec& spec);
 
 /// `value` as a quoted JSON string (escapes quotes, backslashes and
 /// control characters) — the one escaper every JSON-emitting layer
@@ -87,9 +87,9 @@ std::string json_quote(std::string_view value);
 
 /// The panel as a printable/CSV-able table (x column plus one column per
 /// series; lambda grids format x with 6 decimals, size grids as integers,
-/// downtime/checkpoint-cost grids with 3 decimals). Human tables round
-/// ratios to 4 decimals; machine_precision serializes them at
-/// round-trip precision (max_digits10) for CSV export.
+/// downtime grids with 3 decimals). Human tables round ratios to 4
+/// decimals; machine_precision serializes them at round-trip precision
+/// (max_digits10) for CSV export.
 Table panel_table(const Panel& panel, bool machine_precision = false);
 
 /// Builds the panel of a single-workflow grid from the results of

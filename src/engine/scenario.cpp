@@ -89,6 +89,14 @@ std::string canonical_spec_string(const ScenarioSpec& spec) {
   field("outweight", num(spec.linearize.outweight));
   field("lin_seed", num(spec.linearize.seed));
   field("index", num(spec.scenario_index));
+  // The evaluator algorithm comes last, in the spelling the keys had
+  // before it was a spec field, so existing disk caches stay valid. Fast
+  // keys are spelled `math=fast-recurrence/2`: fast records carry an
+  // "eval_math" field since that spelling, and no earlier build wrote it
+  // (the recurrence wrote `math=fast-recurrence`, the polynomial kernels
+  // before it `math=fast` and `math=fast kernel=...`), so an old
+  // --cache-dir never serves a fast body without the field.
+  field("math", spec.eval_math == EvalMath::exact ? "exact" : "fast-recurrence/2");
   return out;
 }
 
@@ -113,7 +121,6 @@ std::string to_string(GridAxis axis) {
     case GridAxis::task_count: return "number of tasks";
     case GridAxis::lambda: return "lambda";
     case GridAxis::downtime: return "downtime";
-    case GridAxis::checkpoint_cost: return "checkpoint cost";
   }
   return "?";
 }
@@ -130,8 +137,6 @@ void ScenarioGrid::validate() const {
          "a lambda-axis grid needs an explicit lambda list");
   ensure(axis != GridAxis::downtime || !downtimes.empty(),
          "a downtime-axis grid needs an explicit downtime list");
-  ensure(axis != GridAxis::checkpoint_cost || !cost_models.empty(),
-         "a checkpoint_cost-axis grid needs an explicit cost-model list");
 }
 
 std::size_t ScenarioGrid::scenario_count() const {
@@ -144,11 +149,11 @@ std::size_t ScenarioGrid::scenario_count() const {
 
 std::vector<ScenarioSpec> ScenarioGrid::enumerate() const {
   validate();
-  // Empty grid dimensions collapse to their scalar defaults.
+  // Empty grid dimensions collapse to their defaults.
   const std::vector<double> grid_downtimes =
-      downtimes.empty() ? std::vector<double>{downtime} : downtimes;
+      downtimes.empty() ? std::vector<double>{0.0} : downtimes;
   const std::vector<CostModel> grid_costs =
-      cost_models.empty() ? std::vector<CostModel>{cost_model} : cost_models;
+      cost_models.empty() ? std::vector<CostModel>{CostModel::proportional(0.1)} : cost_models;
   std::vector<ScenarioSpec> specs;
   specs.reserve(scenario_count());
   for (const WorkflowKind kind : workflows) {
@@ -170,6 +175,7 @@ std::vector<ScenarioSpec> ScenarioGrid::enumerate() const {
               spec.weight_cv = weight_cv;
               spec.stride = stride;
               spec.linearize = linearize;
+              spec.eval_math = eval_math;
               spec.scenario_index = specs.size();
               specs.push_back(spec);
             }

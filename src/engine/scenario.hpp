@@ -77,6 +77,10 @@ struct ScenarioSpec {
   /// Linearization options (RF seed, outweight mode) — part of the spec so
   /// results do not depend on who executes the scenario.
   LinearizeOptions linearize;
+  /// Evaluator algorithm of every evaluation (see evaluator.hpp). Fast
+  /// records differ from exact ones in their last digits and name their
+  /// algorithm, so it is part of the scenario like any other field.
+  EvalMath eval_math = EvalMath::exact;
 
   /// Position in the flattened grid, assigned by ScenarioGrid::enumerate;
   /// records carry it so a shard merge can check their order. Randomness
@@ -96,45 +100,46 @@ struct ScenarioSpec {
 /// collision-proof body of content-addressed cache keys. Two specs map to
 /// the same string iff every field (policy sub-fields included) is equal;
 /// doubles serialize at round-trip precision, enums as their numeric
-/// codes. The "spec/1" version prefix invalidates persisted keys whenever
-/// the spec gains a field that changes record bytes.
+/// codes, and the evaluator algorithm last, as ` math=exact` or
+/// ` math=fast-recurrence/2`. The "spec/1" version prefix invalidates
+/// persisted keys whenever the spec gains a field that changes record
+/// bytes.
 std::string canonical_spec_string(const ScenarioSpec& spec);
 
 /// FNV-1a 64-bit hash (the compact index form of canonical key strings).
 std::uint64_t fnv1a64(std::string_view text);
 
 /// Which grid dimension forms the x axis of assembled panels.
-enum class GridAxis : std::uint8_t { task_count, lambda, downtime, checkpoint_cost };
+enum class GridAxis : std::uint8_t { task_count, lambda, downtime };
 
 /// Axis label used by panels and tables ("number of tasks", "lambda",
-/// "downtime", "checkpoint cost").
+/// "downtime").
 std::string to_string(GridAxis axis);
 
 /// The declarative cross product kind x size x lambda x downtime x
 /// cost model x policy. Scenario order is fixed (kind-major, then size,
 /// lambda, downtime, cost model, then policy) so a grid always flattens to
-/// the same list; grids whose extra dimensions are left at their scalar
-/// defaults keep the historical kind x size x lambda x policy order.
+/// the same list; grids whose extra dimensions are left empty keep the
+/// historical kind x size x lambda x policy order. The fields after
+/// `policies`, but `axis`, are copied into each spec.
 struct ScenarioGrid {
   std::vector<WorkflowKind> workflows;
   std::vector<std::size_t> sizes{100};
   /// Failure rates; empty = the paper's per-workflow lambda
   /// (`paper_lambda`).
   std::vector<double> lambdas;
-  /// Downtime grid (seconds after each failure); empty = the scalar
-  /// `downtime` below. Required non-empty for a downtime-axis grid.
+  /// Downtime grid (seconds after each failure); empty = D = 0. Required
+  /// non-empty for a downtime-axis grid.
   std::vector<double> downtimes;
-  double downtime = 0.0;
-  /// Cost-model grid; empty = the scalar `cost_model` below. Required
-  /// non-empty for a checkpoint_cost-axis grid.
+  /// Cost-model grid; empty = c = r = 0.1 w.
   std::vector<CostModel> cost_models;
-  CostModel cost_model = CostModel::proportional(0.1);
   std::vector<ScenarioPolicy> policies;
 
   std::uint64_t seed = 42;
   double weight_cv = 0.2;
   std::size_t stride = 1;
   LinearizeOptions linearize;
+  EvalMath eval_math = EvalMath::exact;
   GridAxis axis = GridAxis::task_count;
 
   std::size_t scenario_count() const;

@@ -1,6 +1,9 @@
 #include "heuristics/heuristic.hpp"
 
+#include <algorithm>
+
 #include "support/error.hpp"
+#include "support/threading.hpp"
 
 namespace fpsched {
 
@@ -46,43 +49,92 @@ std::vector<HeuristicResult> run_heuristic(const ScheduleEvaluator& evaluator,
                                            const HeuristicSpec& spec,
                                            const std::vector<VertexId>& order,
                                            const HeuristicOptions& options) {
-  std::vector<SweepResult> sweeps =
-      sweep_checkpoint_budget(evaluator, models, order, spec.checkpointing, options.sweep);
+  ensure(options.stride >= 1, "sweep stride must be >= 1");
+  ensure(!models.empty(), "a heuristic run needs at least one failure model");
+  const TaskGraph& graph = evaluator.graph();
+  const std::size_t n = graph.task_count();
+  ensure(order.size() == n, "order size must match the task count");
 
-  // Re-evaluate each winner with the sweep's math backend so the recorded
-  // Evaluation comes from the same backend as the sweep that selected it
-  // (for the exact backend this is bit-identical to a plain evaluate()).
-  // Models whose sweeps picked the same budget won with the same
-  // schedule, so they share one multi-model call.
+  // Validate the linearization once; the per-candidate evaluations skip it.
+  validate_schedule(graph, make_schedule(order));
+
+  // Budget grid: 1, 1+stride, ..., plus n-1 (paper: exhaustive 1..n-1).
+  // A non-budgeted strategy ignores the budget: its one candidate is 0.
+  const CkptStrategy strategy = spec.checkpointing;
+  const bool budgeted = is_budgeted(strategy);
+  std::vector<std::size_t> budgets;
+  if (budgeted && n >= 2) {
+    for (std::size_t b = 1; b < n; b += options.stride) budgets.push_back(b);
+    if (budgets.back() != n - 1) budgets.push_back(n - 1);
+  } else {
+    budgets.push_back(0);
+  }
+
+  // Slot [idx * model_count + m] holds budget idx under models[m].
+  const std::size_t model_count = models.size();
+  std::vector<double> expected(budgets.size() * model_count);
+  std::vector<std::size_t> checkpoints(budgets.size());
+
+  // Worker 0 is this thread on the caller's workspace; each helper gets
+  // its own.
   EvaluatorWorkspace local_ws;
-  EvaluatorWorkspace& ws = options.sweep.workspace ? *options.sweep.workspace : local_ws;
-  std::vector<HeuristicResult> results(models.size());
-  std::vector<char> done(models.size(), 0);
+  EvaluatorWorkspace& caller_ws = options.workspace ? *options.workspace : local_ws;
+  const std::size_t helpers = std::min(worker_slots(options.pool), budgets.size()) - 1;
+  std::vector<EvaluatorWorkspace> helper_ws(helpers);
+  parallel_for_workers(options.pool, 0, budgets.size(), [&](std::size_t idx, std::size_t worker) {
+    EvaluatorWorkspace& ws = worker == 0 ? caller_ws : helper_ws[worker - 1];
+    const Schedule schedule = make_heuristic_schedule(graph, order, strategy, budgets[idx]);
+    checkpoints[idx] = schedule.checkpoint_count();
+    evaluator.expected_makespans(schedule, models, ws,
+                                 {expected.data() + idx * model_count, model_count},
+                                 /*validate=*/false, options.eval);
+  });
+
+  // Per model: the curve and its first strict minimum.
+  std::vector<HeuristicResult> results(model_count);
+  std::vector<std::size_t> winner(model_count);
+  for (std::size_t m = 0; m < model_count; ++m) {
+    HeuristicResult& result = results[m];
+    result.spec = spec;
+    result.curve.reserve(budgets.size());
+    for (std::size_t idx = 0; idx < budgets.size(); ++idx) {
+      result.curve.push_back({budgeted ? budgets[idx] : checkpoints[idx], checkpoints[idx],
+                              expected[idx * model_count + m]});
+    }
+    for (std::size_t idx = 1; idx < budgets.size(); ++idx) {
+      if (result.curve[idx].expected_makespan < result.curve[winner[m]].expected_makespan) {
+        winner[m] = idx;
+      }
+    }
+    result.best_budget = result.curve[winner[m]].budget;
+  }
+
+  // Each distinct winner, in first-appearance order: its schedule is
+  // rebuilt once and evaluated, with the run's math, in one multi-model
+  // call for the models that picked it.
+  std::vector<char> done(model_count, 0);
   std::vector<FailureModel> sharing;
   std::vector<std::size_t> members;
   std::vector<Evaluation> evaluations;
-  for (std::size_t m = 0; m < models.size(); ++m) {
+  for (std::size_t m = 0; m < model_count; ++m) {
     if (done[m]) continue;
     sharing.clear();
     members.clear();
-    for (std::size_t j = m; j < models.size(); ++j) {
-      if (!done[j] && sweeps[j].best_budget == sweeps[m].best_budget) {
+    for (std::size_t j = m; j < model_count; ++j) {
+      if (!done[j] && winner[j] == winner[m]) {
         sharing.push_back(models[j]);
         members.push_back(j);
         done[j] = 1;
       }
     }
+    Schedule schedule = make_heuristic_schedule(graph, order, strategy, budgets[winner[m]]);
     evaluations.assign(members.size(), Evaluation{});
-    evaluator.evaluate(sweeps[m].best_schedule, sharing, ws, evaluations, options.sweep.eval);
+    evaluator.evaluate(schedule, sharing, caller_ws, evaluations, options.eval);
     for (std::size_t s = 0; s < members.size(); ++s) {
-      HeuristicResult& result = results[members[s]];
-      SweepResult& sweep = sweeps[members[s]];
-      result.spec = spec;
-      result.best_budget = sweep.best_budget;
-      result.curve = std::move(sweep.curve);
-      result.evaluation = std::move(evaluations[s]);
-      result.schedule = std::move(sweep.best_schedule);
+      results[members[s]].evaluation = std::move(evaluations[s]);
+      if (s > 0) results[members[s]].schedule = schedule;
     }
+    results[m].schedule = std::move(schedule);
   }
   return results;
 }

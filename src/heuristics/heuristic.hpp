@@ -1,20 +1,47 @@
-// The 14 named heuristics of Section 5 and a runner for them.
+// The 14 named heuristics of Section 5 and the one runner for them.
 //
 // A heuristic = linearization strategy x checkpointing strategy:
 //   {DF, BF, RF} x {CkptW, CkptC, CkptD, CkptPer}  (12, budget swept)
 //   + DF-CkptNvr + DF-CkptAlws                     (2 baselines)
+//
+// The budgeted strategies (CkptW/C/D/Per) fix the number of checkpoints N
+// and the paper searches N = 1..n-1 exhaustively, evaluating each
+// candidate schedule with the Theorem-3 evaluator and keeping the best.
+// A stride > 1 subsamples the N grid; an ablation bench quantifies the
+// quality loss. A non-budgeted strategy has a single candidate.
+//
+// The candidates run through parallel_for_workers on `pool`, which the
+// caller owns (in practice the experiment engine's, via worker_options):
+// the caller evaluates budgets itself (worker 0, on the caller's
+// workspace) while idle pool workers join on private workspaces. Without
+// a pool, or when the pool is busy, the sweep is serial. Every candidate
+// writes only its own slots and each evaluation is a pure function of its
+// schedule, so the result is bit-identical however the budgets were
+// distributed.
+//
+// One run can serve several failure models (the lambda/D siblings of an
+// engine cell group): the candidate schedules do not depend on the model,
+// so each is built once and evaluated for every model in one multi-model
+// evaluator call (see evaluator.hpp), and each model keeps its own first
+// strict minimum. Only the winning budgets are kept: each distinct
+// winner's schedule is rebuilt afterwards (make_heuristic_schedule is a
+// pure function of graph, order, strategy and budget) and evaluated once,
+// in one multi-model call, for the models that picked it.
 #pragma once
 
-#include <optional>
+#include <cstddef>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "core/evaluator.hpp"
+#include "core/schedule.hpp"
 #include "dag/linearize.hpp"
-#include "heuristics/sweep.hpp"
+#include "heuristics/checkpoint_strategy.hpp"
 
 namespace fpsched {
+
+class ThreadPool;
 
 struct HeuristicSpec {
   LinearizeMethod linearization = LinearizeMethod::depth_first;
@@ -33,8 +60,30 @@ std::vector<HeuristicSpec> all_heuristics();
 std::vector<HeuristicSpec> budgeted_heuristics();
 
 struct HeuristicOptions {
-  LinearizeOptions linearize;
-  SweepOptions sweep;
+  /// Linearization options of the overload that linearizes itself.
+  LinearizeOptions linearize = {};
+  /// Evaluate budgets 1, 1+stride, 1+2*stride, ...; n-1 is always included
+  /// (the paper sweeps 1..n-1; a single task sweeps N = 0 only). Must be
+  /// >= 1.
+  std::size_t stride = 1;
+  /// Optional caller-owned scratch for the caller's own evaluations (and
+  /// the winners') — lets an outer engine worker keep one workspace
+  /// across runs.
+  EvaluatorWorkspace* workspace = nullptr;
+  /// Pool whose idle workers may join the sweep (null = serial).
+  ThreadPool* pool = nullptr;
+  /// Evaluator algorithm of every evaluation.
+  EvalMath eval = EvalMath::exact;
+};
+
+/// One evaluated budget of the sweep.
+struct SweepPoint {
+  /// The budget N; a non-budgeted strategy's single point is labelled
+  /// with its checkpoint count.
+  std::size_t budget = 0;
+  /// Checkpoints actually taken (periodic may take fewer than the budget).
+  std::size_t checkpoints = 0;
+  double expected_makespan = 0.0;
 };
 
 struct HeuristicResult {
@@ -42,7 +91,7 @@ struct HeuristicResult {
   Schedule schedule;
   Evaluation evaluation;
   std::size_t best_budget = 0;
-  /// The full budget-vs-expected curve (budgeted strategies only).
+  /// One point per evaluated budget, ascending.
   std::vector<SweepPoint> curve;
 };
 
@@ -61,9 +110,9 @@ HeuristicResult run_heuristic(const ScheduleEvaluator& evaluator, const Heuristi
                               const HeuristicOptions& options = {});
 
 /// The linearized run under each of `models` (which stand in for the
-/// evaluator's model) at once: one multi-model sweep, then each model's
-/// winner is evaluated under that model, models that picked the same
-/// budget sharing one multi-model call. result[m] is bit-identical to
+/// evaluator's model; not empty) at once: one sweep of multi-model
+/// evaluations, then one multi-model evaluation per distinct winning
+/// budget, in first-appearance order. result[m] is bit-identical to
 /// run_heuristic on an evaluator for models[m].
 std::vector<HeuristicResult> run_heuristic(const ScheduleEvaluator& evaluator,
                                            std::span<const FailureModel> models,

@@ -358,7 +358,6 @@ void JobManager::run_job(const std::shared_ptr<Job>& job) {
     const engine::Experiment& experiment = registry_.find(job->request.experiment);
     const engine::FigurePlan plan = experiment.build(job->request.options);
     const std::vector<engine::PlannedScenario> planned = engine::flatten_plan(plan);
-    const EvalMath math = job->request.options.eval_math;
 
     // Probe the result cache per flatten-plan position: a hit's body goes
     // into the stream as is, and only the misses go to the engine.
@@ -374,7 +373,7 @@ void JobManager::run_job(const std::shared_ptr<Job>& job) {
         prefixes.push_back(engine::record_json_prefix(job->request.experiment, planned[i].panel));
       }
       panel_of[i] = static_cast<std::uint32_t>(prefixes.size() - 1);
-      bodies[i] = cache_.lookup(ResultCacheKey::of(planned[i].spec, math));
+      bodies[i] = cache_.lookup(ResultCacheKey::of(planned[i].spec));
       if (!bodies[i]) {
         miss_specs.push_back(planned[i].spec);
         miss_positions.push_back(i);
@@ -400,13 +399,13 @@ void JobManager::run_job(const std::shared_ptr<Job>& job) {
       // the cache.
       const RecordBody body =
           std::make_shared<const std::string>(engine::record_body_json(result));
-      cache_.insert(ResultCacheKey::of(result.spec, math), body);
+      cache_.insert(ResultCacheKey::of(result.spec), body);
       const LockGuard lock(mutex_);
       job->bodies[miss_positions[index]] = body;
       advance_locked(*job);
       changed_.notify_all();
     };
-    if (!miss_specs.empty()) engine_.run(miss_specs, on_miss, math);
+    if (!miss_specs.empty()) engine_.run(miss_specs, on_miss);
     finish(JobState::completed, {});
   } catch (const std::exception& e) {
     finish(JobState::failed, e.what());

@@ -73,19 +73,9 @@ std::optional<std::size_t> parse_segment_index(std::string_view name) {
 
 }  // namespace
 
-ResultCacheKey ResultCacheKey::of(const engine::ScenarioSpec& spec, EvalMath math) {
-  // The evaluator algorithm is appended outside canonical_spec_string: it
-  // is not a spec field, but fast records differ in their last digits, so
-  // the two must not share entries. Exact keys (and the disk caches
-  // holding them) keep their historical spelling. Fast keys are spelled
-  // `math=fast-recurrence/2`: fast records carry an "eval_math" field
-  // since that spelling, and no earlier build wrote it (the recurrence
-  // wrote `math=fast-recurrence`, the polynomial kernels before it
-  // `math=fast` and `math=fast kernel=...`), so an old --cache-dir never
-  // serves a fast body without the field.
+ResultCacheKey ResultCacheKey::of(const engine::ScenarioSpec& spec) {
   ResultCacheKey key;
-  key.canonical = engine::canonical_spec_string(spec) +
-                  (math == EvalMath::exact ? " math=exact" : " math=fast-recurrence/2");
+  key.canonical = engine::canonical_spec_string(spec);
   key.hash = engine::fnv1a64(key.canonical);
   return key;
 }

@@ -3,13 +3,13 @@
 // Overlapping POST /runs traffic — many clients re-running the paper's
 // figures with shared sub-grids — recomputes identical scenarios from
 // scratch. This cache maps a ResultCacheKey (the canonical serialization
-// of the FULL ScenarioSpec plus the evaluator's EvalMath — a strict
+// of the FULL ScenarioSpec, evaluator algorithm included — a strict
 // superset of the engine's InstanceKey, which deliberately omits the
-// failure model, cost model and policy) to the finished per-scenario
-// NDJSON record body (record_body_json), so a repeat scenario replays its
-// bytes instead of re-running the evaluator. Because every record is a
-// pure function of (spec, EvalMath), cached and recomputed responses
-// are byte-identical by construction.
+// failure model, cost model, policy and algorithm) to the finished
+// per-scenario NDJSON record body (record_body_json), so a repeat
+// scenario replays its bytes instead of re-running the evaluator. Because
+// every record is a pure function of its spec, cached and recomputed
+// responses are byte-identical by construction.
 //
 // Bodies are shared and immutable: lookup() hands out the stored pointer
 // itself, so every job and reader streaming a record holds the one copy
@@ -31,22 +31,21 @@
 #include <string_view>
 #include <unordered_map>
 
-#include "core/evaluator.hpp"
 #include "engine/scenario.hpp"
 #include "support/sync.hpp"
 
 namespace fpsched::service {
 
-/// The identity of one cached record body: the canonical spec text (plus
-/// the EvalMath, which changes record bytes) and its 64-bit FNV-1a
-/// hash. The hash indexes; the canonical string is stored alongside every
-/// entry and verified on lookup, so a hash collision degrades to a miss
-/// instead of serving another scenario's bytes.
+/// The identity of one cached record body: the canonical spec text
+/// (canonical_spec_string) and its 64-bit FNV-1a hash. The hash indexes;
+/// the canonical string is stored alongside every entry and verified on
+/// lookup, so a hash collision degrades to a miss instead of serving
+/// another scenario's bytes.
 struct ResultCacheKey {
   std::uint64_t hash = 0;
   std::string canonical;
 
-  static ResultCacheKey of(const engine::ScenarioSpec& spec, EvalMath math);
+  static ResultCacheKey of(const engine::ScenarioSpec& spec);
 };
 
 struct ResultCacheOptions {

@@ -84,10 +84,10 @@ MergeReport merge_ndjson_shards(const engine::Experiment& experiment,
                         "producing run");
       }
       // Every field before "linearization" is a function of the planned
-      // position and the options: one comparison pins them all.
+      // position: one comparison pins them all.
       const engine::PlannedScenario& planned = flattened[position];
       const std::string expected = engine::record_json_prefix(experiment.name, planned.panel) +
-                                   engine::record_spec_json(planned.spec, options.eval_math);
+                                   engine::record_spec_json(planned.spec);
       if (!line.starts_with(expected)) {
         merge_error(path, line_number,
                     "record does not match position " + std::to_string(position) + " of " +

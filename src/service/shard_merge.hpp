@@ -10,7 +10,8 @@
 // merge_ndjson_shards() re-derives the flattened scenario list from the
 // experiment (name + the same FigureOptions the producing runs used) and
 // requires every line to start with the fields its position in the
-// unsharded stream renders — so ordering mistakes, gaps, overlaps, and
+// unsharded stream renders, a function of the planned position (whose
+// spec carries every option) — so ordering mistakes, gaps, overlaps, and
 // option mismatches all fail loudly instead of producing a
 // plausible-looking but wrong merge.
 #pragma once
@@ -41,14 +42,14 @@ struct MergeReport {
 
 /// Validates `shard_paths` (in shard order) against the experiment's
 /// flattened scenario list and writes their concatenation to `out`.
-/// Each line must start with record_json_prefix + record_spec_json (under
-/// `options.eval_math`) of the position it lands on: every field before
-/// "linearization". The concatenation must form a gapless ordered prefix
-/// of the list (empty shard files are fine). Throws InvalidArgument on
-/// options out of range, and naming the file, line, position and first
-/// differing field on any violation: unreadable/truncated files,
-/// out-of-order or duplicated shards, gaps, records beyond the list, or
-/// (with require_complete) missing scenarios.
+/// Each line must start with record_json_prefix + record_spec_json of the
+/// position it lands on: every field before "linearization", a function
+/// of the planned position. The concatenation must form a gapless
+/// ordered prefix of the list (empty shard files are fine). Throws
+/// InvalidArgument on options out of range, and naming the file, line,
+/// position and first differing field on any violation:
+/// unreadable/truncated files, out-of-order or duplicated shards, gaps,
+/// records beyond the list, or (with require_complete) missing scenarios.
 MergeReport merge_ndjson_shards(const engine::Experiment& experiment,
                                 const engine::FigureOptions& options,
                                 const std::vector<std::string>& shard_paths, std::ostream& out,

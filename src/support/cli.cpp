@@ -103,7 +103,7 @@ std::string CliParser::help_text() const {
     os << "  --" << name;
     if (!opt.is_flag) os << " <value>";
     os << "\n      " << opt.help;
-    if (!opt.is_flag) os << " (default: " << opt.default_value << ")";
+    if (!opt.is_flag && !opt.default_value.empty()) os << " (default: " << opt.default_value << ")";
     os << "\n";
   }
   return os.str();

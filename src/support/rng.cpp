@@ -85,7 +85,10 @@ double Rng::normal() {
 double Rng::normal(double mean, double stddev) { return mean + stddev * normal(); }
 
 double Rng::gamma(double shape, double scale) {
-  ensure(shape > 0.0 && scale > 0.0, "gamma requires positive shape and scale");
+  // Finite too: an infinite scale draws inf, or NaN (inf * 0) below
+  // shape 1, and an infinite shape never leaves the rejection loop.
+  ensure(shape > 0.0 && scale > 0.0 && std::isfinite(shape) && std::isfinite(scale),
+         "gamma requires a finite, positive shape and scale");
   if (shape < 1.0) {
     // Boost to shape+1 and correct with U^{1/shape} (Marsaglia–Tsang).
     const double u = std::max(uniform(), 1e-300);

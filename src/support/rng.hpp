@@ -46,7 +46,8 @@ class Rng {
   /// Exponential with rate `lambda` (> 0); mean 1/lambda.
   double exponential(double lambda);
 
-  /// Gamma(shape k > 0, scale theta > 0) via Marsaglia–Tsang.
+  /// Gamma(shape k > 0, scale theta > 0), both finite, via
+  /// Marsaglia–Tsang; throws InvalidArgument otherwise.
   double gamma(double shape, double scale);
 
   /// Standard normal via polar Box–Muller (stateless variant, no caching).
@@ -57,7 +58,8 @@ class Rng {
 
   /// Gamma distribution parameterized by mean and coefficient of variation
   /// (stddev / mean); useful to synthesize task weights around a target
-  /// mean. `cv = 0` returns the mean deterministically.
+  /// mean. `cv = 0` returns the mean deterministically. Throws when the
+  /// gamma's shape 1/cv^2 or scale mean*cv^2 is not finite.
   double gamma_mean_cv(double mean, double cv);
 
   /// In-place Fisher–Yates shuffle.

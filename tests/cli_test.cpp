@@ -55,6 +55,15 @@ TEST(Cli, HelpShortCircuits) {
   EXPECT_NE(parser.help_text().find("default: 100"), std::string::npos);
 }
 
+TEST(Cli, HelpShowsNoEmptyDefault) {
+  CliParser parser = make_parser();
+  parser.add_option("out", "", "output file (default: stdout)");
+  const std::string help = parser.help_text();
+  EXPECT_NE(help.find("output file (default: stdout)\n"), std::string::npos) << help;
+  EXPECT_EQ(help.find("(default: )"), std::string::npos) << help;
+  EXPECT_NE(help.find("task counts (default: 50,100,200)"), std::string::npos) << help;
+}
+
 TEST(Cli, Errors) {
   {
     CliParser parser = make_parser();

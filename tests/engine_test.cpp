@@ -20,7 +20,6 @@
 #include "obs/metrics.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
-#include "support/threading.hpp"
 #include "test_util.hpp"
 #include "workflows/generator.hpp"
 
@@ -33,7 +32,7 @@ TaskGraph serial_instance(WorkflowKind kind, std::size_t size, const ScenarioGri
   config.task_count = size;
   config.seed = grid.seed + size;
   config.weight_cv = grid.weight_cv;
-  config.cost_model = grid.cost_model;
+  config.cost_model = grid.cost_models.front();
   return generate_workflow(kind, config);
 }
 
@@ -41,7 +40,7 @@ TaskGraph serial_instance(WorkflowKind kind, std::size_t size, const ScenarioGri
 double serial_ratio(const ScheduleEvaluator& evaluator, const HeuristicSpec& spec,
                     std::size_t stride) {
   HeuristicOptions options;
-  options.sweep.stride = stride;
+  options.stride = stride;
   return run_heuristic(evaluator, spec, options).evaluation.ratio;
 }
 
@@ -65,7 +64,7 @@ ScenarioGrid small_fig2_grid() {
   grid.workflows = {WorkflowKind::cybershake};
   grid.sizes = {50, 80};
   grid.lambdas = {1e-3};
-  grid.cost_model = CostModel::proportional(0.1);
+  grid.cost_models = {CostModel::proportional(0.1)};
   grid.stride = 8;
   for (const LinearizeMethod lin : all_linearize_methods()) {
     for (const CkptStrategy strategy : {CkptStrategy::by_weight, CkptStrategy::by_cost}) {
@@ -81,7 +80,7 @@ ScenarioGrid small_fig3_grid() {
   grid.workflows = {WorkflowKind::montage};
   grid.sizes = {60};
   grid.lambdas = {1e-3};
-  grid.cost_model = CostModel::proportional(0.1);
+  grid.cost_models = {CostModel::proportional(0.1)};
   grid.stride = 8;
   for (const CkptStrategy strategy : all_ckpt_strategies()) {
     grid.policies.push_back(ScenarioPolicy::best_lin(strategy));
@@ -135,10 +134,6 @@ TEST(ScenarioGridTest, MalformedGridsAreRejected) {
   ScenarioGrid downtime_axis = small_fig2_grid();
   downtime_axis.axis = GridAxis::downtime;
   EXPECT_THROW(downtime_axis.enumerate(), Error);  // empty downtime list
-
-  ScenarioGrid cost_axis = small_fig2_grid();
-  cost_axis.axis = GridAxis::checkpoint_cost;
-  EXPECT_THROW(cost_axis.enumerate(), Error);  // empty cost-model list
 }
 
 TEST(ScenarioGridTest, DowntimeAndCostModelDimensionsEnumerate) {
@@ -155,38 +150,6 @@ TEST(ScenarioGridTest, DowntimeAndCostModelDimensionsEnumerate) {
   EXPECT_TRUE(specs[grid.policies.size()].cost_model == CostModel::proportional(0.1));
   EXPECT_DOUBLE_EQ(specs[3 * grid.policies.size()].model.downtime(), 120.0);
   for (std::size_t i = 0; i < specs.size(); ++i) EXPECT_EQ(specs[i].scenario_index, i);
-}
-
-TEST(SweepOptionsTest, ZeroStrideIsRejected) {
-  SweepOptions options;
-  options.stride = 0;
-  EXPECT_THROW(options.validate(), Error);
-
-  const TaskGraph graph = serial_instance(WorkflowKind::montage, 50, ScenarioGrid{});
-  const ScheduleEvaluator evaluator(graph, FailureModel(1e-3, 0.0));
-  const auto order = linearize(graph.dag(), graph.weights(), LinearizeMethod::depth_first);
-  EXPECT_THROW(sweep_checkpoint_budget(evaluator, order, CkptStrategy::by_weight, options), Error);
-}
-
-TEST(SweepOptionsTest, CallerWorkspaceMatchesPooledSweep) {
-  const TaskGraph graph = serial_instance(WorkflowKind::ligo, 60, ScenarioGrid{});
-  const ScheduleEvaluator evaluator(graph, FailureModel(1e-3, 0.0));
-  const auto order = linearize(graph.dag(), graph.weights(), LinearizeMethod::depth_first);
-
-  SweepOptions serial;
-  EvaluatorWorkspace ws;
-  serial.workspace = &ws;
-  const SweepResult reused = sweep_checkpoint_budget(evaluator, order, CkptStrategy::by_weight,
-                                                     serial);
-  ThreadPool pool(3);
-  const SweepResult pooled = sweep_checkpoint_budget(evaluator, order, CkptStrategy::by_weight,
-                                                     {.pool = &pool});
-  EXPECT_EQ(reused.best_budget, pooled.best_budget);
-  EXPECT_EQ(reused.best_expected_makespan, pooled.best_expected_makespan);
-  ASSERT_EQ(reused.curve.size(), pooled.curve.size());
-  for (std::size_t i = 0; i < reused.curve.size(); ++i) {
-    EXPECT_EQ(reused.curve[i].expected_makespan, pooled.curve[i].expected_makespan);
-  }
 }
 
 TEST(ExperimentEngineTest, Fig2GridMatchesSerialRatiosAtOneAndManyThreads) {
@@ -369,7 +332,8 @@ ScenarioResult serial_best_lin_scenario(const ScenarioSpec& spec) {
   const ScheduleEvaluator evaluator(graph, spec.model);
   HeuristicOptions options;
   options.linearize = spec.linearize;
-  options.sweep.stride = spec.stride;
+  options.stride = spec.stride;
+  options.eval = spec.eval_math;
   ScenarioResult result;
   result.spec = spec;
   const CkptStrategy strategy = spec.policy.strategy;

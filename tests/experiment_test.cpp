@@ -122,7 +122,7 @@ TEST(ExperimentFiguresTest, TheoryBuildsFourFixedSizePanels) {
     // Fixed small sizes, independent of --sizes: the grid must stay
     // replayable by the exhaustive Algorithm-1 cross-check below.
     EXPECT_EQ(panel.grid.sizes, (std::vector<std::size_t>{20, 26, 32}));
-    EXPECT_DOUBLE_EQ(panel.grid.downtime, 1.0);
+    EXPECT_EQ(panel.grid.downtimes, std::vector<double>{1.0});
     EXPECT_FALSE(panel.grid.policies.empty());
   }
   EXPECT_NE(plan.notes.find("theory_fork_test"), std::string::npos);
@@ -140,7 +140,8 @@ TEST(ExperimentFiguresTest, TheoryGridCellsMatchAlgorithmOne) {
     const ScheduleEvaluator evaluator(graph, spec.model);
     HeuristicOptions options;
     options.linearize = spec.linearize;
-    options.sweep.stride = spec.stride;
+    options.stride = spec.stride;
+    options.eval = spec.eval_math;
     // The DF member of each policy (every strategy considers it); the
     // engine's best-lin selection only picks among such runs.
     const HeuristicResult run = run_heuristic(

@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "dag/traversal.hpp"
 #include "test_util.hpp"
@@ -99,11 +103,11 @@ TEST(Heuristics, CheckpointNeverIsExactlyTheAtomicLowerStructure) {
   EXPECT_GE(result.evaluation.expected_makespan, graph.total_weight());
 }
 
-TEST(Heuristics, SweepOptionsArePropagated) {
+TEST(Heuristics, StrideIsPropagated) {
   const TaskGraph graph = generate_montage({.task_count = 30, .seed = 5});
   const ScheduleEvaluator evaluator(graph, FailureModel(1e-3, 0.0));
   HeuristicOptions options;
-  options.sweep.stride = 5;
+  options.stride = 5;
   const HeuristicResult strided =
       run_heuristic(evaluator, {LinearizeMethod::depth_first, CkptStrategy::by_weight}, options);
   const HeuristicResult full =
@@ -111,6 +115,46 @@ TEST(Heuristics, SweepOptionsArePropagated) {
   EXPECT_LT(strided.curve.size(), full.curve.size());
   EXPECT_GE(strided.evaluation.expected_makespan,
             full.evaluation.expected_makespan - 1e-9);
+}
+
+TEST(Heuristics, WinnersEvaluationRepeatsItsCurvePointBitForBit) {
+  // The winner's full evaluation, one more evaluator call per distinct
+  // winning budget, reproduces the sweep's own value at that budget bit
+  // for bit: under both algorithms, for one model or several, budgeted or
+  // not. Only its per-task terms are new.
+  const TaskGraph graph = generate_ligo({.task_count = 41, .seed = 13});
+  const auto order = linearize(graph.dag(), graph.weights(), LinearizeMethod::depth_first);
+  const std::vector<FailureModel> models = {FailureModel(1e-3, 0.0), FailureModel(2e-2, 0.0),
+                                            FailureModel(1e-3, 600.0), FailureModel(0.0),
+                                            FailureModel(3e-4, 60.0)};
+  const auto expect_winner_bits = [](const HeuristicResult& result, const std::string& where) {
+    std::size_t winners = 0;
+    for (const SweepPoint& point : result.curve) {
+      if (point.budget != result.best_budget) continue;
+      ++winners;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(result.evaluation.expected_makespan),
+                std::bit_cast<std::uint64_t>(point.expected_makespan))
+          << where << ": " << result.evaluation.expected_makespan << " vs "
+          << point.expected_makespan;
+    }
+    EXPECT_EQ(winners, 1u) << where;
+  };
+  for (const EvalMath math : {EvalMath::exact, EvalMath::fast}) {
+    const HeuristicOptions options{.stride = 3, .eval = math};
+    for (const CkptStrategy strategy : {CkptStrategy::by_weight, CkptStrategy::periodic,
+                                        CkptStrategy::never, CkptStrategy::always}) {
+      const HeuristicSpec spec{LinearizeMethod::depth_first, strategy};
+      const std::string where = to_string(math) + " " + to_string(strategy);
+      const std::vector<HeuristicResult> grouped =
+          run_heuristic(ScheduleEvaluator(graph, models.front()), models, spec, order, options);
+      ASSERT_EQ(grouped.size(), models.size());
+      for (std::size_t m = 0; m < models.size(); ++m) {
+        expect_winner_bits(grouped[m], where + " multi-model " + std::to_string(m));
+        expect_winner_bits(run_heuristic(ScheduleEvaluator(graph, models[m]), spec, order, options),
+                           where + " single-model " + std::to_string(m));
+      }
+    }
+  }
 }
 
 TEST(Heuristics, RandomLinearizationSeedIsHonored) {

@@ -89,11 +89,12 @@ TEST(Integration, PaperFinding_PeriodicIgnoresStructureOnFigure1) {
   EXPECT_FALSE(periodic3[3]);
 
   const ScheduleEvaluator evaluator(graph, FailureModel(0.01, 0.0));
-  const SweepResult per =
-      sweep_checkpoint_budget(evaluator, order, CkptStrategy::periodic, {});
-  const SweepResult weight =
-      sweep_checkpoint_budget(evaluator, order, CkptStrategy::by_weight, {});
-  EXPECT_LE(weight.best_expected_makespan, per.best_expected_makespan * (1.0 + 1e-12));
+  const HeuristicResult per =
+      run_heuristic(evaluator, {LinearizeMethod::depth_first, CkptStrategy::periodic}, order);
+  const HeuristicResult weight =
+      run_heuristic(evaluator, {LinearizeMethod::depth_first, CkptStrategy::by_weight}, order);
+  EXPECT_LE(weight.evaluation.expected_makespan,
+            per.evaluation.expected_makespan * (1.0 + 1e-12));
 }
 
 TEST(Integration, ChainDpBeatsGenericHeuristicsOnChains) {

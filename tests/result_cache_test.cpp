@@ -53,7 +53,7 @@ class TempDir {
 };
 
 TEST(ResultCacheKeyTest, EveryFieldChangesTheKey) {
-  const ResultCacheKey base = ResultCacheKey::of(base_spec(), EvalMath::exact);
+  const ResultCacheKey base = ResultCacheKey::of(base_spec());
   // One perturbation per ScenarioSpec field (policy sub-fields included).
   using Mutator = void (*)(engine::ScenarioSpec&);
   const Mutator mutators[] = {
@@ -84,44 +84,51 @@ TEST(ResultCacheKeyTest, EveryFieldChangesTheKey) {
       [](engine::ScenarioSpec& s) { s.linearize.outweight = OutweightMode::descendants; },
       [](engine::ScenarioSpec& s) { s.linearize.seed = 7; },
       [](engine::ScenarioSpec& s) { s.scenario_index = 4; },
+      // The evaluator algorithm: fast and exact may produce different
+      // record bytes for the same scenario.
+      [](engine::ScenarioSpec& s) { s.eval_math = EvalMath::fast; },
   };
 
   std::set<std::string> canonicals = {base.canonical};
   for (const Mutator mutate : mutators) {
     engine::ScenarioSpec spec = base_spec();
     mutate(spec);
-    const ResultCacheKey key = ResultCacheKey::of(spec, EvalMath::exact);
+    const ResultCacheKey key = ResultCacheKey::of(spec);
     EXPECT_TRUE(canonicals.insert(key.canonical).second)
         << "canonical collision: " << key.canonical;
     EXPECT_NE(key.hash, base.hash) << key.canonical;
   }
-  // The evaluator algorithm is part of the identity: fast and exact may
-  // produce different record bytes for the same spec.
-  const ResultCacheKey fast = ResultCacheKey::of(base_spec(), EvalMath::fast);
-  EXPECT_NE(fast.canonical, base.canonical);
-  EXPECT_NE(fast.hash, base.hash);
 }
 
 TEST(ResultCacheKeyTest, ExactKeysAreUnchangedAndFastKeysHaveTheirOwnSpelling) {
-  // Exact keys keep their historical form, so existing disk caches stay
-  // valid. Fast keys are spelled so that no earlier build's fast entry —
+  // Keys keep the spelling they had before the evaluator algorithm was a
+  // spec field, so existing disk caches stay valid.
+  const std::string fields =
+      "spec/1 wf=0 n=50 lambda=0.001 downtime=60 cost_kind=0 cost_param=0.10000000000000001 "
+      "policy=0 lin=0 ckpt=2 strategy=2 sim_dist=0 sim_shape=1 sim_trials=20000 sim_seed=31 "
+      "seed=42 cv=0.20000000000000001 stride=16 outweight=0 lin_seed=42 index=3";
+  const ResultCacheKey exact = ResultCacheKey::of(base_spec());
+  EXPECT_EQ(exact.canonical, fields + " math=exact");
+  EXPECT_EQ(exact.canonical, engine::canonical_spec_string(base_spec()));
+  EXPECT_EQ(exact.hash, engine::fnv1a64(exact.canonical));
+  // Fast keys are spelled so that no earlier build's fast entry —
   // `math=fast` (polynomial kernels), `math=fast kernel=<clone>` (their
   // per-CPU clones) or `math=fast-recurrence` (records without the
   // eval_math field) — can match and serve bytes this build does not make.
-  const std::string canonical = engine::canonical_spec_string(base_spec());
-  EXPECT_EQ(ResultCacheKey::of(base_spec(), EvalMath::exact).canonical, canonical + " math=exact");
-  const ResultCacheKey fast = ResultCacheKey::of(base_spec(), EvalMath::fast);
-  EXPECT_EQ(fast.canonical, canonical + " math=fast-recurrence/2");
+  engine::ScenarioSpec fast_spec = base_spec();
+  fast_spec.eval_math = EvalMath::fast;
+  const ResultCacheKey fast = ResultCacheKey::of(fast_spec);
+  EXPECT_EQ(fast.canonical, fields + " math=fast-recurrence/2");
   for (const char* old : {" math=fast", " math=fast kernel=default", " math=fast kernel=x86-64-v3",
                           " math=fast-recurrence"}) {
-    EXPECT_NE(fast.canonical, canonical + old);
-    EXPECT_NE(fast.hash, engine::fnv1a64(canonical + old)) << old;
+    EXPECT_NE(fast.canonical, fields + old);
+    EXPECT_NE(fast.hash, engine::fnv1a64(fields + old)) << old;
   }
 }
 
 TEST(ResultCacheTest, InMemoryRoundTripCountsHitsAndMisses) {
   ResultCache cache;
-  const ResultCacheKey key = ResultCacheKey::of(base_spec(), EvalMath::exact);
+  const ResultCacheKey key = ResultCacheKey::of(base_spec());
   EXPECT_FALSE(cache.lookup(key));
   const RecordBody stored = body("payload-bytes");
   cache.insert(key, stored);
@@ -142,7 +149,7 @@ TEST(ResultCacheTest, SegmentStoreSurvivesReopen) {
   for (std::size_t tasks : {50, 60, 70}) {
     auto spec = base_spec();
     spec.task_count = tasks;
-    keys.push_back(ResultCacheKey::of(spec, EvalMath::exact));
+    keys.push_back(ResultCacheKey::of(spec));
   }
   {
     ResultCache cache({.directory = dir.path().string()});
@@ -169,7 +176,7 @@ TEST(ResultCacheTest, RotatesSegmentsAndLoadsAllOfThem) {
     for (std::size_t tasks : {50, 60, 70}) {
       auto spec = base_spec();
       spec.task_count = tasks;
-      cache.insert(ResultCacheKey::of(spec, EvalMath::exact), body("p"));
+      cache.insert(ResultCacheKey::of(spec), body("p"));
     }
   }
   std::size_t segments = 0;
@@ -183,7 +190,7 @@ TEST(ResultCacheTest, RotatesSegmentsAndLoadsAllOfThem) {
 
 TEST(ResultCacheTest, SkipsTornAndCorruptSegmentLines) {
   const TempDir dir("fpsched_result_cache_corrupt_test");
-  const ResultCacheKey key = ResultCacheKey::of(base_spec(), EvalMath::exact);
+  const ResultCacheKey key = ResultCacheKey::of(base_spec());
   {
     ResultCache cache({.directory = dir.path().string()});
     cache.insert(key, body("good-payload"));

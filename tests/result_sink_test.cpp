@@ -161,27 +161,6 @@ TEST(ResultSinkTest, AssemblePanelMapsDowntimeAxisToX) {
   EXPECT_DOUBLE_EQ(panel.series[0].values[2], 3.0);
 }
 
-TEST(ResultSinkTest, AssemblePanelMapsCostModelAxisToParameter) {
-  ScenarioGrid grid;
-  grid.workflows = {WorkflowKind::montage};
-  grid.sizes = {50};
-  grid.lambdas = {1e-3};
-  grid.cost_models = {CostModel::proportional(0.01), CostModel::proportional(0.1)};
-  grid.axis = GridAxis::checkpoint_cost;
-  grid.policies = {ScenarioPolicy::best_lin(CkptStrategy::by_weight)};
-  const auto specs = grid.enumerate();
-  ASSERT_EQ(specs.size(), 2u);
-  EXPECT_TRUE(specs[1].cost_model == CostModel::proportional(0.1));
-  std::vector<ScenarioResult> results(specs.size());
-  for (std::size_t i = 0; i < specs.size(); ++i) results[i].spec = specs[i];
-
-  const Panel panel = assemble_panel(grid, results, "cost panel");
-  EXPECT_EQ(panel.x_label, "checkpoint cost");
-  ASSERT_EQ(panel.xs.size(), 2u);
-  EXPECT_DOUBLE_EQ(panel.xs[0], 0.01);
-  EXPECT_DOUBLE_EQ(panel.xs[1], 0.1);
-}
-
 TEST(ResultSinkTest, AssemblePanelRejectsMultiValuedNonAxisDimensions) {
   ScenarioGrid grid;
   grid.workflows = {WorkflowKind::montage};
@@ -261,7 +240,7 @@ TEST(ResultSinkTest, ToJsonGoldenRecord) {
 
 TEST(ResultSinkTest, FastRecordsNameTheirAlgorithmAfterTheStride) {
   ScenarioResult result = sample_result();
-  result.eval_math = EvalMath::fast;
+  result.spec.eval_math = EvalMath::fast;
   EXPECT_EQ(record_body_json(result),
             "\"workflow\":\"Montage\",\"tasks\":50,\"lambda\":0.001,\"downtime\":60,"
             "\"cost_model\":\"proportional\",\"cost_parameter\":0.10000000000000001,"

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "support/error.hpp"
@@ -109,6 +110,17 @@ TEST(Rng, GammaMatchesMeanAndCv) {
   EXPECT_NEAR(stats.mean(), mean, 0.5);
   EXPECT_NEAR(stats.stddev() / stats.mean(), cv, 0.02);
   EXPECT_DOUBLE_EQ(rng.gamma_mean_cv(mean, 0.0), mean);
+}
+
+TEST(Rng, GammaRejectsNonFiniteShapeOrScale) {
+  // An infinite scale drew inf, or NaN (inf * 0) below shape 1: a cv of
+  // 1e153 at a mean of 500 overflows the scale mean * cv^2.
+  Rng rng(41);
+  EXPECT_THROW(rng.gamma(1.0, std::numeric_limits<double>::infinity()), InvalidArgument);
+  EXPECT_THROW(rng.gamma(std::numeric_limits<double>::infinity(), 1.0), InvalidArgument);
+  EXPECT_THROW(rng.gamma_mean_cv(500.0, 1e153), InvalidArgument);
+  // The option table's bound on weight_cv still draws finite weights.
+  for (int i = 0; i < 1000; ++i) EXPECT_TRUE(std::isfinite(rng.gamma_mean_cv(500.0, 1e150)));
 }
 
 TEST(Rng, GammaSmallShape) {

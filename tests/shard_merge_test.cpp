@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -32,6 +33,7 @@ engine::Experiment tiny_experiment() {
             grid.sizes = options.sizes;
             grid.seed = options.seed;
             grid.weight_cv = options.weight_cv;
+            grid.eval_math = options.eval_math;
             grid.lambdas = {1e-3};
             grid.stride = 16;
             grid.policies = {
@@ -56,7 +58,8 @@ engine::Experiment tiny_simulated_experiment() {
             grid.workflows = {WorkflowKind::montage};
             grid.sizes = options.sizes;
             grid.lambdas = {1e-3};
-            grid.downtime = options.downtimes.front();
+            grid.downtimes = {options.downtimes.front()};
+            grid.eval_math = options.eval_math;
             grid.stride = 16;
             grid.policies = {engine::ScenarioPolicy::simulated(
                 engine::ScenarioPolicy::SimDistribution::exponential, 1.0, options.trials)};
@@ -309,7 +312,9 @@ TEST_F(ShardMergeTest, ReportCountsFilesAndRecords) {
 
 TEST(OptionTableProvenanceTest, EveryRowReachesTheRecordTheCacheKeyAndTheMerge) {
   // A non-default value per row, with a registered experiment whose plan
-  // reads it. A row the table gains without an entry here fails.
+  // reads it. A row the table gains without an entry here fails. Every
+  // builder must honor the rows base_grid copies into each spec: those
+  // must move every position of every registered experiment's plan.
   const std::map<std::string, std::pair<std::string, std::string>> changed = {
       {"sizes", {"60,70", "fig2"}},     {"stride", {"3", "fig2"}},
       {"seed", {"7", "fig2"}},          {"weight_cv", {"0.5", "fig4"}},
@@ -317,50 +322,68 @@ TEST(OptionTableProvenanceTest, EveryRowReachesTheRecordTheCacheKeyAndTheMerge) 
       {"downtimes", {"0,30", "downtime"}}, {"trials", {"500", "robustness"}},
       {"quick", {"1", "fig3"}},
   };
+  const std::set<std::string> every_builder = {"stride", "seed", "weight_cv", "eval_math"};
   // Records are rendered, never computed: plans only, no evaluator.
   const std::string result_part =
       "\"linearization\":\"DF\",\"best_budget\":0,\"expected_makespan\":1,\"ratio\":1}\n";
   const std::string dir = ::testing::TempDir() + "/fpsched_option_provenance_test";
   std::filesystem::create_directories(dir);
   const engine::FigureOptions defaults;
+  const auto check = [&](const std::string& name, const std::string& value,
+                         const engine::Experiment& experiment, bool every_position) {
+    const std::string where = name + "=" + value + " on " + experiment.name;
+    const engine::FigureOptions options = engine::read_figure_options({{name, value}});
+    const auto base = engine::flatten_plan(experiment.build(defaults));
+    const auto plan = engine::flatten_plan(experiment.build(options));
+    const auto head = [&](const engine::PlannedScenario& planned) {
+      return engine::record_json_prefix(experiment.name, planned.panel) +
+             engine::record_spec_json(planned.spec);
+    };
+
+    std::size_t keys_moved = 0;
+    std::size_t heads_moved = 0;
+    std::string records;
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+      records += head(plan[i]) + result_part;
+      if (i >= base.size()) continue;
+      keys_moved += ResultCacheKey::of(plan[i].spec).canonical !=
+                    ResultCacheKey::of(base[i].spec).canonical;
+      heads_moved += head(plan[i]) != head(base[i]);
+    }
+    if (every_position) {
+      EXPECT_EQ(plan.size(), base.size()) << where;
+      EXPECT_EQ(keys_moved, plan.size()) << where << " leaves cache keys as they were";
+      EXPECT_EQ(heads_moved, plan.size()) << where << " leaves records' spec parts as they were";
+    } else {
+      EXPECT_TRUE(plan.size() != base.size() || keys_moved > 0) << where
+                                                                << " changes no cache key";
+      EXPECT_TRUE(plan.size() != base.size() || heads_moved > 0)
+          << where << " changes no record's spec part";
+    }
+
+    const std::string path = dir + "/" + name + "-" + experiment.name + ".ndjson";
+    std::ofstream(path, std::ios::binary) << records;
+    std::ostringstream merged;
+    EXPECT_THROW(merge_ndjson_shards(experiment, defaults, {path}, merged, {}), InvalidArgument)
+        << "shards made with " << where << " merge under the defaults";
+    std::ostringstream out;
+    const MergeReport report =
+        merge_ndjson_shards(experiment, options, {path}, out, {.require_complete = true});
+    EXPECT_TRUE(report.complete()) << where;
+    EXPECT_EQ(out.str(), records) << where;
+  };
   for (const engine::FigureOption& row : engine::figure_option_table()) {
     const std::string name(row.name);
     ASSERT_TRUE(changed.contains(name)) << "no non-default value for option " << name;
     const auto& [value, experiment_name] = changed.at(name);
-    const engine::FigureOptions options = engine::read_figure_options({{name, value}});
-    const engine::Experiment& experiment =
-        engine::ExperimentRegistry::global().find(experiment_name);
-    const auto base = engine::flatten_plan(experiment.build(defaults));
-    const auto plan = engine::flatten_plan(experiment.build(options));
-    const auto head = [&](const engine::PlannedScenario& planned, EvalMath math) {
-      return engine::record_json_prefix(experiment.name, planned.panel) +
-             engine::record_spec_json(planned.spec, math);
-    };
-
-    bool key_moved = plan.size() != base.size();
-    bool head_moved = key_moved;
-    std::string records;
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-      records += head(plan[i], options.eval_math) + result_part;
-      if (i >= base.size()) continue;
-      key_moved = key_moved || ResultCacheKey::of(plan[i].spec, options.eval_math).canonical !=
-                                   ResultCacheKey::of(base[i].spec, defaults.eval_math).canonical;
-      head_moved = head_moved ||
-                   head(plan[i], options.eval_math) != head(base[i], defaults.eval_math);
+    const engine::ExperimentRegistry& registry = engine::ExperimentRegistry::global();
+    if (every_builder.contains(name)) {
+      for (const engine::Experiment* experiment : registry.experiments()) {
+        check(name, value, *experiment, /*every_position=*/true);
+      }
+    } else {
+      check(name, value, registry.find(experiment_name), /*every_position=*/false);
     }
-    EXPECT_TRUE(key_moved) << name << " changes no cache key";
-    EXPECT_TRUE(head_moved) << name << " changes no record's spec part";
-
-    const std::string path = dir + "/" + name + ".ndjson";
-    std::ofstream(path, std::ios::binary) << records;
-    std::ostringstream merged;
-    EXPECT_THROW(merge_ndjson_shards(experiment, defaults, {path}, merged, {}), InvalidArgument)
-        << "shards made with " << name << "=" << value << " merge under the defaults";
-    std::ostringstream out;
-    const MergeReport report =
-        merge_ndjson_shards(experiment, options, {path}, out, {.require_complete = true});
-    EXPECT_TRUE(report.complete()) << name;
-    EXPECT_EQ(out.str(), records) << name;
   }
   std::filesystem::remove_all(dir);
 }

@@ -1,5 +1,5 @@
-// Tests for the exhaustive checkpoint-budget sweep.
-#include "heuristics/sweep.hpp"
+// Tests for the exhaustive checkpoint-budget sweep of run_heuristic.
+#include "heuristics/heuristic.hpp"
 
 #include <gtest/gtest.h>
 
@@ -17,13 +17,25 @@ namespace {
 
 using testing::expect_rel_near;
 
+/// The heuristic of `strategy` on a fixed (depth-first) order.
+HeuristicSpec df(CkptStrategy strategy) { return {LinearizeMethod::depth_first, strategy}; }
+
+/// The winning curve point's expected makespan.
+double best_point(const HeuristicResult& result) {
+  for (const SweepPoint& point : result.curve) {
+    if (point.budget == result.best_budget) return point.expected_makespan;
+  }
+  ADD_FAILURE() << "no curve point at the winning budget " << result.best_budget;
+  return 0.0;
+}
+
 TEST(Sweep, CurveCoversEveryBudgetWithStrideOne) {
   TaskGraph graph = generate_montage({.task_count = 30, .seed = 4});
   const ScheduleEvaluator evaluator(graph, FailureModel(1e-3, 0.0));
   const std::vector<double> weights = graph.weights();
   const auto order = linearize(graph.dag(), weights, LinearizeMethod::depth_first);
-  const SweepResult result =
-      sweep_checkpoint_budget(evaluator, order, CkptStrategy::by_weight, {.stride = 1});
+  const HeuristicResult result =
+      run_heuristic(evaluator, df(CkptStrategy::by_weight), order, {.stride = 1});
   ASSERT_EQ(result.curve.size(), graph.task_count() - 1);  // budgets 1..n-1
   for (std::size_t i = 0; i < result.curve.size(); ++i) {
     EXPECT_EQ(result.curve[i].budget, i + 1);
@@ -35,15 +47,15 @@ TEST(Sweep, BestMatchesTheCurveMinimum) {
   TaskGraph graph = generate_cybershake({.task_count = 40, .seed = 9});
   const ScheduleEvaluator evaluator(graph, FailureModel(1e-3, 0.0));
   const auto order = linearize(graph.dag(), graph.weights(), LinearizeMethod::depth_first);
-  const SweepResult result =
-      sweep_checkpoint_budget(evaluator, order, CkptStrategy::by_cost, {.stride = 1});
+  const HeuristicResult result =
+      run_heuristic(evaluator, df(CkptStrategy::by_cost), order, {.stride = 1});
   double minimum = result.curve.front().expected_makespan;
   for (const SweepPoint& point : result.curve)
     minimum = std::min(minimum, point.expected_makespan);
-  expect_rel_near(minimum, result.best_expected_makespan, 1e-12);
+  expect_rel_near(minimum, best_point(result), 1e-12);
   // And the winning schedule re-evaluates to the reported value.
-  expect_rel_near(evaluator.evaluate(result.best_schedule).expected_makespan,
-                  result.best_expected_makespan, 1e-12);
+  expect_rel_near(evaluator.evaluate(result.schedule).expected_makespan, best_point(result),
+                  1e-12);
 }
 
 TEST(Sweep, PoolPathMatchesSerialBitwise) {
@@ -53,14 +65,14 @@ TEST(Sweep, PoolPathMatchesSerialBitwise) {
   TaskGraph graph = generate_cybershake({.task_count = 37, .seed = 21});
   const ScheduleEvaluator evaluator(graph, FailureModel(1e-3, 1.0));
   const auto order = linearize(graph.dag(), graph.weights(), LinearizeMethod::depth_first);
-  const SweepResult serial = sweep_checkpoint_budget(evaluator, order, CkptStrategy::by_weight);
+  const HeuristicResult serial = run_heuristic(evaluator, df(CkptStrategy::by_weight), order);
   for (const std::size_t workers : {1u, 3u, 8u, 64u}) {
     ThreadPool pool(workers);
-    const SweepResult pooled =
-        sweep_checkpoint_budget(evaluator, order, CkptStrategy::by_weight, {.pool = &pool});
+    const HeuristicResult pooled =
+        run_heuristic(evaluator, df(CkptStrategy::by_weight), order, {.pool = &pool});
     EXPECT_EQ(serial.best_budget, pooled.best_budget);
-    EXPECT_EQ(serial.best_expected_makespan, pooled.best_expected_makespan);
-    EXPECT_EQ(serial.best_schedule.checkpointed, pooled.best_schedule.checkpointed);
+    EXPECT_EQ(serial.evaluation.expected_makespan, pooled.evaluation.expected_makespan);
+    EXPECT_EQ(serial.schedule.checkpointed, pooled.schedule.checkpointed);
     ASSERT_EQ(serial.curve.size(), pooled.curve.size());
     for (std::size_t i = 0; i < serial.curve.size(); ++i) {
       EXPECT_EQ(serial.curve[i].expected_makespan, pooled.curve[i].expected_makespan);
@@ -70,7 +82,7 @@ TEST(Sweep, PoolPathMatchesSerialBitwise) {
 }
 
 TEST(Sweep, PoolPathHonorsCallerWorkspace) {
-  // SweepOptions::workspace (the outer scenario worker's scratch) must
+  // HeuristicOptions::workspace (the outer scenario worker's scratch) must
   // keep working with a pool: the caller's own evaluations reuse it,
   // repeated sweeps through one workspace stay consistent, and
   // non-budgeted strategies (which evaluate exactly once, on the caller's
@@ -80,28 +92,27 @@ TEST(Sweep, PoolPathHonorsCallerWorkspace) {
   const auto order = linearize(graph.dag(), graph.weights(), LinearizeMethod::depth_first);
   ThreadPool pool(4);
   EvaluatorWorkspace caller_ws;
-  const SweepResult serial = sweep_checkpoint_budget(evaluator, order, CkptStrategy::by_cost);
+  const HeuristicResult serial = run_heuristic(evaluator, df(CkptStrategy::by_cost), order);
   for (int rep = 0; rep < 3; ++rep) {
-    const SweepResult pooled = sweep_checkpoint_budget(
-        evaluator, order, CkptStrategy::by_cost,
-        {.workspace = &caller_ws, .pool = &pool});
+    const HeuristicResult pooled = run_heuristic(evaluator, df(CkptStrategy::by_cost), order,
+                                                 {.workspace = &caller_ws, .pool = &pool});
     EXPECT_EQ(serial.best_budget, pooled.best_budget);
-    EXPECT_EQ(serial.best_expected_makespan, pooled.best_expected_makespan);
+    EXPECT_EQ(serial.evaluation.expected_makespan, pooled.evaluation.expected_makespan);
   }
-  const SweepResult never_serial = sweep_checkpoint_budget(evaluator, order, CkptStrategy::never);
-  const SweepResult never_pooled = sweep_checkpoint_budget(
-      evaluator, order, CkptStrategy::never, {.workspace = &caller_ws, .pool = &pool});
-  EXPECT_EQ(never_serial.best_expected_makespan, never_pooled.best_expected_makespan);
+  const HeuristicResult never_serial = run_heuristic(evaluator, df(CkptStrategy::never), order);
+  const HeuristicResult never_pooled = run_heuristic(evaluator, df(CkptStrategy::never), order,
+                                                     {.workspace = &caller_ws, .pool = &pool});
+  EXPECT_EQ(never_serial.evaluation.expected_makespan, never_pooled.evaluation.expected_makespan);
   // And the caller workspace is still good for direct evaluations.
-  EXPECT_EQ(evaluator.expected_makespan(never_serial.best_schedule, caller_ws),
-            never_serial.best_expected_makespan);
+  EXPECT_EQ(evaluator.expected_makespan(never_serial.schedule, caller_ws),
+            never_serial.evaluation.expected_makespan);
 }
 
 TEST(Sweep, MultiModelSweepMatchesPerModelSweeps) {
-  // One sweep for several failure models (lambda and D siblings, a
-  // repeated model and lambda = 0) must equal one sweep per model in every
-  // curve point, winner and winning schedule — serially and with pool
-  // helpers, for budgeted and non-budgeted strategies.
+  // One run for several failure models (lambda and D siblings, a repeated
+  // model and lambda = 0) must equal one run per model in every curve
+  // point, winner, winning schedule and evaluation — serially and with
+  // pool helpers, for budgeted and non-budgeted strategies.
   TaskGraph graph = generate_ligo({.task_count = 41, .seed = 13});
   const auto order = linearize(graph.dag(), graph.weights(), LinearizeMethod::depth_first);
   const std::vector<FailureModel> models = {
@@ -112,16 +123,18 @@ TEST(Sweep, MultiModelSweepMatchesPerModelSweeps) {
   for (const CkptStrategy strategy : {CkptStrategy::by_weight, CkptStrategy::periodic,
                                       CkptStrategy::never, CkptStrategy::always}) {
     for (ThreadPool* workers : {static_cast<ThreadPool*>(nullptr), &pool}) {
-      const std::vector<SweepResult> grouped = sweep_checkpoint_budget(
-          evaluator, models, order, strategy, {.stride = 3, .pool = workers});
+      const std::vector<HeuristicResult> grouped = run_heuristic(
+          evaluator, models, df(strategy), order, {.stride = 3, .pool = workers});
       ASSERT_EQ(grouped.size(), models.size());
       for (std::size_t m = 0; m < models.size(); ++m) {
-        const SweepResult single = sweep_checkpoint_budget(
-            ScheduleEvaluator(graph, models[m]), order, strategy, {.stride = 3});
+        const HeuristicResult single = run_heuristic(ScheduleEvaluator(graph, models[m]),
+                                                     df(strategy), order, {.stride = 3});
         EXPECT_EQ(grouped[m].best_budget, single.best_budget) << to_string(strategy) << " " << m;
-        EXPECT_EQ(grouped[m].best_expected_makespan, single.best_expected_makespan);
-        EXPECT_EQ(grouped[m].best_schedule.order, single.best_schedule.order);
-        EXPECT_EQ(grouped[m].best_schedule.checkpointed, single.best_schedule.checkpointed);
+        EXPECT_EQ(grouped[m].evaluation.expected_makespan, single.evaluation.expected_makespan);
+        EXPECT_EQ(grouped[m].evaluation.ratio, single.evaluation.ratio);
+        EXPECT_EQ(grouped[m].evaluation.fault_free_time, single.evaluation.fault_free_time);
+        EXPECT_EQ(grouped[m].schedule.order, single.schedule.order);
+        EXPECT_EQ(grouped[m].schedule.checkpointed, single.schedule.checkpointed);
         ASSERT_EQ(grouped[m].curve.size(), single.curve.size());
         for (std::size_t i = 0; i < single.curve.size(); ++i) {
           EXPECT_EQ(grouped[m].curve[i].budget, single.curve[i].budget);
@@ -133,8 +146,8 @@ TEST(Sweep, MultiModelSweepMatchesPerModelSweeps) {
   }
   // The failure models disagree on the winner somewhere, so the test sees
   // per-model argmins rather than one shared budget.
-  const std::vector<SweepResult> grouped =
-      sweep_checkpoint_budget(evaluator, models, order, CkptStrategy::by_weight, {.stride = 3});
+  const std::vector<HeuristicResult> grouped =
+      run_heuristic(evaluator, models, df(CkptStrategy::by_weight), order, {.stride = 3});
   EXPECT_NE(grouped[2].best_budget, grouped[3].best_budget);
 }
 
@@ -142,37 +155,38 @@ TEST(Sweep, StrideSubsamplesButKeepsEndpoints) {
   TaskGraph graph = generate_montage({.task_count = 30, .seed = 4});
   const ScheduleEvaluator evaluator(graph, FailureModel(1e-3, 0.0));
   const auto order = linearize(graph.dag(), graph.weights(), LinearizeMethod::depth_first);
-  const SweepResult strided =
-      sweep_checkpoint_budget(evaluator, order, CkptStrategy::by_weight, {.stride = 7});
+  const HeuristicResult strided =
+      run_heuristic(evaluator, df(CkptStrategy::by_weight), order, {.stride = 7});
   ASSERT_FALSE(strided.curve.empty());
   EXPECT_EQ(strided.curve.front().budget, 1u);
   EXPECT_EQ(strided.curve.back().budget, graph.task_count() - 1);
   EXPECT_LT(strided.curve.size(), graph.task_count() - 1);
   // A strided sweep can only be as good as the exhaustive one.
-  const SweepResult full =
-      sweep_checkpoint_budget(evaluator, order, CkptStrategy::by_weight, {.stride = 1});
-  EXPECT_GE(strided.best_expected_makespan, full.best_expected_makespan - 1e-12);
+  const HeuristicResult full =
+      run_heuristic(evaluator, df(CkptStrategy::by_weight), order, {.stride = 1});
+  EXPECT_GE(strided.evaluation.expected_makespan, full.evaluation.expected_makespan - 1e-12);
 }
 
 TEST(Sweep, NonBudgetedStrategiesReturnASinglePoint) {
   TaskGraph graph = generate_montage({.task_count = 25, .seed = 6});
   const ScheduleEvaluator evaluator(graph, FailureModel(1e-3, 0.0));
   const auto order = linearize(graph.dag(), graph.weights(), LinearizeMethod::depth_first);
-  const SweepResult never =
-      sweep_checkpoint_budget(evaluator, order, CkptStrategy::never, {});
+  const HeuristicResult never = run_heuristic(evaluator, df(CkptStrategy::never), order);
   EXPECT_EQ(never.curve.size(), 1u);
-  EXPECT_EQ(never.best_schedule.checkpoint_count(), 0u);
-  const SweepResult always =
-      sweep_checkpoint_budget(evaluator, order, CkptStrategy::always, {});
-  EXPECT_EQ(always.best_schedule.checkpoint_count(), graph.task_count());
+  EXPECT_EQ(never.schedule.checkpoint_count(), 0u);
+  const HeuristicResult always = run_heuristic(evaluator, df(CkptStrategy::always), order);
+  ASSERT_EQ(always.curve.size(), 1u);
+  EXPECT_EQ(always.schedule.checkpoint_count(), graph.task_count());
+  // The single point is labelled with its checkpoint count.
+  EXPECT_EQ(always.best_budget, graph.task_count());
+  EXPECT_EQ(always.curve[0].budget, graph.task_count());
 }
 
 TEST(Sweep, SingleTaskGraph) {
   const TaskGraph graph = make_uniform_chain(1, 5.0);
   const ScheduleEvaluator evaluator(graph, FailureModel(1e-2, 0.0));
   const std::vector<VertexId> order{0};
-  const SweepResult result =
-      sweep_checkpoint_budget(evaluator, order, CkptStrategy::by_weight, {});
+  const HeuristicResult result = run_heuristic(evaluator, df(CkptStrategy::by_weight), order);
   EXPECT_EQ(result.curve.size(), 1u);
 }
 
@@ -180,11 +194,11 @@ TEST(Sweep, RejectsBadInputs) {
   const TaskGraph graph = make_uniform_chain(3, 5.0);
   const ScheduleEvaluator evaluator(graph, FailureModel(1e-2, 0.0));
   const std::vector<VertexId> order{0, 1, 2};
+  EXPECT_THROW(run_heuristic(evaluator, df(CkptStrategy::by_weight), order, {.stride = 0}),
+               InvalidArgument);
   EXPECT_THROW(
-      sweep_checkpoint_budget(evaluator, order, CkptStrategy::by_weight, {.stride = 0}),
-      InvalidArgument);
-  EXPECT_THROW(sweep_checkpoint_budget(evaluator, {2, 1, 0}, CkptStrategy::by_weight, {}),
-               ScheduleError);
+      run_heuristic(evaluator, df(CkptStrategy::by_weight), std::vector<VertexId>{2, 1, 0}),
+      ScheduleError);
 }
 
 }  // namespace
