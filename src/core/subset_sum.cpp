@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "dag/graph.hpp"
 #include "support/error.hpp"
 #include "support/stats.hpp"
 
@@ -31,30 +30,23 @@ SubsetSumReduction reduce_subset_sum(const SubsetSumInstance& instance, double l
          "Theorem 2 requires lambda >= 1 / min_i w_i");
 
   const double x = static_cast<double>(instance.target);
-  DagBuilder builder;
-  std::vector<Task> tasks;
-  const std::size_t n = instance.values.size();
-  builder.add_vertices(n + 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double w = static_cast<double>(instance.values[i]);
-    Task t;
-    t.name = "src" + std::to_string(i);
-    t.type = "gadget";
-    t.weight = w;
-    t.ckpt_cost = (x - w) + std::log(lambda * w + std::exp(-lambda * x)) / lambda;
-    t.recovery_cost = 0.0;
-    ensure(t.ckpt_cost > 0.0, "reduction produced a non-positive checkpoint cost");
-    tasks.push_back(std::move(t));
-    builder.add_edge(static_cast<VertexId>(i), static_cast<VertexId>(n));
+  TaskGraphBuilder builder;
+  const TypeId type = builder.intern_type("gadget");
+  for (const std::int64_t value : instance.values) {
+    builder.add_task(type, static_cast<double>(value));
   }
-  Task sink;
-  sink.name = "sink";
-  sink.type = "gadget";
-  sink.weight = 0.0;
-  tasks.push_back(std::move(sink));
+  const VertexId sink = builder.add_task(type, 0.0);
+  for (VertexId v = 0; v < sink; ++v) builder.add_edge(v, sink);
+  TaskGraph graph = std::move(builder).finish();
+  for (VertexId v = 0; v < sink; ++v) {
+    const double w = graph.weight(v);
+    const double c = (x - w) + std::log(lambda * w + std::exp(-lambda * x)) / lambda;
+    ensure(c > 0.0, "reduction produced a non-positive checkpoint cost");
+    graph.set_costs(v, c, 0.0);
+  }
 
   return SubsetSumReduction{
-      TaskGraph(std::move(builder).build(), std::move(tasks)),
+      std::move(graph),
       FailureModel(lambda, 0.0),
       /*target=*/x,
       /*sum=*/static_cast<double>(sum),

@@ -8,10 +8,6 @@
 
 namespace fpsched {
 
-DagBuilder::DagBuilder(std::size_t expected_vertices) {
-  reserve(expected_vertices, expected_vertices * 2);
-}
-
 void DagBuilder::reserve(std::size_t /*vertices*/, std::size_t edges) {
   edge_from_.reserve(edges);
   edge_to_.reserve(edges);
@@ -35,26 +31,9 @@ void DagBuilder::add_edge(VertexId from, VertexId to) {
 }
 
 Dag DagBuilder::build() && {
-  return Dag::freeze(vertex_count_, std::move(edge_from_), std::move(edge_to_));
-}
-
-Dag Dag::from_edges(std::size_t n, std::span<const std::pair<VertexId, VertexId>> raw_edges) {
-  std::vector<VertexId> edge_from;
-  std::vector<VertexId> edge_to;
-  edge_from.reserve(raw_edges.size());
-  edge_to.reserve(raw_edges.size());
-  for (const auto& [u, v] : raw_edges) {
-    if (u == v) throw GraphError("self loop on vertex " + std::to_string(u));
-    if (u >= n || v >= n)
-      throw GraphError("edge (" + std::to_string(u) + "," + std::to_string(v) +
-                       ") references an unknown vertex");
-    edge_from.push_back(u);
-    edge_to.push_back(v);
-  }
-  return freeze(n, std::move(edge_from), std::move(edge_to));
-}
-
-Dag Dag::freeze(std::size_t n, std::vector<VertexId> edge_from, std::vector<VertexId> edge_to) {
+  const std::size_t n = vertex_count_;
+  std::vector<VertexId> edge_from = std::move(edge_from_);
+  std::vector<VertexId> edge_to = std::move(edge_to_);
   Dag dag;
 
   // Counting sort by source: one count pass, one scatter pass. Rows come

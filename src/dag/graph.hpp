@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 namespace fpsched {
@@ -29,9 +28,6 @@ class Dag;
 /// `reserve()` up front when the counts are known to avoid regrowth.
 class DagBuilder {
  public:
-  DagBuilder() = default;
-  explicit DagBuilder(std::size_t expected_vertices);
-
   /// Pre-sizes the edge arrays for a known instance shape.
   void reserve(std::size_t vertices, std::size_t edges);
 
@@ -89,15 +85,8 @@ class Dag {
   /// instance-memory bench rows).
   std::size_t memory_bytes() const;
 
-  /// Builds a Dag directly from an edge list over `n` vertices.
-  static Dag from_edges(std::size_t n, std::span<const std::pair<VertexId, VertexId>> edges);
-
  private:
-  friend class DagBuilder;
-
-  /// Shared freeze core: consumes parallel from/to arrays in emission
-  /// order and produces the fully validated Dag.
-  static Dag freeze(std::size_t n, std::vector<VertexId> edge_from, std::vector<VertexId> edge_to);
+  friend class DagBuilder;  // build() fills the arrays below
 
   std::vector<std::uint32_t> pred_offsets_;
   std::vector<VertexId> pred_list_;

@@ -53,11 +53,14 @@ const FigureOption kTable[] = {
      false,
      [](FigureOptions& o, std::string_view text, const std::string& what) {
        // Weights are gamma draws of shape 1/cv^2 and scale mean * cv^2
-       // (Rng::gamma_mean_cv): the shape must be finite, and past 1e150 the
-       // scale overflows for the generators' means (NaN weights at 1e153).
+       // (Rng::gamma_mean_cv), so the shape must be finite. Below shape 1
+       // a draw is multiplied by u^(cv^2), which is exactly 0 once
+       // ln u < -745.1 / cv^2: a weight is 0 with probability
+       // e^(-745.1 / cv^2), about 1e-13 at cv = 5, 6e-4 at 10 and every
+       // draw at 1e150, whatever the mean.
        const double cv = parse_number(text, what);
-       if (cv != 0.0 && !(cv > 0.0 && cv <= 1e150 && std::isfinite(1.0 / (cv * cv)))) {
-         out_of_range(what, "0 or a cv in [7.5e-155, 1e150]", text);
+       if (cv != 0.0 && !(cv > 0.0 && cv <= 5.0 && std::isfinite(1.0 / (cv * cv)))) {
+         out_of_range(what, "0 or a cv in [7.5e-155, 5]", text);
        }
        o.weight_cv = cv;
      },

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
@@ -113,28 +112,6 @@ void ensure_output_directory(const std::string& directory) {
 }
 
 // --- JSON records ------------------------------------------------------
-
-std::string json_quote(std::string_view value) {
-  std::string out = "\"";
-  for (const char c : value) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
 
 namespace {
 

@@ -80,10 +80,9 @@ std::string record_body_json(const ScenarioResult& result);
 /// record_spec_json of its planned position.
 std::string record_spec_json(const ScenarioSpec& spec);
 
-/// `value` as a quoted JSON string (escapes quotes, backslashes and
-/// control characters) — the one escaper every JSON-emitting layer
-/// (records, HTTP service) shares.
-std::string json_quote(std::string_view value);
+/// support/table.hpp's JSON string escaper, the one that records, the
+/// service, metrics and traces share.
+using fpsched::json_quote;
 
 /// The panel as a printable/CSV-able table (x column plus one column per
 /// series; lambda grids format x with 6 decimals, size grids as integers,

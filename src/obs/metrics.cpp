@@ -3,7 +3,6 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <sstream>
 
 #include "support/error.hpp"
@@ -20,30 +19,6 @@ std::string format_shortest(double value) {
   if (std::isinf(value)) return value > 0 ? "+Inf" : "-Inf";
   if (std::isnan(value)) return "NaN";
   return format_double_shortest(value);
-}
-
-// Minimal JSON string escape for metric names/labels (which we control,
-// but route labels may carry quotes from the exposition label syntax).
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string sample_name(const std::string& name, const std::string& labels) {
@@ -194,9 +169,7 @@ std::string MetricsRegistry::json() const {
   std::string gauges;
   std::string histograms;
   for (const auto& entry : entries_) {
-    std::string key = "\"";
-    key += json_escape(sample_name(entry->name, entry->labels));
-    key += "\":";
+    const std::string key = json_quote(sample_name(entry->name, entry->labels)) + ":";
     switch (entry->type) {
       case Type::counter:
         if (!counters.empty()) counters += ",";

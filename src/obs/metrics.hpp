@@ -12,8 +12,9 @@
 // function-local statics and never touch the registry again.
 //
 // Exposition: prometheus() renders the text format served by
-// GET /metrics; json() renders the same data for --stats and
-// GET /runs/{id}/stats.
+// GET /metrics; json() renders the same data for the --stats flag.
+// GET /runs/{id}/stats serves a job's counter deltas instead: the
+// service takes counter_values() snapshots and renders them itself.
 #pragma once
 
 #include <atomic>

@@ -9,6 +9,7 @@
 #include "obs/metrics.hpp"
 #include "support/error.hpp"
 #include "support/sync.hpp"
+#include "support/table.hpp"
 
 namespace fpsched::obs {
 
@@ -57,27 +58,6 @@ ThreadBuffer& local_buffer() {
   return *buffer;
 }
 
-std::string escape_name(std::string_view name) {
-  std::string out;
-  out.reserve(name.size());
-  for (const char c : name) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 // Nanoseconds to the microsecond-unit decimal chrome://tracing expects.
 std::string format_us(std::uint64_t ns) {
   char buffer[40];
@@ -124,8 +104,8 @@ std::string trace_json() {
       if (!first) out += ",";
       first = false;
       const std::uint64_t relative = event.start_ns >= epoch ? event.start_ns - epoch : 0;
-      out += "{\"name\":\"" + escape_name(event.name) +
-             "\",\"cat\":\"fpsched\",\"ph\":\"X\",\"ts\":" + format_us(relative) +
+      out += "{\"name\":" + json_quote(event.name) +
+             ",\"cat\":\"fpsched\",\"ph\":\"X\",\"ts\":" + format_us(relative) +
              ",\"dur\":" + format_us(event.dur_ns) + ",\"pid\":1,\"tid\":" +
              std::to_string(buffer->tid) + "}";
     }

@@ -42,6 +42,8 @@ HttpMetrics& http_metrics() {
 // and small JSON bodies), so anything bigger is a client bug or abuse.
 constexpr std::size_t kMaxHeaderBytes = 64 * 1024;
 constexpr std::size_t kMaxBodyBytes = 1024 * 1024;
+// Per-connection socket send/receive timeout.
+constexpr int kSocketTimeoutSeconds = 30;
 
 std::string_view status_text(int status) {
   switch (status) {
@@ -365,7 +367,7 @@ const HttpServer::Route* HttpServer::match(const HttpRequest& request, bool* pat
 }
 
 void HttpServer::handle_connection(FileDescriptor client) {
-  set_socket_timeouts(client.get(), options_.socket_timeout_seconds);
+  set_socket_timeouts(client.get(), kSocketTimeoutSeconds);
   HttpMetrics& metrics = http_metrics();
   HttpRequest request;
   HttpResponseWriter writer(client.get());

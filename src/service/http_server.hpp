@@ -115,8 +115,6 @@ struct HttpServerOptions {
   /// Connection worker threads (>= 1); also the max number of in-flight
   /// requests, since each connection is handled synchronously.
   std::size_t threads = 4;
-  /// Per-connection socket send/receive timeout, seconds.
-  int socket_timeout_seconds = 30;
 };
 
 /// The server: route() handlers, then start(). stop() (or destruction)

@@ -38,12 +38,6 @@ class ScheduleError : public Error {
   explicit ScheduleError(const std::string& what) : Error(what) {}
 };
 
-/// Thrown on malformed workflow files.
-class ParseError : public Error {
- public:
-  explicit ParseError(const std::string& what) : Error(what) {}
-};
-
 namespace detail {
 [[noreturn]] void throw_check_failure(std::string_view expr, std::string_view message,
                                       const std::source_location& loc);

@@ -46,6 +46,28 @@ std::string format_double_shortest(double value) {
   return buffer;
 }
 
+std::string json_quote(std::string_view value) {
+  std::string out = "\"";
+  for (const char c : value) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buffer[8];
+          std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
+          out += buffer;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+  return out;
+}
+
 Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {
   ensure(!headers_.empty(), "a table needs at least one column");
 }

@@ -1,8 +1,11 @@
-// Fixed-width console tables and CSV output for benches and examples.
+// Fixed-width console tables and CSV output for benches and examples,
+// and the number and string formatting that every machine-readable
+// writer (CSV, NDJSON records, metrics, traces) shares.
 #pragma once
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace fpsched {
@@ -19,6 +22,11 @@ std::string format_double_full(double value);
 /// The shortest decimal text that strtod reads back as the same double
 /// ("0.2", "3600", not 17-digit dumps); non-finite values as above.
 std::string format_double_shortest(double value);
+
+/// `value` as a quoted JSON string (escapes quotes, backslashes and
+/// control characters) — the one escaper of every JSON-emitting layer:
+/// records, the HTTP service, metrics and traces.
+std::string json_quote(std::string_view value);
 
 /// A small column-aligned table. Cells are strings; numeric helpers are
 /// provided for the common case. Rendering pads every column to its widest

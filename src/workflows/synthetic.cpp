@@ -3,32 +3,18 @@
 #include <algorithm>
 #include <string>
 
-#include "dag/graph.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
 namespace fpsched {
 
-namespace {
-Task plain_task(const std::string& prefix, std::size_t index, double weight) {
-  Task t;
-  t.name = prefix + std::to_string(index);
-  t.type = prefix;
-  t.weight = weight;
-  return t;
-}
-}  // namespace
-
 TaskGraph make_chain(std::span<const double> weights) {
   ensure(!weights.empty(), "chain needs at least one task");
-  DagBuilder builder;
-  std::vector<Task> tasks;
-  builder.add_vertices(weights.size());
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    tasks.push_back(plain_task("chain", i, weights[i]));
-    if (i > 0) builder.add_edge(static_cast<VertexId>(i - 1), static_cast<VertexId>(i));
-  }
-  return TaskGraph(std::move(builder).build(), std::move(tasks));
+  TaskGraphBuilder builder;
+  const TypeId type = builder.intern_type("chain");
+  for (const double weight : weights) builder.add_task(type, weight);
+  for (VertexId v = 1; v < weights.size(); ++v) builder.add_edge(v - 1, v);
+  return std::move(builder).finish();
 }
 
 TaskGraph make_uniform_chain(std::size_t n, double weight) {
@@ -37,57 +23,46 @@ TaskGraph make_uniform_chain(std::size_t n, double weight) {
 
 TaskGraph make_fork(double source_weight, std::span<const double> sink_weights) {
   ensure(!sink_weights.empty(), "fork needs at least one sink");
-  DagBuilder builder;
-  builder.add_vertices(1 + sink_weights.size());
-  std::vector<Task> tasks;
-  tasks.push_back(plain_task("src", 0, source_weight));
-  for (std::size_t i = 0; i < sink_weights.size(); ++i) {
-    tasks.push_back(plain_task("sink", i, sink_weights[i]));
-    builder.add_edge(0, static_cast<VertexId>(1 + i));
-  }
-  return TaskGraph(std::move(builder).build(), std::move(tasks));
+  TaskGraphBuilder builder;
+  const VertexId source = builder.add_task(builder.intern_type("src"), source_weight);
+  const TypeId sink = builder.intern_type("sink");
+  for (const double weight : sink_weights) builder.add_task(sink, weight);
+  for (VertexId v = 1; v < builder.task_count(); ++v) builder.add_edge(source, v);
+  return std::move(builder).finish();
 }
 
 TaskGraph make_join(std::span<const double> source_weights, double sink_weight) {
   ensure(!source_weights.empty(), "join needs at least one source");
-  DagBuilder builder;
-  builder.add_vertices(source_weights.size() + 1);
-  std::vector<Task> tasks;
-  const VertexId sink = static_cast<VertexId>(source_weights.size());
-  for (std::size_t i = 0; i < source_weights.size(); ++i) {
-    tasks.push_back(plain_task("src", i, source_weights[i]));
-    builder.add_edge(static_cast<VertexId>(i), sink);
-  }
-  tasks.push_back(plain_task("sink", 0, sink_weight));
-  return TaskGraph(std::move(builder).build(), std::move(tasks));
+  TaskGraphBuilder builder;
+  const TypeId source = builder.intern_type("src");
+  for (const double weight : source_weights) builder.add_task(source, weight);
+  const VertexId sink = builder.add_task(builder.intern_type("sink"), sink_weight);
+  for (VertexId v = 0; v < sink; ++v) builder.add_edge(v, sink);
+  return std::move(builder).finish();
 }
 
 TaskGraph make_fork_join(std::size_t levels, std::size_t width, double weight) {
   ensure(levels >= 1 && width >= 1, "fork_join needs levels >= 1 and width >= 1");
-  DagBuilder builder;
-  std::vector<Task> tasks;
-  const VertexId source = builder.add_vertex();
-  tasks.push_back(plain_task("src", 0, weight));
-  std::vector<VertexId> previous{source};
+  TaskGraphBuilder builder;
+  std::vector<VertexId> previous{builder.add_task(builder.intern_type("src"), weight)};
   for (std::size_t level = 0; level < levels; ++level) {
-    std::vector<VertexId> current;
     // Built by append to sidestep a GCC 12 -Wrestrict false positive on
     // `const char* + std::string&&`.
-    std::string prefix = "l";
-    prefix += std::to_string(level);
-    prefix += '_';
+    std::string type = "l";
+    type += std::to_string(level);
+    type += '_';
+    const TypeId layer = builder.intern_type(type);
+    std::vector<VertexId> current;
     for (std::size_t i = 0; i < width; ++i) {
-      const VertexId v = builder.add_vertex();
-      tasks.push_back(plain_task(prefix, i, weight));
+      const VertexId v = builder.add_task(layer, weight);
       for (const VertexId p : previous) builder.add_edge(p, v);
       current.push_back(v);
     }
     previous = std::move(current);
   }
-  const VertexId sink = builder.add_vertex();
-  tasks.push_back(plain_task("snk", 0, weight));
+  const VertexId sink = builder.add_task(builder.intern_type("snk"), weight);
   for (const VertexId p : previous) builder.add_edge(p, sink);
-  return TaskGraph(std::move(builder).build(), std::move(tasks));
+  return std::move(builder).finish();
 }
 
 TaskGraph make_layered_random(const LayeredRandomConfig& config) {
@@ -103,15 +78,13 @@ TaskGraph make_layered_random(const LayeredRandomConfig& config) {
     layer_of[i] = static_cast<std::size_t>(rng.uniform_index(config.layer_count));
   std::vector<std::vector<VertexId>> layers(config.layer_count);
 
-  DagBuilder builder;
-  std::vector<Task> tasks;
+  TaskGraphBuilder builder;
+  const TypeId type = builder.intern_type("t");
   for (std::size_t i = 0; i < config.task_count; ++i) {
-    const VertexId v = builder.add_vertex();
     const double w = config.weight_cv == 0.0
                          ? config.mean_weight
                          : rng.gamma_mean_cv(config.mean_weight, config.weight_cv);
-    tasks.push_back(plain_task("t", i, w));
-    layers[layer_of[i]].push_back(v);
+    layers[layer_of[i]].push_back(builder.add_task(type, w));
   }
 
   for (std::size_t layer = 1; layer < config.layer_count; ++layer) {
@@ -129,16 +102,15 @@ TaskGraph make_layered_random(const LayeredRandomConfig& config) {
       }
     }
   }
-  return TaskGraph(std::move(builder).build(), std::move(tasks));
+  return std::move(builder).finish();
 }
 
 TaskGraph make_paper_figure1(double weight) {
   // Figure 1 of the paper: T0 -> T3 -> T5 -> T6, T1 -> T2 -> {T4, T7},
   // T4 -> T6; checkpoint flags (T3, T4) are chosen by callers.
-  DagBuilder builder;
-  builder.add_vertices(8);
-  std::vector<Task> tasks;
-  for (std::size_t i = 0; i < 8; ++i) tasks.push_back(plain_task("T", i, weight));
+  TaskGraphBuilder builder;
+  const TypeId type = builder.intern_type("T");
+  for (int i = 0; i < 8; ++i) builder.add_task(type, weight);
   builder.add_edge(0, 3);
   builder.add_edge(3, 5);
   builder.add_edge(5, 6);
@@ -146,7 +118,7 @@ TaskGraph make_paper_figure1(double weight) {
   builder.add_edge(2, 4);
   builder.add_edge(2, 7);
   builder.add_edge(4, 6);
-  return TaskGraph(std::move(builder).build(), std::move(tasks));
+  return std::move(builder).finish();
 }
 
 }  // namespace fpsched

@@ -1,5 +1,9 @@
-// Elementary DAG families used by the theory modules, tests and ablations:
-// chains, forks, joins, fork-joins, and random layered DAGs.
+// Elementary DAG families used by the theory modules, tests and the
+// optimality-gap study: chains, forks, joins, fork-joins, random layered
+// DAGs and the paper's Figure 1. Like the workflow generators, each is
+// built by TaskGraphBuilder, with one interned type per role ("src",
+// "sink", a layer); c_i and r_i start at 0 until the caller applies a
+// cost model or set_costs.
 #pragma once
 
 #include <cstdint>

@@ -28,34 +28,6 @@ void validate_costs(double weight, double ckpt, double recovery, std::size_t ind
 }
 }  // namespace
 
-TaskGraph::TaskGraph(Dag dag, std::vector<Task> tasks) : dag_(std::move(dag)) {
-  ensure(dag_.vertex_count() == tasks.size(), "task list size must match DAG vertex count");
-  const std::size_t n = tasks.size();
-  weights_.reserve(n);
-  ckpt_costs_.reserve(n);
-  recovery_costs_.reserve(n);
-  type_ids_.reserve(n);
-  names_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    Task& task = tasks[i];
-    validate_costs(task.weight, task.ckpt_cost, task.recovery_cost, i);
-    weights_.push_back(task.weight);
-    ckpt_costs_.push_back(task.ckpt_cost);
-    recovery_costs_.push_back(task.recovery_cost);
-    type_ids_.push_back(types_.intern(task.type));
-    names_.push_back(std::move(task.name));
-  }
-}
-
-std::string TaskGraph::name(VertexId v) const {
-  if (!names_.empty()) return names_[v];
-  return types_.name(type_ids_[v]) + "_" + std::to_string(v);
-}
-
-Task TaskGraph::task(VertexId v) const {
-  return {name(v), types_.name(type_ids_[v]), weights_[v], ckpt_costs_[v], recovery_costs_[v]};
-}
-
 double TaskGraph::total_weight() const {
   double total = 0.0;
   for (const double w : weights_) total += w;
@@ -83,20 +55,10 @@ void TaskGraph::set_costs(VertexId v, double ckpt_cost, double recovery_cost) {
   validate_costs(weights_[v], ckpt_costs_[v], recovery_costs_[v], v);
 }
 
-void TaskGraph::set_weight(VertexId v, double weight) {
-  ensure(v < weights_.size(), "set_weight: vertex out of range");
-  weights_[v] = weight;
-  validate_costs(weights_[v], ckpt_costs_[v], recovery_costs_[v], v);
-}
-
 std::size_t TaskGraph::memory_bytes() const {
-  std::size_t total = dag_.memory_bytes() + weights_.capacity() * sizeof(double) +
-                      ckpt_costs_.capacity() * sizeof(double) +
-                      recovery_costs_.capacity() * sizeof(double) +
-                      type_ids_.capacity() * sizeof(TypeId) + types_.memory_bytes() +
-                      names_.capacity() * sizeof(std::string);
-  for (const std::string& name : names_) total += name.capacity();
-  return total;
+  return dag_.memory_bytes() + weights_.capacity() * sizeof(double) +
+         ckpt_costs_.capacity() * sizeof(double) + recovery_costs_.capacity() * sizeof(double) +
+         type_ids_.capacity() * sizeof(TypeId) + types_.memory_bytes();
 }
 
 void TaskGraphBuilder::reserve(std::size_t tasks, std::size_t edges) {

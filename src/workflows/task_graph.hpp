@@ -7,10 +7,8 @@
 //
 // Storage is structure-of-arrays: dense weight/ckpt/recovery arrays plus
 // one interned TypeId per task. A workflow has a handful of task types but
-// up to 10^6 tasks, so per-task strings would dominate the instance
-// footprint; instead names are synthesized on demand ("<type>_<id>", the
-// scheme every generator uses) unless a caller supplied explicit names.
-// The AoS `Task` view survives as a thin value-returning shim.
+// up to 10^6 tasks, so tasks carry no per-task string at all. Every graph,
+// generated workflow or theory gadget, is built by TaskGraphBuilder.
 #pragma once
 
 #include <cstdint>
@@ -23,17 +21,8 @@
 
 namespace fpsched {
 
-struct Task {
-  std::string name;
-  /// Task type tag (generator specific; e.g. "mProjectPP"). Used for
-  /// reporting and generator tests.
-  std::string type;
-  double weight = 0.0;         // w_i, fault-free execution time
-  double ckpt_cost = 0.0;      // c_i
-  double recovery_cost = 0.0;  // r_i
-};
-
-/// Interned task-type id; dense from 0 per graph.
+/// Interned task-type id; dense from 0 per graph. A type is a generator
+/// specific tag (e.g. "mProjectPP") used by reports and generator tests.
 using TypeId = std::uint32_t;
 
 /// Per-graph registry of task type strings. Workflows have a dozen types
@@ -70,13 +59,8 @@ class TaskGraphBuilder;
 
 class TaskGraph {
  public:
+  /// The empty graph; TaskGraphBuilder::finish() makes every other one.
   TaskGraph() = default;
-  /// Takes ownership of a frozen DAG and its per-vertex tasks; sizes must
-  /// match and all costs must be non-negative and finite. This AoS entry
-  /// point interns the types and keeps the explicit names (used by the
-  /// file loader and the synthetic gadgets whose names are not
-  /// "<type>_<id>"); generators go through TaskGraphBuilder instead.
-  TaskGraph(Dag dag, std::vector<Task> tasks);
 
   const Dag& dag() const { return dag_; }
   std::size_t task_count() const { return weights_.size(); }
@@ -86,14 +70,6 @@ class TaskGraph {
   double recovery_cost(VertexId v) const { return recovery_costs_[v]; }
   const std::string& type(VertexId v) const { return types_.name(type_ids_[v]); }
   TypeId type_id(VertexId v) const { return type_ids_[v]; }
-
-  /// Task name: the stored name when one was supplied, otherwise the
-  /// synthesized "<type>_<id>" every generator uses. Returns by value
-  /// because synthesized names are not materialized.
-  std::string name(VertexId v) const;
-
-  /// AoS view of one task, assembled on demand.
-  Task task(VertexId v) const;
 
   /// Dense per-task arrays, indexed by vertex id. These are the storage —
   /// evaluator/heuristic workspaces gather from them without copies.
@@ -118,10 +94,9 @@ class TaskGraph {
 
   /// Sets c_i and r_i for one task (used by theory gadgets where r != c).
   void set_costs(VertexId v, double ckpt_cost, double recovery_cost);
-  void set_weight(VertexId v, double weight);
 
-  /// Heap bytes of the instance (DAG CSR + task arrays + type table +
-  /// stored names) — the number the perf bench reports as provenance.
+  /// Heap bytes of the instance (DAG CSR + task arrays + type table) —
+  /// the number the perf bench reports as provenance.
   std::size_t memory_bytes() const;
 
  private:
@@ -133,13 +108,11 @@ class TaskGraph {
   std::vector<double> recovery_costs_;
   std::vector<TypeId> type_ids_;
   TypeTable types_;
-  /// Explicit per-task names; empty when names are synthesized.
-  std::vector<std::string> names_;
 };
 
-/// Streaming construction path for generators: interned types, dense
-/// weight array, edges forwarded to the streaming DagBuilder — no Task
-/// structs and no name strings are ever materialized.
+/// The one way to build a TaskGraph: interned types, a dense weight array
+/// and edges forwarded to the streaming DagBuilder. Generators and theory
+/// gadgets alike add tasks in vertex-id order, then edges, then finish().
 class TaskGraphBuilder {
  public:
   /// Pre-sizes every array for a known instance shape.

@@ -16,12 +16,10 @@ namespace fpsched::detail {
 /// Accumulates vertices with typed, gamma-distributed weights and freezes
 /// into a TaskGraph with the configured cost model applied.
 ///
-/// Streams straight into TaskGraphBuilder: types are interned once, task
-/// names are never materialized (the SoA TaskGraph synthesizes
-/// "<type>_<id>" on demand — the exact scheme this class used to store),
-/// and edges go to the arena-backed DagBuilder. The weight draw per `add`
-/// is unchanged, so generator RNG call order — and therefore every figure
-/// byte — is preserved.
+/// Streams straight into TaskGraphBuilder: types are interned once and
+/// edges go to the arena-backed DagBuilder. Each `add` draws its weight
+/// right before adding the task, so a generator's order of `add` calls
+/// fixes its RNG call order, and with it every figure byte.
 class WorkflowAssembler {
  public:
   WorkflowAssembler(const GeneratorConfig& config, std::string workflow_name)

@@ -19,6 +19,7 @@
 namespace fpsched {
 namespace {
 
+using testing::build_graph;
 using testing::expect_rel_near;
 using testing::topo_schedule;
 
@@ -104,13 +105,7 @@ TEST(EdgeCases, PeriodicOnZeroTotalWeightPlacesNothing) {
 TEST(EdgeCases, DisconnectedComponentsEvaluateIndependently) {
   // Two independent chains in one graph: the expected makespan equals the
   // sum of the two chains evaluated separately (serialized platform).
-  DagBuilder builder;
-  builder.add_vertices(4);
-  builder.add_edge(0, 1);
-  builder.add_edge(2, 3);
-  std::vector<Task> tasks(4);
-  for (auto& t : tasks) t.weight = 30.0;
-  const TaskGraph graph(std::move(builder).build(), std::move(tasks));
+  const TaskGraph graph = build_graph(std::vector<double>(4, 30.0), {{0, 1}, {2, 3}});
   const FailureModel model(0.005, 0.0);
   const double whole = ScheduleEvaluator(graph, model)
                            .evaluate(make_schedule({0, 1, 2, 3}))
@@ -129,13 +124,7 @@ TEST(EdgeCases, InterleavingIndependentChainsIsStrictlyWorse) {
   // work exposed to failures for longer. This is the quantitative heart
   // of the paper's depth-first-beats-breadth-first observation. Verified
   // by hand for this instance: sequential ~139.9 s vs interleaved ~149.5 s.
-  DagBuilder builder;
-  builder.add_vertices(4);
-  builder.add_edge(0, 1);
-  builder.add_edge(2, 3);
-  std::vector<Task> tasks(4);
-  for (auto& t : tasks) t.weight = 30.0;
-  const TaskGraph graph(std::move(builder).build(), std::move(tasks));
+  const TaskGraph graph = build_graph(std::vector<double>(4, 30.0), {{0, 1}, {2, 3}});
   const FailureModel model(0.005, 0.0);
   const ScheduleEvaluator evaluator(graph, model);
   const double sequential = evaluator.evaluate(make_schedule({0, 1, 2, 3})).expected_makespan;

@@ -22,6 +22,8 @@
 namespace fpsched {
 namespace {
 
+using testing::build_graph;
+
 constexpr EvalMath kModes[] = {EvalMath::exact, EvalMath::fast};
 
 Schedule random_schedule(const TaskGraph& graph, Rng& rng, double ckpt_probability) {
@@ -139,17 +141,16 @@ void expect_multi_model_matches_single(const TaskGraph& graph, const FailureMode
 /// every pass 1..4 (the same L in each lost-work record of a call).
 TaskGraph make_gadgets(std::size_t count, std::uint64_t seed) {
   Rng rng(seed);
-  DagBuilder builder;
-  builder.add_vertices(6 * count);
+  std::vector<double> weights(6 * count);
+  for (double& weight : weights) weight = rng.uniform(5.0, 25.0);
+  std::vector<std::pair<VertexId, VertexId>> edges;
   for (std::size_t g = 0; g < count; ++g) {
     const auto at = [g](VertexId offset) { return static_cast<VertexId>(6 * g + offset); };
-    builder.add_edge(at(1), at(4));  // a -> i
-    builder.add_edge(at(2), at(4));  // b -> i
-    builder.add_edge(at(0), at(5));  // c -> t
+    edges.emplace_back(at(1), at(4));  // a -> i
+    edges.emplace_back(at(2), at(4));  // b -> i
+    edges.emplace_back(at(0), at(5));  // c -> t
   }
-  std::vector<Task> tasks(6 * count);
-  for (Task& task : tasks) task.weight = rng.uniform(5.0, 25.0);
-  TaskGraph graph(std::move(builder).build(), std::move(tasks));
+  TaskGraph graph = build_graph(weights, edges);
   graph.apply_cost_model(CostModel::proportional(0.15));
   return graph;
 }
@@ -171,13 +172,12 @@ Schedule gadgets_schedule(const TaskGraph& graph, Rng& rng, double ckpt_probabil
 /// which a random-first linearization scatters anywhere in the order.
 TaskGraph with_isolated_tasks(const TaskGraph& graph, std::size_t extra) {
   const std::size_t n = graph.task_count();
-  DagBuilder builder;
-  builder.add_vertices(n + extra);
+  std::vector<double> weights(n + extra);
+  for (std::size_t v = 0; v < n + extra; ++v) weights[v] = graph.weight(v % n);
+  std::vector<std::pair<VertexId, VertexId>> edges;
   for (VertexId v = 0; v < n; ++v)
-    for (const VertexId succ : graph.dag().successors(v)) builder.add_edge(v, succ);
-  std::vector<Task> tasks(n + extra);
-  for (std::size_t v = 0; v < n + extra; ++v) tasks[v].weight = graph.weight(v % n);
-  TaskGraph out(std::move(builder).build(), std::move(tasks));
+    for (const VertexId succ : graph.dag().successors(v)) edges.emplace_back(v, succ);
+  TaskGraph out = build_graph(weights, edges);
   out.apply_cost_model(CostModel::proportional(0.15));
   return out;
 }

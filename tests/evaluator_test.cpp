@@ -29,6 +29,7 @@ namespace fpsched {
 namespace {
 
 using testing::assert_rel_near;
+using testing::build_graph;
 using testing::expect_rel_near;
 using testing::topo_schedule;
 using testing::topo_schedule_with_ckpts;
@@ -247,18 +248,8 @@ TEST(Evaluator, RelabelingVerticesDoesNotChangeTheValue) {
                                .expected_makespan;
 
   // Rebuild the chain with reversed ids: 3 -> 2 -> 1 -> 0.
-  DagBuilder builder;
-  builder.add_vertices(4);
-  builder.add_edge(3, 2);
-  builder.add_edge(2, 1);
-  builder.add_edge(1, 0);
-  std::vector<Task> tasks(4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    tasks[3 - i].weight = w[i];
-    tasks[3 - i].ckpt_cost = 1.0;
-    tasks[3 - i].recovery_cost = 1.0;
-  }
-  const TaskGraph relabeled(std::move(builder).build(), std::move(tasks));
+  TaskGraph relabeled = build_graph({w[3], w[2], w[1], w[0]}, {{3, 2}, {2, 1}, {1, 0}});
+  relabeled.apply_cost_model(CostModel::constant(1.0));
   Schedule schedule({3, 2, 1, 0}, {0, 0, 1, 0});  // checkpoint the 2nd task
   expect_rel_near(reference,
                   ScheduleEvaluator(relabeled, model).evaluate(schedule).expected_makespan, 1e-12);

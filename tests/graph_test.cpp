@@ -109,15 +109,6 @@ TEST(Dag, OutOfRangeEdgeRejected) {
   DagBuilder builder;
   builder.add_vertices(2);
   EXPECT_THROW(builder.add_edge(0, 5), GraphError);
-  const std::vector<std::pair<VertexId, VertexId>> edges{{0, 7}};
-  EXPECT_THROW(Dag::from_edges(2, edges), GraphError);
-}
-
-TEST(Dag, FromEdgesMatchesBuilder) {
-  const std::vector<std::pair<VertexId, VertexId>> edges{{0, 1}, {0, 2}, {1, 3}, {2, 3}};
-  const Dag dag = Dag::from_edges(4, edges);
-  EXPECT_EQ(dag.edge_count(), 4u);
-  EXPECT_TRUE(dag.has_edge(1, 3));
 }
 
 TEST(DagBuilder, AddVerticesReturnsFirstId) {

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <limits>
-#include <sstream>
 
 #include "core/evaluator.hpp"
 #include "core/theory_chain.hpp"
@@ -12,7 +11,6 @@
 #include "sim/trial_runner.hpp"
 #include "test_util.hpp"
 #include "workflows/generator.hpp"
-#include "workflows/io.hpp"
 #include "workflows/synthetic.hpp"
 
 namespace fpsched {
@@ -32,22 +30,6 @@ TEST(Integration, GenerateScheduleEvaluateSimulate) {
   EXPECT_TRUE(mc.consistent_with(best.evaluation.expected_makespan, 3.0))
       << "analytic=" << best.evaluation.expected_makespan << " mc=" << mc.mean_makespan()
       << " +/- " << mc.ci95();
-}
-
-TEST(Integration, SaveLoadEvaluateIsStable) {
-  // Serialization must not perturb evaluation results.
-  const TaskGraph graph = generate_ligo({.task_count = 44, .seed = 7});
-  const FailureModel model(1e-3, 0.0);
-  const HeuristicResult result = run_heuristic(ScheduleEvaluator(graph, model),
-                                               {LinearizeMethod::depth_first,
-                                                CkptStrategy::by_cost});
-  std::stringstream buffer;
-  save_workflow(buffer, graph);
-  const TaskGraph reloaded = load_workflow(buffer);
-  const double replay = ScheduleEvaluator(reloaded, model)
-                            .evaluate(result.schedule)
-                            .expected_makespan;
-  EXPECT_DOUBLE_EQ(result.evaluation.expected_makespan, replay);
 }
 
 TEST(Integration, PaperFinding_CheckpointingBeatsBaselinesUnderFailures) {

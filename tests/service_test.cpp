@@ -100,12 +100,16 @@ TEST(ParseJobRequestTest, RejectsBadRequests) {
   EXPECT_THROW(parse_job_request({{"experiment", "fig2"}, {"eval_math", "float"}}),
                InvalidArgument);  // backend names are exact | fast only
   // Values the generators or the failure model cannot use fail here, at
-  // POST, not inside the job.
-  for (const std::string cv : {"-1", "nan", "inf", "1e160"}) {
+  // POST, not inside the job. Past cv = 5 a gamma weight underflows to
+  // exactly 0 with a probability that grows to 1 (every draw at 1e150).
+  for (const std::string cv : {"-1", "nan", "inf", "1e160", "1e150", "6"}) {
     EXPECT_THROW(parse_job_request({{"experiment", "theory"}, {"weight_cv", cv}}),
                  InvalidArgument)
         << cv;
   }
+  EXPECT_DOUBLE_EQ(parse_job_request({{"experiment", "theory"}, {"weight_cv", "5"}})
+                       .options.weight_cv,
+                   5.0);
   EXPECT_THROW(parse_job_request({{"experiment", "downtime"}, {"downtimes", "inf"}}),
                InvalidArgument);
 }
@@ -197,7 +201,8 @@ TEST(OptionTableTest, SeededMutationsFailAtParseOrInstantiate) {
   // Admission's invariant over 10^4 query maps and 10^4 flat-JSON
   // bodies: a request either throws InvalidArgument (a 400 at POST) or
   // yields options whose plan flattens and whose first scenario, at 20
-  // tasks, instantiates — never a job that fails later.
+  // tasks, instantiates with every weight > 0 — never a job that fails
+  // later or evaluates a degenerate instance.
   const engine::ExperimentRegistry& registry = engine::ExperimentRegistry::global();
   std::vector<std::string> experiments;
   for (const engine::Experiment* experiment : registry.experiments()) {
@@ -273,7 +278,10 @@ TEST(OptionTableTest, SeededMutationsFailAtParseOrInstantiate) {
       ASSERT_FALSE(plan.empty()) << request;
       engine::ScenarioSpec spec = plan.front().spec;
       spec.task_count = 20;
-      spec.instantiate();
+      const TaskGraph graph = spec.instantiate();
+      for (VertexId v = 0; v < graph.task_count(); ++v) {
+        ASSERT_GT(graph.weight(v), 0.0) << "accepted request draws a zero weight: " << request;
+      }
     } catch (const std::exception& e) {
       FAIL() << "accepted request fails later: " << request << ": " << e.what();
     }
@@ -807,7 +815,7 @@ TEST_F(ExperimentServiceTest, ErrorPathsMapToHttpStatuses) {
   EXPECT_EQ(http_status(http_exchange(
                 port(), "POST /runs?experiment=tiny&threads=2 HTTP/1.1\r\nHost: t\r\n\r\n")),
             400);
-  for (const std::string bad : {"weight_cv=-1", "downtimes=inf"}) {
+  for (const std::string bad : {"weight_cv=-1", "weight_cv=1e150", "downtimes=inf"}) {
     EXPECT_EQ(http_status(http_exchange(
                   port(), "POST /runs?experiment=tiny&" + bad + " HTTP/1.1\r\nHost: t\r\n\r\n")),
               400)

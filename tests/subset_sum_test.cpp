@@ -13,6 +13,7 @@ namespace fpsched {
 namespace {
 
 using testing::expect_rel_near;
+using testing::graph_digest;
 
 TEST(SubsetSumSolver, PseudoPolynomialDp) {
   EXPECT_TRUE(subset_sum_solvable({{3, 5, 7}, 8}));     // 3 + 5
@@ -37,6 +38,13 @@ TEST(Reduction, BuildsAValidJoinGadget) {
     EXPECT_DOUBLE_EQ(reduction.graph.recovery_cost(v), 0.0);
   }
   EXPECT_DOUBLE_EQ(reduction.graph.weight(3), 0.0);
+}
+
+TEST(Reduction, GadgetGraphsArePinned) {
+  // The whole graph, c_i and r_i included, pinned as a digest: the
+  // threshold cases below read it, so a rewrite must leave it as it is.
+  EXPECT_EQ(graph_digest(reduce_subset_sum({{3, 5, 7}, 8}).graph), 0x24e260961a4300a6ull);
+  EXPECT_EQ(graph_digest(reduce_subset_sum({{4, 9, 6}, 10}, 0.5).graph), 0x9530af682163c1f6ull);
 }
 
 TEST(Reduction, CheckpointCostFormula) {

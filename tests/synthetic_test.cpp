@@ -8,9 +8,12 @@
 #include "core/theory_join.hpp"
 #include "dag/traversal.hpp"
 #include "support/error.hpp"
+#include "test_util.hpp"
 
 namespace fpsched {
 namespace {
+
+using testing::graph_digest;
 
 TEST(Synthetic, ChainShape) {
   const TaskGraph graph = make_chain(std::vector<double>{1.0, 2.0, 3.0});
@@ -95,6 +98,36 @@ TEST(Synthetic, PaperFigure1MatchesThePaper) {
   const auto sinks = dag.sinks();
   EXPECT_EQ(std::vector<VertexId>(sources.begin(), sources.end()), (std::vector<VertexId>{0, 1}));
   EXPECT_EQ(std::vector<VertexId>(sinks.begin(), sinks.end()), (std::vector<VertexId>{6, 7}));
+}
+
+// Each gadget's whole graph (vertex count, types, weight bits, sorted
+// edges) pinned as a digest. The theory suites and optimality_gap read
+// these graphs, so a rewrite of a gadget must leave its digest as it is.
+TEST(Synthetic, GadgetGraphsArePinned) {
+  EXPECT_EQ(graph_digest(make_chain(std::vector<double>{1.0, 2.5, 0.1, 7.25})),
+            0x0e3f8dc9964b4450ull);
+  EXPECT_EQ(graph_digest(make_uniform_chain(6, 3.7)), 0x5909229840432023ull);
+  EXPECT_EQ(graph_digest(make_fork(10.0, std::vector<double>{1.0, 2.0, 0.3})),
+            0x8e06ed196da4e579ull);
+  EXPECT_EQ(graph_digest(make_join(std::vector<double>{0.7, 2.0, 3.1}, 10.0)),
+            0x0310766a6920c17eull);
+  EXPECT_EQ(graph_digest(make_fork_join(3, 4, 2.5)), 0x8bf239c6421b8477ull);
+  EXPECT_EQ(graph_digest(make_paper_figure1()), 0x9a7ce92542b7686eull);
+  EXPECT_EQ(graph_digest(make_paper_figure1(0.3)), 0xce87bd6384a4e36eull);
+}
+
+TEST(Synthetic, LayeredRandomGraphsArePinned) {
+  // Two seeds, constant and gamma weights: the digests pin the layer
+  // draws, the weight draws and the edge draws, in that order.
+  const std::pair<std::uint64_t, double> configs[] = {{7, 0.0}, {7, 0.5}, {42, 0.0}, {42, 0.5}};
+  const std::uint64_t expected[] = {0x0cd5d93fd847ae1dull, 0xd83798c5bbd56ad1ull,
+                                    0x7218c09118cda208ull, 0x19c177115a0f97b4ull};
+  for (std::size_t i = 0; i < std::size(configs); ++i) {
+    const auto [seed, cv] = configs[i];
+    const TaskGraph graph = make_layered_random(
+        {.task_count = 40, .layer_count = 5, .weight_cv = cv, .seed = seed});
+    EXPECT_EQ(graph_digest(graph), expected[i]) << "seed " << seed << " cv " << cv;
+  }
 }
 
 TEST(Synthetic, InvalidConfigurations) {

@@ -18,7 +18,6 @@ TEST(TaskGraph, AccessorsAndTotals) {
   EXPECT_DOUBLE_EQ(graph.total_weight(), 10.0);
   EXPECT_DOUBLE_EQ(graph.average_weight(), 10.0 / 3.0);
   EXPECT_EQ(graph.weights(), (std::vector<double>{2.0, 3.0, 5.0}));
-  EXPECT_EQ(graph.name(0), "chain0");
   EXPECT_EQ(graph.type(0), "chain");
 }
 
@@ -38,29 +37,14 @@ TEST(TaskGraph, ConstantCostModel) {
   EXPECT_DOUBLE_EQ(graph.recovery_cost(1), 5.0);
 }
 
-TEST(TaskGraph, SetCostsAndWeight) {
+TEST(TaskGraph, SetCosts) {
   TaskGraph graph = make_chain(std::vector<double>{10.0, 20.0});
   graph.set_costs(0, 3.0, 2.0);
   EXPECT_DOUBLE_EQ(graph.ckpt_cost(0), 3.0);
   EXPECT_DOUBLE_EQ(graph.recovery_cost(0), 2.0);
-  graph.set_weight(1, 25.0);
-  EXPECT_DOUBLE_EQ(graph.weight(1), 25.0);
   EXPECT_THROW(graph.set_costs(5, 1.0, 1.0), InvalidArgument);
   EXPECT_THROW(graph.set_costs(0, -1.0, 1.0), InvalidArgument);
-  EXPECT_THROW(graph.set_weight(0, std::nan("")), InvalidArgument);
-}
-
-TEST(TaskGraph, ConstructorValidation) {
-  DagBuilder builder;
-  builder.add_vertices(2);
-  builder.add_edge(0, 1);
-  Dag dag = std::move(builder).build();
-  // Size mismatch.
-  EXPECT_THROW(TaskGraph(dag, std::vector<Task>(3)), InvalidArgument);
-  // Negative cost.
-  std::vector<Task> tasks(2);
-  tasks[1].weight = -1.0;
-  EXPECT_THROW(TaskGraph(dag, tasks), InvalidArgument);
+  EXPECT_THROW(graph.set_costs(0, 1.0, std::nan("")), InvalidArgument);
 }
 
 TEST(TypeTable, InternDeduplicatesAndRoundTrips) {
@@ -76,7 +60,7 @@ TEST(TypeTable, InternDeduplicatesAndRoundTrips) {
   EXPECT_GT(table.memory_bytes(), 0u);
 }
 
-TEST(TaskGraphBuilder, StreamsTasksEdgesAndSynthesizesNames) {
+TEST(TaskGraphBuilder, StreamsTasksAndEdges) {
   TaskGraphBuilder builder;
   builder.reserve(3, 2);
   const TypeId stage = builder.intern_type("stage");
@@ -95,17 +79,10 @@ TEST(TaskGraphBuilder, StreamsTasksEdgesAndSynthesizesNames) {
   EXPECT_EQ(graph.type(0), "stage");
   EXPECT_EQ(graph.type_id(0), graph.type_id(1));
   EXPECT_NE(graph.type_id(0), graph.type_id(2));
-  // The streaming path stores no name strings: names synthesize on demand.
-  EXPECT_EQ(graph.name(1), "stage_1");
-  EXPECT_EQ(graph.name(2), "sink_2");
+  EXPECT_EQ(graph.type(2), "sink");
   // Costs start at zero until a cost model is applied.
   EXPECT_DOUBLE_EQ(graph.ckpt_cost(0), 0.0);
   EXPECT_DOUBLE_EQ(graph.recovery_cost(2), 0.0);
-  // The AoS shim assembles the same view.
-  const Task task = graph.task(2);
-  EXPECT_EQ(task.name, "sink_2");
-  EXPECT_EQ(task.type, "sink");
-  EXPECT_DOUBLE_EQ(task.weight, 3.0);
 }
 
 TEST(TaskGraphBuilder, FinishRejectsInvalidWeights) {
@@ -113,15 +90,6 @@ TEST(TaskGraphBuilder, FinishRejectsInvalidWeights) {
   EXPECT_THROW(builder.add_task(99, 1.0), InvalidArgument);  // uninterned type id
   builder.add_task(builder.intern_type("t"), -1.0);
   EXPECT_THROW(std::move(builder).finish(), InvalidArgument);
-}
-
-TEST(TaskGraph, ExplicitNamesSurviveTheSoADecomposition) {
-  // The AoS constructor (loader / synthetic gadget path) must keep the
-  // caller's names verbatim rather than re-synthesizing them.
-  const TaskGraph chain = make_chain(std::vector<double>{1.0, 2.0});
-  EXPECT_EQ(chain.name(0), "chain0");
-  EXPECT_EQ(chain.name(1), "chain1");
-  EXPECT_EQ(chain.task(1).name, "chain1");
 }
 
 TEST(TaskGraph, SpanViewsMatchAccessors) {

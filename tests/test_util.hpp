@@ -5,10 +5,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/schedule.hpp"
@@ -44,6 +47,48 @@ inline Schedule topo_schedule_with_ckpts(const TaskGraph& graph,
   Schedule schedule = topo_schedule(graph);
   for (const VertexId v : ckpts) schedule.checkpointed[v] = 1;
   return schedule;
+}
+
+/// A graph whose vertex v weighs weights[v], with the given edges; every
+/// task has one type and its c_i and r_i start at 0.
+inline TaskGraph build_graph(const std::vector<double>& weights,
+                             const std::vector<std::pair<VertexId, VertexId>>& edges) {
+  TaskGraphBuilder builder;
+  const TypeId type = builder.intern_type("task");
+  for (const double weight : weights) builder.add_task(type, weight);
+  for (const auto& [from, to] : edges) builder.add_edge(from, to);
+  return std::move(builder).finish();
+}
+
+/// 64-bit FNV-1a digest of everything a TaskGraph holds: the task count,
+/// each task's type name and the bit patterns of its w_i, c_i and r_i, and
+/// the sorted edge list. Pins the output of a graph builder.
+inline std::uint64_t graph_digest(const TaskGraph& graph) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  const auto mix = [&hash](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (word >> (8 * byte)) & 0xffu;
+      hash *= 0x100000001b3ull;
+    }
+  };
+  mix(graph.task_count());
+  for (VertexId v = 0; v < graph.task_count(); ++v) {
+    const std::string& type = graph.type(v);
+    mix(type.size());
+    for (const char c : type) mix(static_cast<unsigned char>(c));
+    mix(std::bit_cast<std::uint64_t>(graph.weight(v)));
+    mix(std::bit_cast<std::uint64_t>(graph.ckpt_cost(v)));
+    mix(std::bit_cast<std::uint64_t>(graph.recovery_cost(v)));
+  }
+  // Successor rows are sorted, so this walk visits the edges in order.
+  mix(graph.dag().edge_count());
+  for (VertexId v = 0; v < graph.task_count(); ++v) {
+    for (const VertexId succ : graph.dag().successors(v)) {
+      mix(v);
+      mix(succ);
+    }
+  }
+  return hash;
 }
 
 /// This process's thread count (the "Threads:" line of
