@@ -220,15 +220,17 @@ int main(int argc, char** argv) {
                 "greedy extension.");
   try {
     engine::add_figure_options(cli);
+    cli.add_option("threads", "0", "engine worker threads (0 = all cores or FPSCHED_THREADS, "
+                                   "1 = serial); only the timing columns depend on it");
     if (!cli.parse(argc, argv)) return 0;
     const FigureOptions options = engine::read_figure_options(cli);
-    const engine::ExperimentEngine eng({.threads = options.threads});
+    const engine::ExperimentEngine eng({.threads = cli.get_count("threads")});
     std::cout << "Design-choice ablations\n";
     stride_ablation(std::cout, options, eng);
     outweight_ablation(std::cout, options, eng);
     weight_cv_ablation(std::cout, options, eng);
     greedy_extension(std::cout, options, eng);
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }

@@ -9,9 +9,10 @@
 //
 // The merged file is byte-identical to the unsharded
 // `fpsched_run fig2 --format ndjson` output. Pass the SAME options the
-// producing runs used (--quick, --sizes, --seed, --eval-math, ...): the
-// merge re-derives the experiment's flattened scenario list from them
-// and requires every record to start with every field before
+// producing runs used (--quick, --sizes, --seed, --eval-math, ...; the
+// option table's rows, not --threads: the merge runs no engine and
+// rejects it). It re-derives the experiment's flattened scenario list
+// from them and requires every record to start with every field before
 // "linearization" as its position renders them, so missing, duplicated
 // or misordered shard files and option mismatches fail loudly instead
 // of yielding a plausible-looking wrong merge.
@@ -84,7 +85,7 @@ int main(int argc, char** argv) {
     std::cerr << "merged " << report.files << " shard file" << (report.files == 1 ? "" : "s")
               << ": " << report.records << "/" << report.expected << " records ("
               << (report.complete() ? "complete" : "prefix") << ")\n";
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }

@@ -151,6 +151,9 @@ int main(int argc, char** argv) {
                  "run slice I/N of the flattened scenario list (e.g. 1/2); --format ndjson "
                  "only — shard outputs concatenate to the bit-identical unsharded run");
   engine::add_figure_options(cli);
+  cli.add_option("threads", "0",
+                 "worker threads (0 = all cores or FPSCHED_THREADS, 1 = serial); output is "
+                 "bit-identical for every value");
   // Observability is stderr/file-only: record and panel output stay
   // byte-identical whether these are on or off.
   cli.add_option("trace", "",
@@ -163,7 +166,8 @@ int main(int argc, char** argv) {
     // after each run reports it, and the process exits cleanly.
     ignore_sigpipe();
     if (!cli.parse(argc, argv)) return 0;
-    const engine::FigureOptions options = engine::read_figure_options(cli);
+    engine::FigureOptions options = engine::read_figure_options(cli);
+    options.threads = cli.get_count("threads");
     if (cli.get_flag("list")) {
       list_experiments(std::cout);
       return 0;
@@ -256,7 +260,7 @@ int main(int argc, char** argv) {
     if (cli.get_flag("stats")) {
       std::cerr << obs::MetricsRegistry::global().json() << "\n";
     }
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }

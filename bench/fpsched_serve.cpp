@@ -10,8 +10,12 @@
 // `fpsched_run <experiment> --format ndjson`, so HTTP clients and batch
 // pipelines consume the same bytes. Runs execute on the server's one
 // in-process ExperimentEngine, whose thread pool FPSCHED_THREADS sizes
-// (default: all cores), queued in submission order. SIGINT/SIGTERM shut the server down cleanly; a run
-// already executing finishes first (kill again to abandon it).
+// (default: all cores), queued in submission order. A bad request,
+// including a scenario over --max-task-count, is a 400 whose body is the
+// plain error sentence. Finished runs stay for inspection until more than
+// --max-jobs of them are held; the oldest go first. SIGINT/SIGTERM shut
+// the server down cleanly; a run already executing finishes first (kill
+// again to abandon it).
 #include <csignal>
 #include <iostream>
 
@@ -33,7 +37,8 @@ int main(int argc, char** argv) {
                  "FPSCHED_THREADS");
   cli.add_option("max-jobs", "64",
                  "max ACTIVE runs (queued + running); further submissions are rejected with "
-                 "429 (finished runs are evicted by count/age, not counted)");
+                 "429 (finished runs are not counted; the oldest beyond --max-jobs of them are "
+                 "evicted)");
   cli.add_option("max-task-count", "1000000",
                  "largest per-instance task count a run may request; bigger grid sizes are "
                  "rejected with 400 (instance memory is O(tasks), this caps it)");
@@ -41,9 +46,6 @@ int main(int argc, char** argv) {
                  "directory for the content-addressed scenario result cache; repeat scenarios "
                  "replay their bytes instead of recomputing, surviving restarts (empty = "
                  "in-memory cache only)");
-  cli.add_option("job-ttl", "0",
-                 "seconds a finished run is retained for inspection before eviction "
-                 "(0 = keep until the finished-run count ceiling evicts it)");
   try {
     if (!cli.parse(argc, argv)) return 0;
     const std::size_t port = cli.get_count("port");
@@ -55,7 +57,6 @@ int main(int argc, char** argv) {
     options.jobs.max_jobs = cli.get_count("max-jobs", 1);
     options.jobs.max_task_count = cli.get_count("max-task-count", 1);
     options.jobs.cache.directory = cli.get_string("cache-dir");
-    options.jobs.job_ttl_seconds = cli.get_count("job-ttl");
 
     ignore_sigpipe();
     // Block the shutdown signals before any thread exists so every
@@ -81,7 +82,7 @@ int main(int argc, char** argv) {
     // must be able to abandon it instead of staying blocked forever.
     pthread_sigmask(SIG_UNBLOCK, &signals, nullptr);
     service.stop();
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }

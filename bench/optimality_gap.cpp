@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
                  " checkpoint subset; the 16-task rows fix the DF order as the reference, so\n"
                  " a heuristic using a different order can show a slightly negative gap.\n"
                  " The paper could not report this table — it lacked an exact solver.)\n";
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }

@@ -402,7 +402,7 @@ int main(int argc, char** argv) {
     if (cli.get_flag("stats")) {
       std::cerr << obs::MetricsRegistry::global().json() << "\n";
     }
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }

@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     const std::vector<engine::ResultSink*> sinks{&ndjson};
     // text = nullptr: records only, no heading — pipe-friendly.
     engine::run_experiment(experiment, options, sinks, nullptr);
-  } catch (const Error& e) {
+  } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
   }

@@ -150,19 +150,25 @@ ScenarioResult execute_policy(const ScenarioSpec& spec, const TaskGraph& graph, 
   return result;
 }
 
-/// The cell-group key: canonical_spec_string with the failure model and
-/// scenario index blanked, so scenarios differing only in (lambda, D)
-/// share it while any other spec field — today's or a future one —
-/// splits them.
+/// The cell-group key: canonical_spec_string with the failure model, the
+/// scenario index and a simulated_best policy's re-scoring fields
+/// blanked, so scenarios differing only in those share it while any
+/// other spec field — today's or a future one — splits them.
 std::string cell_group_key(ScenarioSpec spec) {
   spec.model = FailureModel(0.0);
   spec.scenario_index = 0;
+  if (spec.policy.kind == ScenarioPolicy::Kind::simulated_best) {
+    spec.policy.sim_distribution = ScenarioPolicy::SimDistribution::analytic;
+    spec.policy.sim_shape = 0.0;
+    spec.policy.sim_trials = 0;
+    spec.policy.sim_seed = 0;
+  }
   return canonical_spec_string(spec);
 }
 
 /// Partitions specs into cell groups, in first-appearance order; each
 /// group lists its members' input indices ascending. Siblings need not be
-/// adjacent (grids enumerate lambda and D outside the policy).
+/// adjacent (a grid enumerates its points outside the policy).
 std::vector<std::vector<std::size_t>> cell_groups(std::span<const ScenarioSpec> specs) {
   std::map<std::string, std::size_t> group_of;
   std::vector<std::vector<std::size_t>> groups;
@@ -326,11 +332,6 @@ std::vector<ScenarioResult> ExperimentEngine::run(std::span<const ScenarioSpec> 
     }
   });
   return results;
-}
-
-std::vector<ScenarioResult> ExperimentEngine::run(const ScenarioGrid& grid) const {
-  const std::vector<ScenarioSpec> specs = grid.enumerate();
-  return run(specs);
 }
 
 void ExperimentEngine::for_each(

@@ -2,16 +2,20 @@
 //
 // The engine's unit of work is the *cell group*: the scenarios of one
 // run() call that are equal in every ScenarioSpec field except the
-// failure model (lambda, D) and the scenario index. A group's members
-// share the instance, the policy and every candidate schedule, so one
-// worker runs them together: each budget candidate is built once and
-// evaluated for all members' models in one multi-model evaluator call
-// (the lost-work walk once, the exp/expm1 sweeps once per distinct
-// lambda, the combine once per model; see evaluator.hpp), and each member
-// then applies its policy to its own model's results. A scenario with no
-// sibling is a group of one. Records, the ordered callback, shards and
-// result caches stay per scenario: a shard boundary or a cache hit only
-// makes a group smaller.
+// failure model (lambda, D), the scenario index and, for a
+// simulated_best policy, the Monte-Carlo re-scoring (sim_distribution,
+// sim_shape, sim_trials, sim_seed), which only the member's own policy
+// step reads. A group's members share the instance, the heuristics their
+// policy runs and every candidate schedule, so one worker runs them
+// together: each budget candidate is built once and evaluated for all
+// members' models in one multi-model evaluator call (the lost-work walk
+// once, the exp/expm1 sweeps once per distinct lambda, the combine once
+// per model; see evaluator.hpp), and each member then applies its policy
+// to its own model's results. The robustness study's four rows of a
+// workflow are thus one search, each re-scored under its own failure law
+// and seed. A scenario with no sibling is a group of one. Records, the
+// ordered callback, shards and result caches stay per scenario: a shard
+// boundary or a cache hit only makes a group smaller.
 //
 // The engine owns one ThreadPool for its whole lifetime (threads - 1
 // workers; none for a serial engine) and runs every loop it parallelizes
@@ -98,9 +102,6 @@ class ExperimentEngine {
   /// its group. Safe to call concurrently.
   std::vector<ScenarioResult> run(std::span<const ScenarioSpec> specs,
                                   const ResultCallback& on_result = {}) const;
-
-  /// Enumerates and runs a grid.
-  std::vector<ScenarioResult> run(const ScenarioGrid& grid) const;
 
   /// Parallel execution of `count` custom work items: body(index,
   /// workspace) runs once per index on some worker, with one stable

@@ -81,7 +81,10 @@ std::pair<std::size_t, std::size_t> shard_range(std::size_t total, const ShardSp
 }
 
 std::vector<PlannedScenario> flatten_plan(const FigurePlan& plan) {
+  std::size_t total = 0;
+  for (const PanelSpec& panel : plan.panels) total += panel.grid.scenario_count();
   std::vector<PlannedScenario> flattened;
+  flattened.reserve(total);
   for (const PanelSpec& panel : plan.panels) {
     for (ScenarioSpec& spec : panel.grid.enumerate()) {
       flattened.push_back({panel.slug, std::move(spec)});
@@ -96,48 +99,42 @@ void run_experiment(const Experiment& experiment, const FigureOptions& options,
   const obs::TraceSpan span([&] { return "experiment " + experiment.name; });
   check_figure_options(options);
   const FigurePlan plan = experiment.build(options);
-
-  // Flatten every panel's grid into one list so the whole figure shards
-  // across the engine's workers as a single batch.
-  std::vector<ScenarioSpec> specs;
-  std::vector<std::size_t> offsets;  // first flattened index of each panel
-  for (const PanelSpec& panel : plan.panels) {
-    offsets.push_back(specs.size());
-    const std::vector<ScenarioSpec> grid_specs = panel.grid.enumerate();
-    specs.insert(specs.end(), grid_specs.begin(), grid_specs.end());
-  }
+  // Every panel's grid in one list, so the whole figure shards across the
+  // engine's workers as a single batch.
+  const std::vector<PlannedScenario> planned = flatten_plan(plan);
 
   // Heading first: a full-grid run can take hours, and the old binaries
   // announced themselves before computing.
   if (text && !plan.heading.empty()) *text << plan.heading << "\n";
 
-  const auto [begin, end] = shard_range(specs.size(), shard);
+  const auto [begin, end] = shard_range(planned.size(), shard);
+  std::vector<ScenarioSpec> specs;
+  specs.reserve(end - begin);
+  for (std::size_t i = begin; i < end; ++i) specs.push_back(planned[i].spec);
   const ExperimentEngine engine({.threads = options.threads});
 
   // Level 1: every scenario result as a record, in flattened order —
   // streamed live through the engine's ordered callback, so a record
   // sink (NDJSON file, HTTP stream) sees each result as soon as its
-  // ordered prefix completes instead of after the whole slice. The
-  // callback's deliveries are strictly ordered and serialized, so the
-  // monotone panel_index walk over the offsets is safe.
-  std::size_t panel_index = 0;
-  const std::vector<ScenarioResult> results = engine.run(
-      std::span<const ScenarioSpec>(specs).subspan(begin, end - begin),
-      [&](std::size_t offset_in_slice, const ScenarioResult& result) {
-        const std::size_t i = begin + offset_in_slice;
-        while (panel_index + 1 < offsets.size() && i >= offsets[panel_index + 1]) ++panel_index;
-        const ResultRecord record{experiment.name, plan.panels[panel_index].slug, result};
+  // ordered prefix completes instead of after the whole slice.
+  const std::vector<ScenarioResult> results =
+      engine.run(specs, [&](std::size_t offset_in_slice, const ScenarioResult& result) {
+        const ResultRecord record{experiment.name, planned[begin + offset_in_slice].panel,
+                                  result};
         for (ResultSink* sink : sinks) sink->record(record);
       });
 
   // Level 2: assembled panels — only when this process ran the whole
-  // grid (a shard's slice does not cover whole panels).
+  // plan (a shard's slice does not cover whole panels). Each panel's
+  // results are the next scenario_count() of the flattened list.
   if (!shard.active()) {
-    for (std::size_t p = 0; p < plan.panels.size(); ++p) {
-      const PanelSpec& panel = plan.panels[p];
-      const std::span<const ScenarioResult> slice(results.data() + offsets[p],
-                                                  panel.grid.scenario_count());
-      const Panel assembled = assemble_panel(panel.grid, slice, panel.title);
+    std::size_t first = 0;
+    for (const PanelSpec& panel : plan.panels) {
+      const std::size_t count = panel.grid.scenario_count();
+      const Panel assembled = assemble_panel(
+          panel.grid, std::span<const ScenarioResult>(results).subspan(first, count),
+          panel.title);
+      first += count;
       for (ResultSink* sink : sinks) sink->emit(assembled, panel.slug);
     }
   }

@@ -27,7 +27,7 @@
 
 namespace fpsched::engine {
 
-/// One declared figure panel: the scenario grid plus presentation.
+/// One declared figure panel: its scenario grid plus presentation.
 struct PanelSpec {
   ScenarioGrid grid;
   std::string title;  // e.g. "CyberShake: lambda=0.001, c=0.1w  [paper fig. 2a]"
@@ -111,9 +111,10 @@ struct PlannedScenario {
   ScenarioSpec spec;
 };
 
-/// The plan's panels flattened into the run/record order of
-/// run_experiment — the reference sequence shard merge tooling validates
-/// per-shard NDJSON files against.
+/// The plan's positions: each panel's grid enumerated, in panel order.
+/// It is the one record order: run_experiment runs these positions (a
+/// shard, a contiguous slice of them), the job manager streams them, and
+/// the shard merge validates per-shard NDJSON files against them.
 std::vector<PlannedScenario> flatten_plan(const FigurePlan& plan);
 
 // --- Figure grid builders (shared by the registered figures) -----------
@@ -145,18 +146,19 @@ std::string panel_title(WorkflowKind kind, const std::string& subtitle);
 std::string best_lin_panel_title(WorkflowKind kind, const std::string& subtitle);
 
 /// Checks `options` (check_figure_options), builds the experiment's plan,
-/// runs every panel's scenarios through ONE sharded engine pass (so the
+/// runs flatten_plan's positions through ONE sharded engine pass (so the
 /// whole figure, not just each panel, load-balances across workers; the
 /// evaluator algorithm, like every other option, comes from the specs),
 /// and streams the output through `sinks`:
-/// every scenario result as a ResultRecord first — delivered live, in
-/// flattened order, as the completed prefix grows (the engine's ordered
-/// callback), so record sinks see results while later scenarios still
-/// compute — then, for unsharded runs, the assembled panels in order.
+/// every scenario result as a ResultRecord naming its position's panel
+/// first — delivered live, in flattened order, as the completed prefix
+/// grows (the engine's ordered callback), so record sinks see results
+/// while later scenarios still compute — then, for unsharded runs, each
+/// panel assembled from its grid's consecutive scenario_count() results.
 /// `text` (when non-null) receives the plan's heading before and notes
 /// after the panels. With an active shard only that contiguous slice of
-/// the flattened scenario list runs; panel assembly is skipped, records
-/// still stream in slice order. Calls finish() on every sink.
+/// the positions runs; panel assembly is skipped, records still stream
+/// in slice order. Calls finish() on every sink.
 void run_experiment(const Experiment& experiment, const FigureOptions& options,
                     std::span<ResultSink* const> sinks, std::ostream* text,
                     const ShardSpec& shard = {});

@@ -15,19 +15,20 @@ namespace fpsched::engine {
 
 namespace {
 
-/// The shared grid knobs every panel inherits from the options: every
-/// registered experiment builds its grids here, so each spec carries the
-/// options' stride, seed, weight cv and evaluator algorithm.
+/// The grid every registered panel starts from: `kind` under
+/// `cost_model`, with the options' seed, weight cv, stride and evaluator
+/// algorithm, over the options' sizes. Each builder then sets the failure
+/// model, and a sweep its axis, points and fixed task count.
 ScenarioGrid base_grid(WorkflowKind kind, const CostModel& cost_model,
                        const FigureOptions& options) {
   ScenarioGrid grid;
-  grid.workflows = {kind};
-  grid.sizes = options.sizes;
-  grid.cost_models = {cost_model};
-  grid.seed = options.seed;
-  grid.weight_cv = options.weight_cv;
-  grid.stride = options.stride;
-  grid.eval_math = options.eval_math;
+  grid.base.workflow = kind;
+  grid.base.cost_model = cost_model;
+  grid.base.workflow_seed = options.seed;
+  grid.base.weight_cv = options.weight_cv;
+  grid.base.stride = options.stride;
+  grid.base.eval_math = options.eval_math;
+  grid.xs.assign(options.sizes.begin(), options.sizes.end());
   return grid;
 }
 
@@ -43,7 +44,7 @@ std::vector<ScenarioPolicy> best_lin_policies() {
 ScenarioGrid linearization_grid(WorkflowKind kind, double lambda, const CostModel& cost_model,
                                 const FigureOptions& options) {
   ScenarioGrid grid = base_grid(kind, cost_model, options);
-  grid.lambdas = {lambda};
+  grid.base.model = FailureModel(lambda);
   for (const LinearizeMethod lin : all_linearize_methods()) {
     for (const CkptStrategy strategy : {CkptStrategy::by_weight, CkptStrategy::by_cost}) {
       grid.policies.push_back(ScenarioPolicy::fixed({lin, strategy}));
@@ -55,7 +56,7 @@ ScenarioGrid linearization_grid(WorkflowKind kind, double lambda, const CostMode
 ScenarioGrid strategy_grid(WorkflowKind kind, double lambda, const CostModel& cost_model,
                            const FigureOptions& options) {
   ScenarioGrid grid = base_grid(kind, cost_model, options);
-  grid.lambdas = {lambda};
+  grid.base.model = FailureModel(lambda);
   grid.policies = best_lin_policies();
   return grid;
 }
@@ -64,9 +65,9 @@ ScenarioGrid lambda_sweep_grid(WorkflowKind kind, std::size_t size,
                                const std::vector<double>& lambdas, const CostModel& cost_model,
                                const FigureOptions& options) {
   ScenarioGrid grid = base_grid(kind, cost_model, options);
-  grid.sizes = {size};
-  grid.lambdas = lambdas;
-  grid.axis = GridAxis::lambda;
+  grid.base.task_count = size;
+  grid.axis = GridAxis::lambda;  // each point keeps the default model's D = 0
+  grid.xs = lambdas;
   grid.policies = best_lin_policies();
   return grid;
 }
@@ -75,10 +76,10 @@ ScenarioGrid downtime_sweep_grid(WorkflowKind kind, std::size_t size, double lam
                                  const std::vector<double>& downtimes,
                                  const CostModel& cost_model, const FigureOptions& options) {
   ScenarioGrid grid = base_grid(kind, cost_model, options);
-  grid.sizes = {size};
-  grid.lambdas = {lambda};
-  grid.downtimes = downtimes;
+  grid.base.task_count = size;
+  grid.base.model = FailureModel(lambda);
   grid.axis = GridAxis::downtime;
+  grid.xs = downtimes;
   grid.policies = best_lin_policies();
   return grid;
 }
@@ -244,8 +245,9 @@ FigurePlan build_theory(const FigureOptions& options) {
   const char* slugs[] = {"theory_montage", "theory_ligo", "theory_cybershake", "theory_genome"};
   for (std::size_t i = 0; i < 4; ++i) {
     ScenarioGrid grid = base_grid(kinds[i], cost, options);
-    grid.sizes = {20, 26, 32};
-    grid.downtimes = {1.0};  // exercise the downtime term of Eq. (1) too
+    // D = 1 s exercises the downtime term of Eq. (1) too.
+    grid.base.model = FailureModel(paper_lambda(kinds[i]), 1.0);
+    grid.xs = {20, 26, 32};
     grid.policies = best_lin_policies();
     plan.panels.push_back(
         {std::move(grid),
@@ -284,8 +286,8 @@ FigurePlan build_robustness(const FigureOptions& options) {
     std::string slug = to_string(kind);
     for (char& c : slug) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
     ScenarioGrid grid = base_grid(kind, cost, options);
-    grid.sizes = {size};
-    grid.lambdas = {lambda};
+    grid.base.model = FailureModel(lambda);
+    grid.xs = {static_cast<double>(size)};
     grid.policies = {
         ScenarioPolicy::simulated(SimDistribution::analytic, 1.0, options.trials),
         ScenarioPolicy::simulated(SimDistribution::exponential, 1.0, options.trials),

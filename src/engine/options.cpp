@@ -28,12 +28,21 @@ std::string show_list(const std::vector<T>& values, Show show) {
                         std::string(text) + "'");
 }
 
+/// A task count of a grid: a point of a grid's double axis (robustness
+/// plots `tasks` on one too), which holds every integer only up to 2^53.
+/// No instance that large can be built anyway.
+std::size_t parse_task_count(std::string_view text, const std::string& what) {
+  const std::size_t count = parse_count(text, what, 1);
+  if (count > (std::size_t{1} << 53)) out_of_range(what, "task counts in [1, 2^53]", text);
+  return count;
+}
+
 const FigureOption kTable[] = {
     {"sizes", "task-count grid of the size-axis figures", false,
      [](FigureOptions& o, std::string_view text, const std::string& what) {
        o.sizes.clear();
        for (const std::string& item : parse_list(text, what)) {
-         o.sizes.push_back(parse_count(item, what, 1));
+         o.sizes.push_back(parse_task_count(item, what));
        }
      },
      [](const FigureOptions& o) {
@@ -76,7 +85,7 @@ const FigureOption kTable[] = {
     {"tasks", "fixed workflow size of the sweep experiments (fig7, downtime, robustness)",
      false,
      [](FigureOptions& o, std::string_view text, const std::string& what) {
-       o.tasks = parse_count(text, what, 1);
+       o.tasks = parse_task_count(text, what);
      },
      [](const FigureOptions& o) { return std::to_string(o.tasks); }},
     {"downtimes", "downtime grid in seconds (downtime sweep only)", false,
@@ -153,9 +162,6 @@ void add_figure_options(CliParser& cli) {
       cli.add_option(row.cli_name(), row.show(defaults), std::string(row.help));
     }
   }
-  cli.add_option("threads", std::to_string(defaults.threads),
-                 "worker threads (0 = all cores or FPSCHED_THREADS, 1 = serial); output is "
-                 "bit-identical for every value");
 }
 
 FigureOptions read_figure_options(const CliParser& cli) {
@@ -163,9 +169,7 @@ FigureOptions read_figure_options(const CliParser& cli) {
   for (const FigureOption& row : kTable) {
     values[std::string(row.name)] = cli.get_string(row.cli_name());
   }
-  FigureOptions options = read_figure_options(values);
-  options.threads = cli.get_count("threads");
-  return options;
+  return read_figure_options(values);
 }
 
 void apply_quick_options(FigureOptions& options) {

@@ -23,7 +23,8 @@ namespace fpsched::engine {
 
 /// The knobs every figure builder consumes. Each field but `threads` is a
 /// row of figure_option_table(); `threads` sizes the engine of the
-/// process that runs the plan, a resource no request may set.
+/// process that runs the plan, a resource no request may set, which only
+/// the binaries that run an engine take as `--threads`.
 struct FigureOptions {
   std::vector<std::size_t> sizes{50, 100, 200, 300, 400, 500, 600, 700};
   std::size_t stride = 1;   // N-sweep stride (1 = exhaustive, as the paper)
@@ -66,11 +67,12 @@ void check_figure_options(const FigureOptions& options);
 FigureOptions read_figure_options(const std::map<std::string, std::string>& values);
 
 /// Registers every row on `cli`, showing FigureOptions{}'s values as the
-/// defaults, plus `--threads`.
+/// defaults. A binary that builds an engine from the options registers
+/// and reads `--threads` itself.
 void add_figure_options(CliParser& cli);
 
 /// What a `cli` prepared by add_figure_options parsed: every row through
-/// read_figure_options, plus `--threads`.
+/// read_figure_options (`threads` keeps its default).
 FigureOptions read_figure_options(const CliParser& cli);
 
 /// The `--quick` shrink: small size grid, sweep stride raised to at

@@ -13,7 +13,7 @@
 namespace fpsched::engine {
 
 Table panel_table(const Panel& panel, bool machine_precision) {
-  std::vector<std::string> headers{panel.x_label};
+  std::vector<std::string> headers{to_string(panel.axis)};
   for (const PanelSeries& series : panel.series) headers.push_back(series.name);
   Table table(headers);
   // Task counts are integers, lambdas need their leading decimals,
@@ -34,66 +34,24 @@ Table panel_table(const Panel& panel, bool machine_precision) {
   return table;
 }
 
-namespace {
-
-std::string workflow_list(const std::vector<WorkflowKind>& kinds) {
-  std::string out;
-  for (const WorkflowKind kind : kinds) {
-    if (!out.empty()) out += ", ";
-    out += to_string(kind);
-  }
-  return out;
-}
-
-}  // namespace
-
 Panel assemble_panel(const ScenarioGrid& grid, std::span<const ScenarioResult> results,
                      std::string title) {
-  grid.validate();
-  ensure(grid.workflows.size() == 1, "assemble_panel needs a single-workflow grid (got " +
-                                         workflow_list(grid.workflows) + ")");
-  const std::string kind_name = to_string(grid.workflows.front());
   ensure(results.size() == grid.scenario_count(),
-         "assemble_panel(" + kind_name + "): " + std::to_string(results.size()) +
-             " results do not match the grid (" + std::to_string(grid.scenario_count()) +
-             " scenarios)");
-  // One value per non-axis dimension, so the flattened result order is
-  // x-value major, policy minor regardless of which dimension is the axis.
-  const auto single = [&](GridAxis axis, std::size_t count) {
-    ensure(axis == grid.axis || count <= 1, "a " + to_string(grid.axis) + " panel of " +
-                                                kind_name + " needs a single " + to_string(axis) +
-                                                " value");
-  };
-  single(GridAxis::task_count, grid.sizes.size());
-  single(GridAxis::lambda, grid.lambdas.size());
-  single(GridAxis::downtime, grid.downtimes.size());
-  ensure(grid.cost_models.size() <= 1, "a " + to_string(grid.axis) + " panel of " + kind_name +
-                                           " needs a single cost model");
-
+         "assemble_panel(" + to_string(grid.base.workflow) + "): " +
+             std::to_string(results.size()) + " results do not match the grid (" +
+             std::to_string(grid.scenario_count()) + " scenarios)");
   Panel panel;
   panel.title = std::move(title);
   panel.axis = grid.axis;
-  panel.x_label = to_string(grid.axis);
-  switch (grid.axis) {
-    case GridAxis::task_count:
-      panel.xs.assign(grid.sizes.begin(), grid.sizes.end());
-      break;
-    case GridAxis::lambda:
-      panel.xs = grid.lambdas;
-      break;
-    case GridAxis::downtime:
-      panel.xs = grid.downtimes;
-      break;
-  }
-
-  // enumerate() order: x value major, policy minor (one kind, one value on
-  // the non-axis dimension).
+  panel.xs = grid.xs;
+  // Scenario i is point i / policies.size() under policy i % policies.size().
   const std::size_t policy_count = grid.policies.size();
-  for (const ScenarioPolicy& policy : grid.policies) panel.series.push_back({policy.name(), {}});
-  for (std::size_t x = 0; x < panel.xs.size(); ++x) {
-    for (std::size_t p = 0; p < policy_count; ++p) {
-      panel.series[p].values.push_back(results[x * policy_count + p].ratio());
+  for (std::size_t p = 0; p < policy_count; ++p) {
+    PanelSeries series{grid.policies[p].name(), {}};
+    for (std::size_t x = 0; x < grid.xs.size(); ++x) {
+      series.values.push_back(results[x * policy_count + p].ratio());
     }
+    panel.series.push_back(std::move(series));
   }
   return panel;
 }
@@ -201,10 +159,10 @@ std::string to_json(const ResultRecord& record) {
 
 // --- Sinks -------------------------------------------------------------
 
-TableSink::TableSink(std::ostream& os, bool with_heading) : os_(os), with_heading_(with_heading) {}
+TableSink::TableSink(std::ostream& os) : os_(os) {}
 
 void TableSink::emit(const Panel& panel, const std::string&) {
-  if (with_heading_) os_ << "\n=== " << panel.title << " ===\n";
+  os_ << "\n=== " << panel.title << " ===\n";
   panel_table(panel).print(os_);
 }
 
@@ -220,7 +178,7 @@ void AsciiChartSink::emit(const Panel& panel, const std::string&) {
   const double cap = std::max(finite[finite.size() / 2] * 3.0, finite.front() * 1.5);
   bool clipped = false;
   AsciiChart chart("T / T_inf (chart clipped at " + format_double(cap, 2) + ")", 72, 18);
-  chart.set_x_label(panel.x_label);
+  chart.set_x_label(to_string(panel.axis));
   chart.set_y_label("T / T_inf");
   for (const PanelSeries& series : panel.series) {
     PlotSeries plot{series.name, panel.xs, series.values};

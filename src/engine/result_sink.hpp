@@ -7,13 +7,12 @@
 // record streams of a sharded run concatenate to the bit-identical
 // unsharded stream.
 //
-// Level 2: a Panel is the paper's figure unit — an x grid (task counts,
-// failure rates or downtimes, per the grid's axis) with one T/T_inf
-// series per policy. Presentation sinks render panels — a fixed-width
-// table, an ASCII chart, a CSV file.
-// assemble_panel() maps a grid's flattened ScenarioResults back onto
-// panel coordinates; sharded runs skip this level (their slice does not
-// cover whole panels).
+// Level 2: a Panel is the paper's figure unit — a grid's axis points
+// (task counts, failure rates or downtimes) with one T/T_inf series per
+// policy. Presentation sinks render panels — a fixed-width table, an
+// ASCII chart, a CSV file. assemble_panel() reads a grid's flattened
+// ScenarioResults back onto those coordinates; sharded runs skip this
+// level (their slice does not cover whole panels).
 //
 // Sinks compose freely: the bench harness stacks table + chart + CSV, and
 // fpsched_run adds NDJSON/JSON. The HTTP service streams the same record
@@ -40,9 +39,9 @@ struct PanelSeries {
 
 struct Panel {
   std::string title;  // e.g. "CyberShake: lambda=0.001, c=0.1w"
-  /// Which grid dimension the xs came from; drives their formatting.
+  /// Which spec field the xs set; drives their formatting and label
+  /// (to_string(axis)).
   GridAxis axis = GridAxis::task_count;
-  std::string x_label;  // to_string(axis): "number of tasks", "lambda", ...
   std::vector<double> xs;
   std::vector<PanelSeries> series;
 };
@@ -91,9 +90,9 @@ using fpsched::json_quote;
 /// (max_digits10) for CSV export.
 Table panel_table(const Panel& panel, bool machine_precision = false);
 
-/// Builds the panel of a single-workflow grid from the results of
-/// `ExperimentEngine::run(grid)` (same order). The grid must have exactly
-/// one workflow kind and at most one value on every non-axis dimension.
+/// The grid's panel from the results of its enumerate() order: its axis
+/// and points, and one series per policy. Throws InvalidArgument when
+/// the result count is not the grid's scenario count.
 Panel assemble_panel(const ScenarioGrid& grid, std::span<const ScenarioResult> results,
                      std::string title);
 
@@ -123,12 +122,11 @@ class ResultSink {
 /// "\n=== title ===\n" heading plus the column-aligned ratio table.
 class TableSink : public ResultSink {
  public:
-  explicit TableSink(std::ostream& os, bool with_heading = true);
+  explicit TableSink(std::ostream& os);
   void emit(const Panel& panel, const std::string& slug) override;
 
  private:
   std::ostream& os_;
-  bool with_heading_;
 };
 
 /// Terminal chart of every series. Runaway series (e.g. CkptNvr on

@@ -1,5 +1,6 @@
 #include "engine/scenario.hpp"
 
+#include <cmath>
 #include <sstream>
 
 #include "support/error.hpp"
@@ -126,62 +127,33 @@ std::string to_string(GridAxis axis) {
 }
 
 void ScenarioGrid::validate() const {
-  ensure(!workflows.empty(), "scenario grid needs at least one workflow kind");
-  ensure(!sizes.empty(), "scenario grid needs at least one task count");
+  ensure(!xs.empty(), "scenario grid needs at least one axis point");
   ensure(!policies.empty(), "scenario grid needs at least one policy");
-  ensure(stride >= 1, "scenario grid stride must be >= 1");
-  // An empty list on the axis dimension would enumerate a single implicit
-  // point (the scalar default / per-workflow lambda) — a degenerate
-  // one-point "sweep" panel that is always a caller mistake.
-  ensure(axis != GridAxis::lambda || !lambdas.empty(),
-         "a lambda-axis grid needs an explicit lambda list");
-  ensure(axis != GridAxis::downtime || !downtimes.empty(),
-         "a downtime-axis grid needs an explicit downtime list");
-}
-
-std::size_t ScenarioGrid::scenario_count() const {
-  const std::size_t lambda_count = lambdas.empty() ? 1 : lambdas.size();
-  const std::size_t downtime_count = downtimes.empty() ? 1 : downtimes.size();
-  const std::size_t cost_count = cost_models.empty() ? 1 : cost_models.size();
-  return workflows.size() * sizes.size() * lambda_count * downtime_count * cost_count *
-         policies.size();
+  ensure(base.stride >= 1, "scenario grid stride must be >= 1");
+  if (axis != GridAxis::task_count) return;
+  // Past 2^53 a double does not hold every integer, so a point there
+  // could name another size than the one asked for.
+  for (const double x : xs) {
+    ensure(x >= 1.0 && x <= 0x1p53 && x == std::floor(x),
+           "task-count points must be whole numbers in [1, 2^53]");
+  }
 }
 
 std::vector<ScenarioSpec> ScenarioGrid::enumerate() const {
   validate();
-  // Empty grid dimensions collapse to their defaults.
-  const std::vector<double> grid_downtimes =
-      downtimes.empty() ? std::vector<double>{0.0} : downtimes;
-  const std::vector<CostModel> grid_costs =
-      cost_models.empty() ? std::vector<CostModel>{CostModel::proportional(0.1)} : cost_models;
   std::vector<ScenarioSpec> specs;
   specs.reserve(scenario_count());
-  for (const WorkflowKind kind : workflows) {
-    // Empty lambda list = the paper's per-workflow failure rate.
-    const std::vector<double> kind_lambdas =
-        lambdas.empty() ? std::vector<double>{paper_lambda(kind)} : lambdas;
-    for (const std::size_t size : sizes) {
-      for (const double lambda : kind_lambdas) {
-        for (const double down : grid_downtimes) {
-          for (const CostModel& cost : grid_costs) {
-            for (const ScenarioPolicy& policy : policies) {
-              ScenarioSpec spec;
-              spec.workflow = kind;
-              spec.task_count = size;
-              spec.model = FailureModel(lambda, down);
-              spec.cost_model = cost;
-              spec.policy = policy;
-              spec.workflow_seed = seed;
-              spec.weight_cv = weight_cv;
-              spec.stride = stride;
-              spec.linearize = linearize;
-              spec.eval_math = eval_math;
-              spec.scenario_index = specs.size();
-              specs.push_back(spec);
-            }
-          }
-        }
-      }
+  for (const double x : xs) {
+    ScenarioSpec spec = base;
+    switch (axis) {
+      case GridAxis::task_count: spec.task_count = static_cast<std::size_t>(x); break;
+      case GridAxis::lambda: spec.model = FailureModel(x, base.model.downtime()); break;
+      case GridAxis::downtime: spec.model = FailureModel(base.model.lambda(), x); break;
+    }
+    for (const ScenarioPolicy& policy : policies) {
+      spec.policy = policy;
+      spec.scenario_index = specs.size();
+      specs.push_back(spec);
     }
   }
   return specs;

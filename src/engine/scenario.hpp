@@ -3,10 +3,11 @@
 // The paper's whole evaluation is a grid: workflow kind x size x failure
 // model x heuristic. A ScenarioSpec pins down one cell of such a grid —
 // everything needed to reproduce one plotted point deterministically,
-// independent of execution order or thread count. A ScenarioGrid is the
-// declarative cross product the figure binaries used to hand-roll as
-// nested loops; `enumerate()` flattens it into the scenario list the
-// ExperimentEngine shards across workers.
+// independent of execution order or thread count. A ScenarioGrid is one
+// figure panel: a base spec varied along one axis (the task count of
+// Figures 2-6, the lambda of Figure 7, or the downtime D) under each of
+// a list of policies; `enumerate()` flattens it into the scenario list
+// the ExperimentEngine shards across workers.
 #pragma once
 
 #include <cstdint>
@@ -109,46 +110,37 @@ std::string canonical_spec_string(const ScenarioSpec& spec);
 /// FNV-1a 64-bit hash (the compact index form of canonical key strings).
 std::uint64_t fnv1a64(std::string_view text);
 
-/// Which grid dimension forms the x axis of assembled panels.
+/// The ScenarioSpec field a grid varies: the x axis of its panel.
 enum class GridAxis : std::uint8_t { task_count, lambda, downtime };
 
 /// Axis label used by panels and tables ("number of tasks", "lambda",
 /// "downtime").
 std::string to_string(GridAxis axis);
 
-/// The declarative cross product kind x size x lambda x downtime x
-/// cost model x policy. Scenario order is fixed (kind-major, then size,
-/// lambda, downtime, cost model, then policy) so a grid always flattens to
-/// the same list; grids whose extra dimensions are left empty keep the
-/// historical kind x size x lambda x policy order. The fields after
-/// `policies`, but `axis`, are copied into each spec.
+/// One panel's scenarios: `base` with its axis field set to each point of
+/// `xs`, run under each policy. Scenario i is point i / policies.size()
+/// under policies[i % policies.size()], with scenario_index i, so a grid
+/// always flattens to the same list and a panel reads its series back by
+/// the same rule.
 struct ScenarioGrid {
-  std::vector<WorkflowKind> workflows;
-  std::vector<std::size_t> sizes{100};
-  /// Failure rates; empty = the paper's per-workflow lambda
-  /// (`paper_lambda`).
-  std::vector<double> lambdas;
-  /// Downtime grid (seconds after each failure); empty = D = 0. Required
-  /// non-empty for a downtime-axis grid.
-  std::vector<double> downtimes;
-  /// Cost-model grid; empty = c = r = 0.1 w.
-  std::vector<CostModel> cost_models;
+  /// Every field but the axis value, the policy and the index: the
+  /// workflow, cost model, seeds, stride and evaluator algorithm, plus
+  /// the task count or failure model that the axis leaves fixed.
+  ScenarioSpec base;
+  GridAxis axis = GridAxis::task_count;
+  /// The axis points: task counts (whole numbers in [1, 2^53]), lambdas
+  /// (each keeps base's downtime) or downtimes (each keeps base's lambda).
+  std::vector<double> xs;
   std::vector<ScenarioPolicy> policies;
 
-  std::uint64_t seed = 42;
-  double weight_cv = 0.2;
-  std::size_t stride = 1;
-  LinearizeOptions linearize;
-  EvalMath eval_math = EvalMath::exact;
-  GridAxis axis = GridAxis::task_count;
+  std::size_t scenario_count() const { return xs.size() * policies.size(); }
 
-  std::size_t scenario_count() const;
-
-  /// Flattens the grid; throws InvalidArgument when the grid is malformed
-  /// (no workflows/sizes/policies, stride < 1, or an empty axis).
+  /// Flattens the grid; throws InvalidArgument when it is malformed (see
+  /// validate).
   std::vector<ScenarioSpec> enumerate() const;
 
-  /// Throws InvalidArgument when the grid cannot be enumerated.
+  /// Throws InvalidArgument unless the grid has a point and a policy, a
+  /// stride >= 1, and task-count points that name a task count exactly.
   void validate() const;
 };
 

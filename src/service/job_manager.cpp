@@ -37,7 +37,7 @@ JobMetrics& job_metrics() {
                           reg.counter("fpsched_jobs_completed_total", "jobs finished successfully"),
                           reg.counter("fpsched_jobs_failed_total", "jobs finished with an error"),
                           reg.counter("fpsched_jobs_evicted_total",
-                                      "terminal jobs dropped by count/age eviction"),
+                                      "terminal jobs dropped by count eviction"),
                           reg.histogram("fpsched_job_run_seconds", "execution seconds per job",
                                         obs::latency_buckets_seconds())};
   }();
@@ -89,27 +89,26 @@ JobManager::~JobManager() { stop(); }
 
 std::uint64_t JobManager::submit(JobRequest request) {
   // Validate the whole request up front — the registry lookup, the
-  // option table's range checks, the plan build, and the grid validation
-  // all throw InvalidArgument with a message worth relaying to the
-  // client — so a bad request fails the submission, never the executor.
+  // option table's range checks, the plan build and flatten (which
+  // validates every grid), and the instance ceiling all throw
+  // InvalidArgument with a message worth relaying to the client — so a
+  // bad request fails the submission, never the executor.
   const engine::Experiment& experiment = registry_.find(request.experiment);
   engine::check_figure_options(request.options);
-  const engine::FigurePlan plan = experiment.build(request.options);
-  std::size_t total = 0;
-  for (const engine::PanelSpec& panel : plan.panels) {
-    panel.grid.validate();
-    for (const std::size_t size : panel.grid.sizes) {
-      ensure(size <= options_.max_task_count,
-             "requested instance of " + std::to_string(size) + " tasks exceeds the server's " +
-                 "--max-task-count ceiling of " + std::to_string(options_.max_task_count));
+  const std::vector<engine::PlannedScenario> planned =
+      engine::flatten_plan(experiment.build(request.options));
+  for (const engine::PlannedScenario& position : planned) {
+    if (position.spec.task_count > options_.max_task_count) {
+      throw InvalidArgument("requested instance of " + std::to_string(position.spec.task_count) +
+                            " tasks exceeds the server's --max-task-count ceiling of " +
+                            std::to_string(options_.max_task_count));
     }
-    total += panel.grid.scenario_count();
   }
 
   const std::uint64_t now = obs::monotonic_ns();
   const LockGuard lock(mutex_);
-  ensure(!stopping_, "the job manager is shutting down");
-  evict_locked(now);
+  if (stopping_) throw InvalidArgument("the job manager is shutting down");
+  evict_locked();
   // Admission counts only ACTIVE jobs: finished jobs are inspection
   // state, not load, and are reclaimed by eviction — a server left
   // running can never wedge itself into permanent 429s.
@@ -120,7 +119,7 @@ std::uint64_t JobManager::submit(JobRequest request) {
   auto job = std::make_shared<Job>();
   job->id = next_id_++;
   job->request = std::move(request);
-  job->total_scenarios = total;
+  job->total_scenarios = planned.size();
   job->submit_ns = now;
   const std::uint64_t id = job->id;
   jobs_.emplace(id, std::move(job));
@@ -150,27 +149,8 @@ std::size_t JobManager::active_locked() const {
   return active;
 }
 
-void JobManager::evict_locked(std::uint64_t now_ns) {
+void JobManager::evict_locked() {
   JobMetrics& metrics = job_metrics();
-  const auto evict_one = [&](std::map<std::uint64_t, std::shared_ptr<Job>>::iterator it)
-                             REQUIRES(mutex_) {
-    (it->second->state == JobState::completed ? metrics.completed : metrics.failed).add(-1);
-    metrics.evicted.add(1);
-    // Attached streamers keep the Job, and its bodies, alive through
-    // their shared_ptr and finish their streams.
-    jobs_.erase(it);
-  };
-
-  if (options_.job_ttl_seconds != 0) {
-    const std::uint64_t ttl_ns = options_.job_ttl_seconds * 1'000'000'000ULL;
-    for (auto it = jobs_.begin(); it != jobs_.end();) {
-      auto next = std::next(it);
-      const Job& job = *it->second;
-      if (terminal(job) && job.finish_ns + ttl_ns <= now_ns) evict_one(it);
-      it = next;
-    }
-  }
-
   std::size_t finished = 0;
   for (const auto& [id, job] : jobs_) {
     if (terminal(*job)) ++finished;
@@ -180,7 +160,11 @@ void JobManager::evict_locked(std::uint64_t now_ns) {
   for (auto it = jobs_.begin(); finished > options_.max_jobs && it != jobs_.end();) {
     auto next = std::next(it);
     if (terminal(*it->second)) {
-      evict_one(it);
+      (it->second->state == JobState::completed ? metrics.completed : metrics.failed).add(-1);
+      metrics.evicted.add(1);
+      // Attached streamers keep the Job, and its bodies, alive through
+      // their shared_ptr and finish their streams.
+      jobs_.erase(it);
       --finished;
     }
     it = next;

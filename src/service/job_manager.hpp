@@ -25,7 +25,7 @@
 // Production hardening:
 //  * Admission counts only ACTIVE jobs (queued + running); finished jobs
 //    are evicted by count (oldest first, once more than max_jobs of them
-//    are held) and by age instead of permanently consuming capacity.
+//    are held) instead of permanently consuming capacity.
 //  * DELETE /runs/{id} cancels a queued job, detaches a running one (the
 //    engine pass finishes into the cache), or drops a finished one —
 //    always freeing its capacity. DELETE and eviction drop only the
@@ -115,7 +115,7 @@ struct JobManagerOptions {
   /// Ceiling on ACTIVE jobs (queued + running); submissions beyond it
   /// are rejected with 429. Finished jobs do not count — they are
   /// retained for inspection, and the oldest beyond max_jobs of them are
-  /// evicted at the next submit (or earlier by age, below).
+  /// evicted at the next submit.
   std::size_t max_jobs = 64;
   /// Executor threads. 1 serializes jobs — usually right, since each
   /// job saturates the machine through the engine's pool (shared by all
@@ -127,9 +127,6 @@ struct JobManagerOptions {
   /// POST /runs asking for a huge grid size could OOM the server. The
   /// default admits the 10^6-task instances the layer is built for.
   std::size_t max_task_count = 1'000'000;
-  /// Age ceiling for terminal jobs (seconds since finish); 0 disables
-  /// age-based eviction.
-  std::uint64_t job_ttl_seconds = 0;
   /// Shared scenario result cache (directory empty = memory-only).
   ResultCacheOptions cache = {};
 };
@@ -146,8 +143,9 @@ class JobManager {
 
   /// Validates and enqueues; returns the job id. Throws InvalidArgument
   /// for an unknown experiment, options out of the option table's range
-  /// (check_figure_options) or a plan the grid rejects, and TooManyJobs
-  /// when max_jobs ACTIVE jobs are already held.
+  /// (check_figure_options), a plan the grid rejects, a scenario whose
+  /// task count exceeds max_task_count, or a manager that is stopping,
+  /// and TooManyJobs when max_jobs ACTIVE jobs are already held.
   std::uint64_t submit(JobRequest request);
 
   std::optional<JobStatus> status(std::uint64_t id) const;
@@ -227,8 +225,8 @@ class JobManager {
 
   JobStatus snapshot_locked(const Job& job) const REQUIRES(mutex_);
   std::size_t active_locked() const REQUIRES(mutex_);
-  /// Drops terminal jobs beyond max_jobs of them / past job_ttl_seconds.
-  void evict_locked(std::uint64_t now_ns) REQUIRES(mutex_);
+  /// Drops the oldest terminal jobs beyond max_jobs of them.
+  void evict_locked() REQUIRES(mutex_);
   /// Moves job.produced past every position that holds its body.
   void advance_locked(Job& job) REQUIRES(mutex_);
   void executor_loop() EXCLUDES(mutex_);

@@ -129,29 +129,18 @@ void ResultCache::insert_locked(const ResultCacheKey& key, RecordBody body, bool
 }
 
 void ResultCache::append_segment_locked(const ResultCacheKey& key, std::string_view payload) {
-  if (!segment_.is_open()) open_next_segment_locked();
+  if (!segment_.is_open()) {
+    segment_.open(std::filesystem::path(options_.directory) / segment_name(next_segment_index_),
+                  std::ios::app);
+  }
   // A failed segment (disk full, directory removed) downgrades to
   // memory-only persistence rather than failing the job that produced
   // the record — the in-memory entry is already correct.
   if (!segment_.good()) return;
-  const std::string line = "{\"key\":\"" + hex64(key.hash) +
-                           "\",\"spec\":" + engine::json_quote(key.canonical) +
-                           ",\"payload\":" + engine::json_quote(payload) + "}";
-  segment_ << line << '\n';
+  segment_ << "{\"key\":\"" << hex64(key.hash)
+           << "\",\"spec\":" << engine::json_quote(key.canonical)
+           << ",\"payload\":" << engine::json_quote(payload) << "}\n";
   segment_.flush();
-  segment_bytes_ += line.size() + 1;
-  if (segment_bytes_ >= options_.max_segment_bytes) {
-    segment_.close();
-    open_next_segment_locked();
-  }
-}
-
-void ResultCache::open_next_segment_locked() {
-  const std::filesystem::path path =
-      std::filesystem::path(options_.directory) / segment_name(next_segment_index_);
-  ++next_segment_index_;
-  segment_bytes_ = 0;
-  segment_.open(path, std::ios::app);
 }
 
 void ResultCache::load_segments() {

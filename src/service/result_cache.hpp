@@ -17,11 +17,11 @@
 // distinct scenarios the server has computed.
 //
 // Persistence: with a directory configured, inserts append to an on-disk
-// NDJSON segment store (`segment-NNNNNN.ndjson`, append-only; a new
-// segment per process start, rotated at max_segment_bytes) and the ctor
-// rebuilds the in-memory index by replaying every segment — so the cache
-// survives server restarts. Malformed lines (torn tail writes after a
-// crash) are skipped, not fatal.
+// NDJSON segment store (`segment-NNNNNN.ndjson`, append-only; one new
+// segment per cache, opened at its first insert) and the ctor rebuilds
+// the in-memory index by replaying every segment — so the cache survives
+// server restarts. Malformed lines (torn tail writes after a crash) are
+// skipped, not fatal.
 #pragma once
 
 #include <cstdint>
@@ -52,8 +52,6 @@ struct ResultCacheOptions {
   /// Segment-store directory; empty = memory-only (the cache still
   /// serves repeat traffic, but dies with the process).
   std::string directory = {};
-  /// Rotate the append segment once it exceeds this many bytes.
-  std::size_t max_segment_bytes = 8 * 1024 * 1024;
 };
 
 /// One immutable record body, shared by the cache and every job stream
@@ -93,7 +91,6 @@ class ResultCache {
   void insert_locked(const ResultCacheKey& key, RecordBody body, bool persist) REQUIRES(mutex_);
   void append_segment_locked(const ResultCacheKey& key, std::string_view payload)
       REQUIRES(mutex_);
-  void open_next_segment_locked() REQUIRES(mutex_);
   void load_segments();
 
   ResultCacheOptions options_;
@@ -102,7 +99,6 @@ class ResultCache {
   mutable Mutex mutex_;
   std::unordered_map<std::uint64_t, Entry> entries_ GUARDED_BY(mutex_);
   std::ofstream segment_ GUARDED_BY(mutex_);
-  std::size_t segment_bytes_ GUARDED_BY(mutex_) = 0;
   std::size_t next_segment_index_ GUARDED_BY(mutex_) = 1;
 };
 

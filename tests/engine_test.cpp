@@ -30,9 +30,9 @@ namespace {
 TaskGraph serial_instance(WorkflowKind kind, std::size_t size, const ScenarioGrid& grid) {
   GeneratorConfig config;
   config.task_count = size;
-  config.seed = grid.seed + size;
-  config.weight_cv = grid.weight_cv;
-  config.cost_model = grid.cost_models.front();
+  config.seed = grid.base.workflow_seed + size;
+  config.weight_cv = grid.base.weight_cv;
+  config.cost_model = grid.base.cost_model;
   return generate_workflow(kind, config);
 }
 
@@ -61,11 +61,11 @@ double serial_best_lin_ratio(const ScheduleEvaluator& evaluator, CkptStrategy st
 /// A small Figure-2 grid: fixed BF/DF/RF x CkptW/CkptC series.
 ScenarioGrid small_fig2_grid() {
   ScenarioGrid grid;
-  grid.workflows = {WorkflowKind::cybershake};
-  grid.sizes = {50, 80};
-  grid.lambdas = {1e-3};
-  grid.cost_models = {CostModel::proportional(0.1)};
-  grid.stride = 8;
+  grid.base.workflow = WorkflowKind::cybershake;
+  grid.base.model = FailureModel(1e-3);
+  grid.base.cost_model = CostModel::proportional(0.1);
+  grid.base.stride = 8;
+  grid.xs = {50, 80};
   for (const LinearizeMethod lin : all_linearize_methods()) {
     for (const CkptStrategy strategy : {CkptStrategy::by_weight, CkptStrategy::by_cost}) {
       grid.policies.push_back(ScenarioPolicy::fixed({lin, strategy}));
@@ -77,11 +77,11 @@ ScenarioGrid small_fig2_grid() {
 /// A small Figure-3 grid: every strategy at its best linearization.
 ScenarioGrid small_fig3_grid() {
   ScenarioGrid grid;
-  grid.workflows = {WorkflowKind::montage};
-  grid.sizes = {60};
-  grid.lambdas = {1e-3};
-  grid.cost_models = {CostModel::proportional(0.1)};
-  grid.stride = 8;
+  grid.base.workflow = WorkflowKind::montage;
+  grid.base.model = FailureModel(1e-3);
+  grid.base.cost_model = CostModel::proportional(0.1);
+  grid.base.stride = 8;
+  grid.xs = {60};
   for (const CkptStrategy strategy : all_ckpt_strategies()) {
     grid.policies.push_back(ScenarioPolicy::best_lin(strategy));
   }
@@ -93,7 +93,7 @@ TEST(ScenarioGridTest, EnumerateIsTheDeclaredCrossProduct) {
   const std::vector<ScenarioSpec> specs = grid.enumerate();
   ASSERT_EQ(specs.size(), grid.scenario_count());
   ASSERT_EQ(specs.size(), 2u * 6u);
-  // Order: size-major, policy-minor; scenario_index = flat position.
+  // Order: point-major, policy-minor; scenario_index = flat position.
   EXPECT_EQ(specs[0].task_count, 50u);
   EXPECT_EQ(specs[6].task_count, 80u);
   EXPECT_EQ(specs[3].policy.name(), "BF-CkptC");
@@ -104,52 +104,64 @@ TEST(ScenarioGridTest, EnumerateIsTheDeclaredCrossProduct) {
   }
 }
 
-TEST(ScenarioGridTest, EmptyLambdaListUsesPaperLambda) {
-  ScenarioGrid grid;
-  grid.workflows = {WorkflowKind::genome, WorkflowKind::ligo};
-  grid.sizes = {50};
-  grid.policies = {ScenarioPolicy::fixed({LinearizeMethod::depth_first, CkptStrategy::never})};
-  const auto specs = grid.enumerate();
-  ASSERT_EQ(specs.size(), 2u);
-  EXPECT_DOUBLE_EQ(specs[0].model.lambda(), paper_lambda(WorkflowKind::genome));
-  EXPECT_DOUBLE_EQ(specs[1].model.lambda(), paper_lambda(WorkflowKind::ligo));
-}
-
 TEST(ScenarioGridTest, MalformedGridsAreRejected) {
   ScenarioGrid grid = small_fig2_grid();
-  grid.stride = 0;  // would loop forever on the budget grid
+  grid.base.stride = 0;  // would loop forever on the budget grid
   EXPECT_THROW(grid.enumerate(), Error);
 
   ScenarioGrid no_policies = small_fig2_grid();
   no_policies.policies.clear();
   EXPECT_THROW(no_policies.enumerate(), Error);
 
-  ScenarioGrid lambda_axis = small_fig2_grid();
-  lambda_axis.axis = GridAxis::lambda;
-  lambda_axis.lambdas.clear();
-  // An empty axis list would enumerate one implicit point — a degenerate
-  // one-point "sweep" — and must be rejected, not silently accepted.
-  EXPECT_THROW(lambda_axis.enumerate(), Error);
+  // An empty axis would be a panel with no x value.
+  ScenarioGrid no_points = small_fig2_grid();
+  no_points.axis = GridAxis::lambda;
+  no_points.xs.clear();
+  EXPECT_THROW(no_points.enumerate(), Error);
 
-  ScenarioGrid downtime_axis = small_fig2_grid();
-  downtime_axis.axis = GridAxis::downtime;
-  EXPECT_THROW(downtime_axis.enumerate(), Error);  // empty downtime list
+  // A task-count point must name a task count exactly.
+  for (const double bad : {0.0, 50.5, -50.0, 0x1p53 + 2.0,
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    ScenarioGrid sizes = small_fig2_grid();
+    sizes.xs = {50, bad};
+    EXPECT_THROW(sizes.enumerate(), Error) << bad;
+  }
 }
 
-TEST(ScenarioGridTest, DowntimeAndCostModelDimensionsEnumerate) {
+TEST(ScenarioGridTest, EachAxisSetsItsOwnSpecField) {
   ScenarioGrid grid = small_fig3_grid();
-  grid.downtimes = {0.0, 120.0};
-  grid.cost_models = {CostModel::proportional(0.01), CostModel::proportional(0.1),
-                      CostModel::constant(5.0)};
-  const auto specs = grid.enumerate();
+  grid.base.task_count = 70;
+  grid.base.model = FailureModel(2e-3, 30.0);
+  const std::size_t policies = grid.policies.size();
+
+  grid.xs = {50, 60};
+  std::vector<ScenarioSpec> specs = grid.enumerate();
+  ASSERT_EQ(specs.size(), 2 * policies);
+  EXPECT_EQ(specs[0].task_count, 50u);
+  EXPECT_EQ(specs[policies].task_count, 60u);
+  EXPECT_DOUBLE_EQ(specs[policies].model.lambda(), 2e-3);
+  EXPECT_DOUBLE_EQ(specs[policies].model.downtime(), 30.0);
+
+  grid.axis = GridAxis::lambda;
+  grid.xs = {1e-4, 5e-4};
+  specs = grid.enumerate();
+  EXPECT_EQ(specs[policies].task_count, 70u);
+  EXPECT_DOUBLE_EQ(specs[policies].model.lambda(), 5e-4);
+  EXPECT_DOUBLE_EQ(specs[policies].model.downtime(), 30.0);
+
+  grid.axis = GridAxis::downtime;
+  grid.xs = {0.0, 120.0};
+  specs = grid.enumerate();
   ASSERT_EQ(specs.size(), grid.scenario_count());
-  ASSERT_EQ(specs.size(), 1u * 1u * 2u * 3u * grid.policies.size());
-  // Nesting order: downtime outer, cost model inner, policy innermost.
+  // Nesting order: downtime outer, policy inner.
   EXPECT_DOUBLE_EQ(specs[0].model.downtime(), 0.0);
-  EXPECT_TRUE(specs[0].cost_model == CostModel::proportional(0.01));
-  EXPECT_TRUE(specs[grid.policies.size()].cost_model == CostModel::proportional(0.1));
-  EXPECT_DOUBLE_EQ(specs[3 * grid.policies.size()].model.downtime(), 120.0);
-  for (std::size_t i = 0; i < specs.size(); ++i) EXPECT_EQ(specs[i].scenario_index, i);
+  EXPECT_DOUBLE_EQ(specs[policies].model.downtime(), 120.0);
+  EXPECT_DOUBLE_EQ(specs[policies].model.lambda(), 2e-3);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    EXPECT_EQ(specs[i].scenario_index, i);
+    EXPECT_EQ(specs[i].policy.name(), grid.policies[i % policies].name());
+    EXPECT_TRUE(specs[i].cost_model == CostModel::proportional(0.1));
+  }
 }
 
 TEST(ExperimentEngineTest, Fig2GridMatchesSerialRatiosAtOneAndManyThreads) {
@@ -158,11 +170,12 @@ TEST(ExperimentEngineTest, Fig2GridMatchesSerialRatiosAtOneAndManyThreads) {
 
   // Direct serial reference, one evaluator per size as the benches did it.
   std::vector<double> expected;
-  for (const std::size_t size : grid.sizes) {
-    const TaskGraph graph = serial_instance(WorkflowKind::cybershake, size, grid);
+  for (const double size : grid.xs) {
+    const TaskGraph graph =
+        serial_instance(WorkflowKind::cybershake, static_cast<std::size_t>(size), grid);
     const ScheduleEvaluator evaluator(graph, FailureModel(1e-3, 0.0));
     for (const ScenarioPolicy& policy : grid.policies) {
-      expected.push_back(serial_ratio(evaluator, policy.heuristic, grid.stride));
+      expected.push_back(serial_ratio(evaluator, policy.heuristic, grid.base.stride));
     }
   }
 
@@ -186,7 +199,7 @@ TEST(ExperimentEngineTest, Fig3GridMatchesSerialBestLinearizationRatios) {
   const ScheduleEvaluator evaluator(graph, FailureModel(1e-3, 0.0));
   std::vector<double> expected;
   for (const ScenarioPolicy& policy : grid.policies) {
-    expected.push_back(serial_best_lin_ratio(evaluator, policy.strategy, grid.stride));
+    expected.push_back(serial_best_lin_ratio(evaluator, policy.strategy, grid.base.stride));
   }
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
@@ -201,7 +214,7 @@ TEST(ExperimentEngineTest, Fig3GridMatchesSerialBestLinearizationRatios) {
 
 TEST(ExperimentEngineTest, ThreadCountDoesNotChangeAnyBit) {
   ScenarioGrid grid = small_fig3_grid();
-  grid.sizes = {50, 70};
+  grid.xs = {50, 70};
   const std::vector<ScenarioSpec> specs = grid.enumerate();
 
   const ExperimentEngine serial({.threads = 1});
@@ -224,7 +237,7 @@ TEST(ExperimentEngineTest, ThreadCountDoesNotChangeAnyBit) {
 
 TEST(ExperimentEngineTest, ResultCallbackDeliversEveryResultInInputOrder) {
   ScenarioGrid grid = small_fig3_grid();
-  grid.sizes = {50, 70};
+  grid.xs = {50, 70};
   const std::vector<ScenarioSpec> specs = grid.enumerate();
   for (const std::size_t threads : {1u, 4u}) {
     const ExperimentEngine engine({.threads = threads});
@@ -358,16 +371,25 @@ ScenarioResult serial_best_lin_scenario(const ScenarioSpec& spec) {
 }
 
 TEST(ExperimentEngineTest, InstanceSharingMatchesAFromScratchSerialReference) {
-  // A grid that stresses sharing: several policies, lambdas, downtimes and
-  // cost models all mapping onto the same two instances. The engine's
-  // per-worker instance memo must reproduce, bit for bit, a reference
-  // that regenerates and relinearizes every scenario from scratch.
-  ScenarioGrid grid = small_fig3_grid();
-  grid.sizes = {50, 60};
-  grid.lambdas = {1e-3, 5e-3};
-  grid.downtimes = {0.0, 300.0};
-  grid.cost_models = {CostModel::proportional(0.1), CostModel::constant(2.0)};
-  const std::vector<ScenarioSpec> specs = grid.enumerate();
+  // Specs that stress sharing: several policies, lambdas, downtimes and
+  // cost models all mapping onto the same two instances, from eight
+  // lambda-axis grids run as one list. The engine's per-worker instance
+  // memo must reproduce, bit for bit, a reference that regenerates and
+  // relinearizes every scenario from scratch.
+  std::vector<ScenarioSpec> specs;
+  for (const std::size_t size : {50u, 60u}) {
+    for (const CostModel& cost : {CostModel::proportional(0.1), CostModel::constant(2.0)}) {
+      for (const double downtime : {0.0, 300.0}) {
+        ScenarioGrid grid = small_fig3_grid();
+        grid.base.task_count = size;
+        grid.base.cost_model = cost;
+        grid.base.model = FailureModel(1e-3, downtime);
+        grid.axis = GridAxis::lambda;
+        grid.xs = {1e-3, 5e-3};
+        for (const ScenarioSpec& spec : grid.enumerate()) specs.push_back(spec);
+      }
+    }
+  }
   std::vector<ScenarioResult> expected;
   for (const ScenarioSpec& spec : specs) expected.push_back(serial_best_lin_scenario(spec));
 
@@ -394,11 +416,15 @@ TEST(ExperimentEngineTest, CellGroupsMatchTheSerialReferenceInAnyOrderAndShardin
   // grid with both axes, shuffled so siblings sit apart and split into
   // three uneven shards (separate runs, so shard boundaries split
   // groups), must reproduce the from-scratch serial reference bit for bit.
-  ScenarioGrid grid = small_fig3_grid();
-  grid.sizes = {50};
-  grid.lambdas = {1e-3, 4e-3, 2e-2};
-  grid.downtimes = {0.0, 120.0, 900.0};
-  std::vector<ScenarioSpec> specs = grid.enumerate();
+  std::vector<ScenarioSpec> specs;
+  for (const double downtime : {0.0, 120.0, 900.0}) {
+    ScenarioGrid grid = small_fig3_grid();
+    grid.base.task_count = 50;
+    grid.base.model = FailureModel(1e-3, downtime);
+    grid.axis = GridAxis::lambda;
+    grid.xs = {1e-3, 4e-3, 2e-2};
+    for (const ScenarioSpec& spec : grid.enumerate()) specs.push_back(spec);
+  }
   Rng rng(17);
   rng.shuffle(specs);
   std::vector<ScenarioResult> expected;
@@ -433,27 +459,77 @@ TEST(ExperimentEngineTest, DowntimeSiblingsShareTheLostWorkWalk) {
   // in D, so one lost-work walk serves five makespans: walks must stay
   // below half the evaluator runs (they are equal when every run walks).
   ScenarioGrid grid = small_fig3_grid();
-  grid.downtimes = {0.0, 60.0, 300.0, 900.0, 3600.0};
+  grid.base.task_count = 60;
   grid.axis = GridAxis::downtime;
+  grid.xs = {0.0, 60.0, 300.0, 900.0, 3600.0};
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
   obs::Counter& runs = registry.counter("fpsched_eval_runs_total", "");
   obs::Counter& walks = registry.counter("fpsched_eval_walks_total", "");
   const std::uint64_t runs_before = runs.value();
   const std::uint64_t walks_before = walks.value();
   const ExperimentEngine engine({.threads = 2});
-  EXPECT_EQ(engine.run(grid).size(), grid.scenario_count());
+  EXPECT_EQ(engine.run(grid.enumerate()).size(), grid.scenario_count());
   const std::uint64_t run_delta = runs.value() - runs_before;
   const std::uint64_t walk_delta = walks.value() - walks_before;
   EXPECT_GT(walk_delta, 0u);
   EXPECT_LT(2 * walk_delta, run_delta) << walk_delta << " walks for " << run_delta << " runs";
 }
 
+TEST(ExperimentEngineTest, SimulatedRowsShareOneSearch) {
+  // The robustness study's rows of one workflow differ only in how they
+  // re-score the winning schedule, so they form one cell group: the
+  // heuristics are searched once for all four rows (one lost-work walk
+  // per four evaluator runs), and each row still equals its spec run
+  // alone, under its own failure law, trial count and seed.
+  using SimDistribution = ScenarioPolicy::SimDistribution;
+  std::vector<ScenarioSpec> specs;
+  for (const ScenarioPolicy& policy :
+       {ScenarioPolicy::simulated(SimDistribution::analytic, 1.0, 200),
+        ScenarioPolicy::simulated(SimDistribution::exponential, 1.0, 200),
+        ScenarioPolicy::simulated(SimDistribution::weibull, 0.7, 300, 5),
+        ScenarioPolicy::simulated(SimDistribution::weibull, 1.5, 200)}) {
+    ScenarioSpec spec;
+    spec.workflow = WorkflowKind::ligo;
+    spec.task_count = 20;
+    spec.model = FailureModel(paper_lambda(WorkflowKind::ligo));
+    spec.stride = 4;
+    spec.policy = policy;
+    spec.scenario_index = specs.size();
+    specs.push_back(spec);
+  }
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  obs::Counter& runs = registry.counter("fpsched_eval_runs_total", "");
+  obs::Counter& walks = registry.counter("fpsched_eval_walks_total", "");
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    const ExperimentEngine engine({.threads = threads});
+    const std::uint64_t runs_before = runs.value();
+    const std::uint64_t walks_before = walks.value();
+    const std::vector<ScenarioResult> results = engine.run(specs);
+    const std::uint64_t run_delta = runs.value() - runs_before;
+    const std::uint64_t walk_delta = walks.value() - walks_before;
+    EXPECT_GT(walk_delta, 0u);
+    EXPECT_EQ(4 * walk_delta, run_delta) << walk_delta << " walks for " << run_delta << " runs";
+    ASSERT_EQ(results.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const ScenarioResult alone = engine.run(std::span(&specs[i], 1)).front();
+      EXPECT_EQ(results[i].evaluation.expected_makespan, alone.evaluation.expected_makespan)
+          << "threads=" << threads << " " << specs[i].label();
+      EXPECT_EQ(results[i].evaluation.ratio, alone.evaluation.ratio);
+      EXPECT_EQ(results[i].evaluation.checkpoint_count, alone.evaluation.checkpoint_count);
+      EXPECT_EQ(results[i].linearization, alone.linearization);
+      EXPECT_EQ(results[i].best_budget, alone.best_budget);
+    }
+    // The rows re-score one schedule under different laws.
+    EXPECT_NE(results[0].evaluation.expected_makespan, results[2].evaluation.expected_makespan);
+  }
+}
+
 TEST(ExperimentEngineTest, SerialEngineStartsNoThread) {
   // threads = 1 means serial: no pool, and no budget sweep fanning out
   // to the cores behind the caller's back.
   ScenarioGrid grid = small_fig3_grid();
-  grid.sizes = {60, 100};
-  grid.stride = 1;
+  grid.xs = {60, 100};
+  grid.base.stride = 1;
   const std::vector<ScenarioSpec> specs = grid.enumerate();
   const long before = testing::process_thread_count();
   ASSERT_GT(before, 0) << "no /proc/self/status";

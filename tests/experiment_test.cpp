@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/evaluator.hpp"
@@ -78,7 +81,7 @@ TEST(ExperimentFiguresTest, Fig2BuildsThreePanelsOverTheSizeAxis) {
   EXPECT_EQ(plan.panels[2].slug, "fig2c_genome");
   for (const PanelSpec& panel : plan.panels) {
     EXPECT_EQ(panel.grid.axis, GridAxis::task_count);
-    EXPECT_EQ(panel.grid.sizes, options.sizes);
+    EXPECT_EQ(panel.grid.xs, (std::vector<double>{50, 100}));
     EXPECT_EQ(panel.grid.policies.size(), 6u);  // {DF,BF,RF} x {CkptW,CkptC}
   }
   EXPECT_FALSE(plan.notes.empty());
@@ -92,8 +95,7 @@ TEST(ExperimentFiguresTest, Fig7UsesTheTasksOption) {
   ASSERT_EQ(plan.panels.size(), 4u);
   for (const PanelSpec& panel : plan.panels) {
     EXPECT_EQ(panel.grid.axis, GridAxis::lambda);
-    ASSERT_EQ(panel.grid.sizes.size(), 1u);
-    EXPECT_EQ(panel.grid.sizes[0], 123u);
+    EXPECT_EQ(panel.grid.base.task_count, 123u);
   }
 }
 
@@ -113,6 +115,60 @@ TEST(ExperimentFiguresTest, DowntimeSweepRejectsNegativeDowntimes) {
       InvalidArgument);
 }
 
+/// 64-bit FNV-1a digest of what a plan runs and shows: every flattened
+/// position's panel slug and canonical spec, then each panel's axis,
+/// points and series names as assemble_panel lays them out (over
+/// default-constructed results, so no evaluator runs).
+std::uint64_t plan_digest(const FigurePlan& plan) {
+  std::string text;
+  for (const PlannedScenario& planned : flatten_plan(plan)) {
+    text += planned.panel + ' ' + canonical_spec_string(planned.spec) + '\n';
+  }
+  for (const PanelSpec& panel : plan.panels) {
+    const std::vector<ScenarioResult> results(panel.grid.scenario_count());
+    const Panel assembled = assemble_panel(panel.grid, results, panel.title);
+    text += to_string(assembled.axis);
+    for (const double x : assembled.xs) text += ' ' + format_double_full(x);
+    for (const PanelSeries& series : assembled.series) text += " | " + series.name;
+    text += '\n';
+  }
+  return fnv1a64(text);
+}
+
+TEST(ExperimentFiguresTest, PlansArePinned) {
+  // Every registered plan, at the default options and after --quick:
+  // the scenarios it runs, in order, and the panels it draws. The
+  // digests were recorded before ScenarioGrid became a base spec plus
+  // one axis, so the grid's shape can change but no plan can.
+  struct Pin {
+    const char* name;
+    std::uint64_t full;
+    std::uint64_t quick;
+  };
+  const Pin pins[] = {
+      {"fig2", 0xfe3fcdfe1ff0e0b8ull, 0xf8f90462251157acull},
+      {"fig3", 0x6feb56a5b6230e7dull, 0xa84b0e5b773912b9ull},
+      {"fig4", 0x467a76b50fa49518ull, 0xb80020dd6d00aa44ull},
+      {"fig5", 0xd21d09eeda3d6009ull, 0x0032afec0e07ae7dull},
+      {"fig6", 0x6865e6bab20a7895ull, 0x9e829b2865320771ull},
+      {"fig7", 0xe7830304e0da0827ull, 0x7e4d9f8a6442cb7dull},
+      {"downtime", 0x3e2ab28dc3f861a9ull, 0x45900e50809b6d6full},
+      {"theory", 0xd798eaac4a6b6e5bull, 0xb9816acbbc52eb6bull},
+      {"robustness", 0xcff8ddf19cdb421dull, 0x21032511ca6c7dedull},
+  };
+  ASSERT_EQ(std::size(pins), ExperimentRegistry::global().experiments().size());
+  FigureOptions quick;
+  apply_quick_options(quick);
+  for (const Pin& pin : pins) {
+    const Experiment& experiment = ExperimentRegistry::global().find(pin.name);
+    EXPECT_EQ(plan_digest(experiment.build(FigureOptions{})), pin.full)
+        << pin.name << " (full) digest 0x" << std::hex
+        << plan_digest(experiment.build(FigureOptions{}));
+    EXPECT_EQ(plan_digest(experiment.build(quick)), pin.quick)
+        << pin.name << " (quick) digest 0x" << std::hex << plan_digest(experiment.build(quick));
+  }
+}
+
 // --- Shard partitioning ------------------------------------------------
 
 TEST(ExperimentFiguresTest, TheoryBuildsFourFixedSizePanels) {
@@ -121,8 +177,9 @@ TEST(ExperimentFiguresTest, TheoryBuildsFourFixedSizePanels) {
   for (const PanelSpec& panel : plan.panels) {
     // Fixed small sizes, independent of --sizes: the grid must stay
     // replayable by the exhaustive Algorithm-1 cross-check below.
-    EXPECT_EQ(panel.grid.sizes, (std::vector<std::size_t>{20, 26, 32}));
-    EXPECT_EQ(panel.grid.downtimes, std::vector<double>{1.0});
+    EXPECT_EQ(panel.grid.axis, GridAxis::task_count);
+    EXPECT_EQ(panel.grid.xs, (std::vector<double>{20, 26, 32}));
+    EXPECT_EQ(panel.grid.base.model.downtime(), 1.0);
     EXPECT_FALSE(panel.grid.policies.empty());
   }
   EXPECT_NE(plan.notes.find("theory_fork_test"), std::string::npos);
@@ -204,17 +261,16 @@ Experiment tiny_experiment() {
             FigurePlan plan;
             plan.heading = "tiny experiment";
             ScenarioGrid first;
-            first.workflows = {WorkflowKind::montage};
-            first.sizes = options.sizes;
-            first.lambdas = {1e-3};
-            first.stride = 16;
+            first.base.workflow = WorkflowKind::montage;
+            first.base.stride = 16;
+            first.xs.assign(options.sizes.begin(), options.sizes.end());
             first.policies = {
                 ScenarioPolicy::fixed({LinearizeMethod::depth_first, CkptStrategy::by_weight}),
                 ScenarioPolicy::fixed({LinearizeMethod::breadth_first, CkptStrategy::by_cost}),
             };
             ScenarioGrid second = first;
-            second.workflows = {WorkflowKind::cybershake};
-            second.sizes = {options.sizes.front()};
+            second.base.workflow = WorkflowKind::cybershake;
+            second.xs.resize(1);
             plan.panels = {{first, "panel one", "tiny_one"}, {second, "panel two", "tiny_two"}};
             plan.notes = "done\n";
             return plan;

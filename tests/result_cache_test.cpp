@@ -1,6 +1,6 @@
 // ResultCache suite: cache-key sensitivity to every ScenarioSpec field,
 // in-memory round trips of shared bodies, and the on-disk segment
-// store — restart restore, segment rotation, and torn-write tolerance.
+// store — restart restore, one segment per opening, and torn-write tolerance.
 #include "service/result_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -168,24 +168,30 @@ TEST(ResultCacheTest, SegmentStoreSurvivesReopen) {
   }
 }
 
-TEST(ResultCacheTest, RotatesSegmentsAndLoadsAllOfThem) {
-  const TempDir dir("fpsched_result_cache_rotate_test");
-  {
-    // A tiny rotation threshold: every insert lands in its own segment.
-    ResultCache cache({.directory = dir.path().string(), .max_segment_bytes = 1});
-    for (std::size_t tasks : {50, 60, 70}) {
-      auto spec = base_spec();
-      spec.task_count = tasks;
-      cache.insert(ResultCacheKey::of(spec), body("p"));
-    }
+TEST(ResultCacheTest, EachOpeningAppendsItsOwnSegmentAndRestartLoadsAll) {
+  const TempDir dir("fpsched_result_cache_segments_test");
+  std::vector<ResultCacheKey> keys;
+  for (std::size_t tasks : {50, 60, 70}) {
+    // One open / insert / close cycle per entry: a cache appends to a
+    // segment of its own, after those that earlier caches left.
+    auto spec = base_spec();
+    spec.task_count = tasks;
+    keys.push_back(ResultCacheKey::of(spec));
+    ResultCache cache({.directory = dir.path().string()});
+    cache.insert(keys.back(), body(std::to_string(tasks)));
   }
   std::size_t segments = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
     if (entry.path().extension() == ".ndjson") ++segments;
   }
-  EXPECT_GE(segments, 2u);
+  EXPECT_EQ(segments, 3u);
   ResultCache reopened({.directory = dir.path().string()});
   EXPECT_EQ(reopened.restored(), 3u);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const auto hit = reopened.lookup(keys[i]);
+    ASSERT_TRUE(hit) << keys[i].canonical;
+    EXPECT_EQ(*hit, std::to_string(50 + 10 * i));
+  }
 }
 
 TEST(ResultCacheTest, SkipsTornAndCorruptSegmentLines) {

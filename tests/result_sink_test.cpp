@@ -22,7 +22,6 @@ namespace {
 Panel sample_panel() {
   Panel panel;
   panel.title = "CyberShake: test panel";
-  panel.x_label = "number of tasks";
   panel.xs = {50, 100};
   panel.series = {{"DF-CkptW", {1.25, 1.5}}, {"DF-CkptC", {1.375, 1.625}}};
   return panel;
@@ -42,7 +41,6 @@ TEST(ResultSinkTest, TableSinkRendersHeadingHeadersAndValues) {
 TEST(ResultSinkTest, LambdaPanelsFormatXWithSixDecimals) {
   Panel panel = sample_panel();
   panel.axis = GridAxis::lambda;
-  panel.x_label = "lambda";
   panel.xs = {1e-3, 2e-3};
   const Table table = panel_table(panel);
   std::ostringstream os;
@@ -109,9 +107,7 @@ TEST(ResultSinkTest, CsvSerializesRatiosAtRoundTripPrecision) {
 
 TEST(ResultSinkTest, AssemblePanelMapsGridResultsToSeries) {
   ScenarioGrid grid;
-  grid.workflows = {WorkflowKind::montage};
-  grid.sizes = {50, 60};
-  grid.lambdas = {1e-3};
+  grid.xs = {50, 60};
   grid.policies = {
       ScenarioPolicy::fixed({LinearizeMethod::depth_first, CkptStrategy::never}),
       ScenarioPolicy::best_lin(CkptStrategy::by_weight),
@@ -125,8 +121,8 @@ TEST(ResultSinkTest, AssemblePanelMapsGridResultsToSeries) {
 
   const Panel panel = assemble_panel(grid, results, "title");
   EXPECT_EQ(panel.title, "title");
-  EXPECT_EQ(panel.x_label, "number of tasks");
-  ASSERT_EQ(panel.xs.size(), 2u);
+  EXPECT_EQ(panel.axis, GridAxis::task_count);
+  EXPECT_EQ(panel.xs, grid.xs);
   ASSERT_EQ(panel.series.size(), 2u);
   EXPECT_EQ(panel.series[0].name, "DF-CkptNvr");
   EXPECT_EQ(panel.series[1].name, "CkptW");
@@ -139,11 +135,9 @@ TEST(ResultSinkTest, AssemblePanelMapsGridResultsToSeries) {
 
 TEST(ResultSinkTest, AssemblePanelMapsDowntimeAxisToX) {
   ScenarioGrid grid;
-  grid.workflows = {WorkflowKind::montage};
-  grid.sizes = {50};
-  grid.lambdas = {1e-3};
-  grid.downtimes = {0.0, 300.0, 900.0};
+  grid.base.task_count = 50;
   grid.axis = GridAxis::downtime;
+  grid.xs = {0.0, 300.0, 900.0};
   grid.policies = {ScenarioPolicy::best_lin(CkptStrategy::by_weight)};
   const auto specs = grid.enumerate();
   ASSERT_EQ(specs.size(), 3u);
@@ -155,44 +149,19 @@ TEST(ResultSinkTest, AssemblePanelMapsDowntimeAxisToX) {
   }
 
   const Panel panel = assemble_panel(grid, results, "downtime panel");
-  EXPECT_EQ(panel.x_label, "downtime");
+  EXPECT_EQ(panel.axis, GridAxis::downtime);
+  std::ostringstream csv;
+  panel_table(panel).to_csv(csv);
+  EXPECT_EQ(csv.str().rfind("downtime,", 0), 0u) << csv.str();  // the axis names the x column
   ASSERT_EQ(panel.xs.size(), 3u);
   EXPECT_DOUBLE_EQ(panel.xs[1], 300.0);
   EXPECT_DOUBLE_EQ(panel.series[0].values[2], 3.0);
 }
 
-TEST(ResultSinkTest, AssemblePanelRejectsMultiValuedNonAxisDimensions) {
-  ScenarioGrid grid;
-  grid.workflows = {WorkflowKind::montage};
-  grid.sizes = {50, 60};
-  grid.lambdas = {1e-3};
-  grid.downtimes = {0.0, 60.0};  // second free dimension under task_count axis
-  grid.policies = {ScenarioPolicy::best_lin(CkptStrategy::by_weight)};
-  const std::vector<ScenarioResult> results(grid.scenario_count());
-  EXPECT_THROW(assemble_panel(grid, results, "t"), Error);
-}
-
-TEST(ResultSinkTest, AssemblePanelRejectsMultipleWorkflowsNamingThem) {
-  ScenarioGrid grid;
-  grid.workflows = {WorkflowKind::montage, WorkflowKind::ligo};
-  grid.sizes = {50};
-  grid.policies = {ScenarioPolicy::best_lin(CkptStrategy::by_weight)};
-  const std::vector<ScenarioResult> results(grid.scenario_count());
-  try {
-    assemble_panel(grid, results, "t");
-    FAIL() << "expected a single-workflow rejection";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("single-workflow"), std::string::npos) << what;
-    EXPECT_NE(what.find("Montage"), std::string::npos) << what;
-    EXPECT_NE(what.find("Ligo"), std::string::npos) << what;
-  }
-}
-
 TEST(ResultSinkTest, AssemblePanelRejectsResultCountMismatchNamingTheKind) {
   ScenarioGrid grid;
-  grid.workflows = {WorkflowKind::cybershake};
-  grid.sizes = {50, 60};
+  grid.base.workflow = WorkflowKind::cybershake;
+  grid.xs = {50, 60};
   grid.policies = {ScenarioPolicy::best_lin(CkptStrategy::by_weight)};
   const std::vector<ScenarioResult> wrong(3);  // grid has 2 scenarios
   try {
@@ -291,14 +260,13 @@ TEST(ResultSinkTest, JsonSinkBuffersIntoOneArray) {
 
 TEST(ResultSinkTest, EndToEndGridToPanel) {
   ScenarioGrid grid;
-  grid.workflows = {WorkflowKind::montage};
-  grid.sizes = {50};
-  grid.lambdas = {1e-3};
-  grid.stride = 8;
+  grid.base.workflow = WorkflowKind::montage;
+  grid.base.stride = 8;
+  grid.xs = {50};
   grid.policies = {
       ScenarioPolicy::fixed({LinearizeMethod::depth_first, CkptStrategy::by_weight})};
   const ExperimentEngine engine({.threads = 2});
-  const auto results = engine.run(grid);
+  const auto results = engine.run(grid.enumerate());
   const Panel panel = assemble_panel(grid, results, "Montage: smoke");
   ASSERT_EQ(panel.series.size(), 1u);
   ASSERT_EQ(panel.series[0].values.size(), 1u);

@@ -112,6 +112,15 @@ TEST(ParseJobRequestTest, RejectsBadRequests) {
                    5.0);
   EXPECT_THROW(parse_job_request({{"experiment", "downtime"}, {"downtimes", "inf"}}),
                InvalidArgument);
+  // A task count is a point of a grid's double axis: past 2^53 it could
+  // name another size than the one asked for.
+  for (const std::string key : {"sizes", "tasks"}) {
+    EXPECT_THROW(parse_job_request({{"experiment", "robustness"}, {key, "9007199254740993"}}),
+                 InvalidArgument)
+        << key;
+    EXPECT_NO_THROW(parse_job_request({{"experiment", "robustness"}, {key, "9007199254740992"}}))
+        << key;
+  }
 }
 
 // --- One option table, two front ends ----------------------------------
@@ -333,10 +342,9 @@ engine::ExperimentRegistry tiny_registry() {
                   engine::FigurePlan plan;
                   plan.heading = "tiny";
                   engine::ScenarioGrid grid;
-                  grid.workflows = {WorkflowKind::montage};
-                  grid.sizes = options.sizes;
-                  grid.lambdas = {1e-3};
-                  grid.stride = 16;
+                  grid.base.workflow = WorkflowKind::montage;
+                  grid.base.stride = 16;
+                  grid.xs.assign(options.sizes.begin(), options.sizes.end());
                   grid.policies = {
                       engine::ScenarioPolicy::fixed(
                           {LinearizeMethod::depth_first, CkptStrategy::by_weight}),
@@ -401,6 +409,24 @@ TEST(JobManagerTest, ValidatesAtSubmission) {
   bad.sizes.clear();  // the grid rejects an empty size axis at build time
   EXPECT_THROW(manager.submit({"tiny", bad}), Error);
   EXPECT_EQ(manager.job_count(), 0u);  // nothing enqueued
+}
+
+TEST(JobManagerTest, InstanceCeilingRejectsWithAPlainMessage) {
+  // The message goes to the client as the 400 body: it says what was
+  // asked and what the server allows, without the server's source paths.
+  const engine::ExperimentRegistry registry = tiny_registry();
+  JobManager manager(registry, {.executors = 0, .max_task_count = 55});
+  try {
+    manager.submit({"tiny", tiny_options()});  // sizes 50 and 60
+    FAIL() << "a size over the ceiling must be rejected";
+  } catch (const InvalidArgument& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("requested instance of 60 tasks", 0), 0u) << what;
+    EXPECT_NE(what.find("--max-task-count ceiling of 55"), std::string::npos) << what;
+    EXPECT_EQ(what.find("ensure failed"), std::string::npos) << what;
+    EXPECT_EQ(what.find(".cpp"), std::string::npos) << what;
+  }
+  EXPECT_EQ(manager.job_count(), 0u);
 }
 
 TEST(JobManagerTest, AdmissionCountsOnlyActiveJobsAndDeleteFreesCapacity) {

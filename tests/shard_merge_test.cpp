@@ -29,13 +29,12 @@ engine::Experiment tiny_experiment() {
   return {"tinymerge", "merge test experiment", [](const engine::FigureOptions& options) {
             engine::FigurePlan plan;
             engine::ScenarioGrid grid;
-            grid.workflows = {WorkflowKind::montage};
-            grid.sizes = options.sizes;
-            grid.seed = options.seed;
-            grid.weight_cv = options.weight_cv;
-            grid.eval_math = options.eval_math;
-            grid.lambdas = {1e-3};
-            grid.stride = 16;
+            grid.base.workflow = WorkflowKind::montage;
+            grid.base.workflow_seed = options.seed;
+            grid.base.weight_cv = options.weight_cv;
+            grid.base.eval_math = options.eval_math;
+            grid.base.stride = 16;
+            grid.xs.assign(options.sizes.begin(), options.sizes.end());
             grid.policies = {
                 engine::ScenarioPolicy::fixed(
                     {LinearizeMethod::depth_first, CkptStrategy::by_weight}),
@@ -55,12 +54,11 @@ engine::Experiment tiny_simulated_experiment() {
           [](const engine::FigureOptions& options) {
             engine::FigurePlan plan;
             engine::ScenarioGrid grid;
-            grid.workflows = {WorkflowKind::montage};
-            grid.sizes = options.sizes;
-            grid.lambdas = {1e-3};
-            grid.downtimes = {options.downtimes.front()};
-            grid.eval_math = options.eval_math;
-            grid.stride = 16;
+            grid.base.workflow = WorkflowKind::montage;
+            grid.base.model = FailureModel(1e-3, options.downtimes.front());
+            grid.base.eval_math = options.eval_math;
+            grid.base.stride = 16;
+            grid.xs.assign(options.sizes.begin(), options.sizes.end());
             grid.policies = {engine::ScenarioPolicy::simulated(
                 engine::ScenarioPolicy::SimDistribution::exponential, 1.0, options.trials)};
             plan.panels = {{grid, "panel", "tinysim_panel"}};

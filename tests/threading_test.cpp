@@ -248,7 +248,7 @@ TEST(DefaultThreadCount, AlwaysWithinOneAndTheCeiling) {
 std::string grid_ndjson(const engine::ScenarioGrid& grid, const engine::EngineOptions& options) {
   const engine::ExperimentEngine eng(options);
   std::string out;
-  for (const engine::ScenarioResult& result : eng.run(grid)) {
+  for (const engine::ScenarioResult& result : eng.run(grid.enumerate())) {
     out += engine::to_json({"stress", "panel", result});
     out += '\n';
   }
@@ -257,10 +257,9 @@ std::string grid_ndjson(const engine::ScenarioGrid& grid, const engine::EngineOp
 
 engine::ScenarioGrid nested_stress_grid() {
   engine::ScenarioGrid grid;
-  grid.workflows = {WorkflowKind::cybershake};
-  grid.sizes = {40};
-  grid.lambdas = {1e-3};
-  grid.stride = 4;
+  grid.base.workflow = WorkflowKind::cybershake;
+  grid.base.stride = 4;
+  grid.xs = {40};
   grid.policies = {
       engine::ScenarioPolicy::fixed({LinearizeMethod::depth_first, CkptStrategy::by_weight}),
       engine::ScenarioPolicy::best_lin(CkptStrategy::by_cost),
@@ -289,7 +288,7 @@ TEST(NestedScheduling, SingleScenarioManyWorkers) {
     engine::ScenarioGrid grid = nested_stress_grid();
     grid.policies = {
         engine::ScenarioPolicy::fixed({LinearizeMethod::depth_first, CkptStrategy::by_weight})};
-    grid.stride = 1;  // full 1..n-1 budget fan-out
+    grid.base.stride = 1;  // full 1..n-1 budget fan-out
     const std::string serial = grid_ndjson(grid, {.threads = 1});
     EXPECT_EQ(serial, grid_ndjson(grid, {.threads = 8}));
   });
