@@ -25,12 +25,18 @@ Schedule make_schedule(std::vector<VertexId> order) {
 }
 
 void validate_schedule(const TaskGraph& graph, const Schedule& schedule) {
-  if (schedule.order.size() != graph.task_count())
-    throw ScheduleError("schedule order has " + std::to_string(schedule.order.size()) +
+  validate_block(graph, {schedule.order, {&schedule.checkpointed, 1}});
+}
+
+void validate_block(const TaskGraph& graph, const ScheduleBlock& block) {
+  if (block.order.size() != graph.task_count())
+    throw ScheduleError("schedule order has " + std::to_string(block.order.size()) +
                         " entries for " + std::to_string(graph.task_count()) + " tasks");
-  if (schedule.checkpointed.size() != graph.task_count())
-    throw ScheduleError("checkpoint flag vector has wrong size");
-  if (!is_valid_linearization(graph.dag(), schedule.order))
+  for (const std::vector<std::uint8_t>& flags : block.flags) {
+    if (flags.size() != graph.task_count())
+      throw ScheduleError("checkpoint flag vector has wrong size");
+  }
+  if (!is_valid_linearization(graph.dag(), block.order))
     throw ScheduleError("schedule order is not a valid linearization of the DAG");
 }
 

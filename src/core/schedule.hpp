@@ -33,11 +33,21 @@ struct Schedule {
   std::vector<std::uint32_t> positions() const;
 };
 
+/// Schedules that share one linearization, as the evaluator's block calls
+/// take them: member b checkpoints vertex v iff flags[b][v] != 0.
+struct ScheduleBlock {
+  std::span<const VertexId> order;
+  std::span<const std::vector<std::uint8_t>> flags;
+};
+
 /// Builds a schedule with all-false checkpoint flags from an order.
 Schedule make_schedule(std::vector<VertexId> order);
 
 /// Throws ScheduleError unless `schedule.order` is a valid linearization of
 /// `graph.dag()` and the flag vector has the right size.
 void validate_schedule(const TaskGraph& graph, const Schedule& schedule);
+
+/// validate_schedule for every member of `block`.
+void validate_block(const TaskGraph& graph, const ScheduleBlock& block);
 
 }  // namespace fpsched

@@ -7,10 +7,11 @@
 // sim_shape, sim_trials, sim_seed), which only the member's own policy
 // step reads. A group's members share the instance, the heuristics their
 // policy runs and every candidate schedule, so one worker runs them
-// together: each budget candidate is built once and evaluated for all
-// members' models in one multi-model evaluator call (the lost-work walk
-// once, the exp/expm1 sweeps once per distinct lambda, the combine once
-// per model; see evaluator.hpp), and each member then applies its policy
+// together: each block of budget candidates is built once and evaluated
+// for all members' models in one evaluator call (the lost-work walk once
+// per class of candidates, the exp/expm1 sweeps once per candidate and
+// distinct lambda, the combine once per candidate and model; see
+// evaluator.hpp and heuristic.hpp), and each member then applies its policy
 // to its own model's results. The robustness study's four rows of a
 // workflow are thus one search, each re-scored under its own failure law
 // and seed. A scenario with no sibling is a group of one. Records, the

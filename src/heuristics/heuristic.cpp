@@ -75,18 +75,32 @@ std::vector<HeuristicResult> run_heuristic(const ScheduleEvaluator& evaluator,
   std::vector<double> expected(budgets.size() * model_count);
   std::vector<std::size_t> checkpoints(budgets.size());
 
+  // The sweep's unit of work is a block of consecutive budgets, evaluated
+  // in one block call; its size depends on n and the lanes only.
+  const CheckpointPlacer placer(graph, order, strategy);
+  const std::size_t block = ScheduleEvaluator::block_size(n, models);
+  const std::size_t blocks = (budgets.size() + block - 1) / block;
+
   // Worker 0 is this thread on the caller's workspace; each helper gets
   // its own.
   EvaluatorWorkspace local_ws;
   EvaluatorWorkspace& caller_ws = options.workspace ? *options.workspace : local_ws;
-  const std::size_t helpers = std::min(worker_slots(options.pool), budgets.size()) - 1;
+  const std::size_t helpers = std::min(worker_slots(options.pool), blocks) - 1;
   std::vector<EvaluatorWorkspace> helper_ws(helpers);
-  parallel_for_workers(options.pool, 0, budgets.size(), [&](std::size_t idx, std::size_t worker) {
+  parallel_for_workers(options.pool, 0, blocks, [&](std::size_t index, std::size_t worker) {
     EvaluatorWorkspace& ws = worker == 0 ? caller_ws : helper_ws[worker - 1];
-    const Schedule schedule = make_heuristic_schedule(graph, order, strategy, budgets[idx]);
-    checkpoints[idx] = schedule.checkpoint_count();
-    evaluator.expected_makespans(schedule, models, ws,
-                                 {expected.data() + idx * model_count, model_count},
+    const std::size_t first = index * block;
+    const std::size_t last = std::min(first + block, budgets.size());
+    std::vector<std::vector<std::uint8_t>> flags;
+    flags.reserve(last - first);
+    for (std::size_t idx = first; idx < last; ++idx) {
+      flags.push_back(placer.flags(budgets[idx]));
+      checkpoints[idx] = static_cast<std::size_t>(
+          std::count(flags.back().begin(), flags.back().end(), std::uint8_t{1}));
+    }
+    const std::span<double> out(expected.data() + first * model_count,
+                                flags.size() * model_count);
+    evaluator.expected_makespans(ScheduleBlock{order, flags}, models, ws, out,
                                  /*validate=*/false, options.eval);
   });
 
@@ -127,7 +141,7 @@ std::vector<HeuristicResult> run_heuristic(const ScheduleEvaluator& evaluator,
         done[j] = 1;
       }
     }
-    Schedule schedule = make_heuristic_schedule(graph, order, strategy, budgets[winner[m]]);
+    Schedule schedule(order, placer.flags(budgets[winner[m]]));
     evaluations.assign(members.size(), Evaluation{});
     evaluator.evaluate(schedule, sharing, caller_ws, evaluations, options.eval);
     for (std::size_t s = 0; s < members.size(); ++s) {

@@ -10,21 +10,30 @@
 // A stride > 1 subsamples the N grid; an ablation bench quantifies the
 // quality loss. A non-budgeted strategy has a single candidate.
 //
-// The candidates run through parallel_for_workers on `pool`, which the
+// The sweep runs in blocks of B consecutive budgets, each evaluated in one
+// block call (see evaluator.hpp): the strategy's placement is computed
+// once per run (CheckpointPlacer: the sorting strategies rank the tasks
+// once, and budget N takes the top N), so neighbouring budgets differ in a
+// few flags and share each pass's lost-work walk below their first
+// difference. B depends only on n and the run's distinct failure rates
+// (ScheduleEvaluator::block_size: each member keeps 2n doubles of lane
+// state per rate, within 96 KiB per block, at most 16 members), never on
+// the thread count, so every counter is thread-invariant.
+//
+// The blocks run through parallel_for_workers on `pool`, which the
 // caller owns (in practice the experiment engine's, via worker_options):
-// the caller evaluates budgets itself (worker 0, on the caller's
+// the caller evaluates blocks itself (worker 0, on the caller's
 // workspace) while idle pool workers join on private workspaces. Without
-// a pool, or when the pool is busy, the sweep is serial. Every candidate
-// writes only its own slots and each evaluation is a pure function of its
-// schedule, so the result is bit-identical however the budgets were
+// a pool, or when the pool is busy, the sweep is serial. Every block
+// writes only its own slots and each makespan is a pure function of its
+// schedule, so the result is bit-identical however the blocks were
 // distributed.
 //
 // One run can serve several failure models (the lambda/D siblings of an
 // engine cell group): the candidate schedules do not depend on the model,
-// so each is built once and evaluated for every model in one multi-model
-// evaluator call (see evaluator.hpp), and each model keeps its own first
-// strict minimum. Only the winning budgets are kept: each distinct
-// winner's schedule is rebuilt afterwards (make_heuristic_schedule is a
+// so each block is evaluated for every model in one call, and each model
+// keeps its own first strict minimum. Only the winning budgets are kept:
+// each distinct winner's schedule is rebuilt afterwards (its flags are a
 // pure function of graph, order, strategy and budget) and evaluated once,
 // in one multi-model call, for the models that picked it.
 #pragma once

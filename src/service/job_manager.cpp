@@ -95,7 +95,7 @@ std::uint64_t JobManager::submit(JobRequest request) {
   // bad request fails the submission, never the executor.
   const engine::Experiment& experiment = registry_.find(request.experiment);
   engine::check_figure_options(request.options);
-  const std::vector<engine::PlannedScenario> planned =
+  std::vector<engine::PlannedScenario> planned =
       engine::flatten_plan(experiment.build(request.options));
   for (const engine::PlannedScenario& position : planned) {
     if (position.spec.task_count > options_.max_task_count) {
@@ -120,6 +120,7 @@ std::uint64_t JobManager::submit(JobRequest request) {
   job->id = next_id_++;
   job->request = std::move(request);
   job->total_scenarios = planned.size();
+  job->planned = std::move(planned);
   job->submit_ns = now;
   const std::uint64_t id = job->id;
   jobs_.emplace(id, std::move(job));
@@ -339,9 +340,11 @@ void JobManager::run_job(const std::shared_ptr<Job>& job) {
     if (!job->deleted) (state == JobState::completed ? metrics.completed : metrics.failed).add(1);
   };
   try {
-    const engine::Experiment& experiment = registry_.find(job->request.experiment);
-    const engine::FigurePlan plan = experiment.build(job->request.options);
-    const std::vector<engine::PlannedScenario> planned = engine::flatten_plan(plan);
+    std::vector<engine::PlannedScenario> planned;
+    {
+      const LockGuard lock(mutex_);
+      planned = std::move(job->planned);
+    }
 
     // Probe the result cache per flatten-plan position: a hit's body goes
     // into the stream as is, and only the misses go to the engine.

@@ -1,15 +1,16 @@
 // JobManager: the experiment-run queue behind the HTTP service.
 //
 // A job is one registered experiment run (name + FigureOptions). submit()
-// validates the request against the registry — including building the
-// plan, so a bad option fails the POST, not the worker — then enqueues
-// it. A fixed set of executor threads (one by default: each job already
-// parallelizes across cores) pops jobs in submission order and runs them
-// on the manager's one ExperimentEngine, built at start-up and sized by
-// default_thread_count() (FPSCHED_THREADS) — the server owns its compute
-// pool, no request sizes it. The executor flattens the job's plan, looks every
-// scenario up in the shared content-addressed ResultCache, and runs only
-// the misses through the engine.
+// validates the request against the registry — including building and
+// flattening the plan, so a bad option fails the POST, not the worker —
+// then enqueues it with its flattened plan. A fixed set of executor
+// threads (one by default: each job already parallelizes across cores)
+// pops jobs in submission order and runs them on the manager's one
+// ExperimentEngine, built at start-up and sized by default_thread_count()
+// (FPSCHED_THREADS) — the server owns its compute pool, no request sizes
+// it. The executor takes the job's plan, looks every scenario up in the
+// shared content-addressed ResultCache, and runs only the misses through
+// the engine.
 //
 // A job's record stream is one shared, immutable body per flatten-plan
 // position plus one line prefix per panel: a hit holds the cache's own
@@ -196,6 +197,10 @@ class JobManager {
     /// DELETE arrived: the job is out of the map and its streamers end;
     /// the executor still finishes its engine pass into the cache.
     bool deleted = false;
+
+    /// The flattened plan that submit built and validated; the executor
+    /// moves it out when the job starts, so a finished job holds none.
+    std::vector<engine::PlannedScenario> planned;
 
     /// The record stream, sized to the flattened plan when the job
     /// starts: one body per position (a hit's from the probe, a miss's

@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "dag/linearize.hpp"
+#include "dag/traversal.hpp"
 #include "support/error.hpp"
+#include "workflows/generator.hpp"
 #include "workflows/synthetic.hpp"
 
 namespace fpsched {
@@ -128,6 +133,65 @@ TEST(CkptPeriodic, BudgetBelowTwoPlacesNothing) {
   const auto order = graph.dag().topological_order();
   EXPECT_EQ(count_flags(place_checkpoints(graph, order, CkptStrategy::periodic, 0)), 0u);
   EXPECT_EQ(count_flags(place_checkpoints(graph, order, CkptStrategy::periodic, 1)), 0u);
+}
+
+/// The sorting strategies' definition, one budget at a time: rank all
+/// tasks by the strategy's key with a stable sort (ties by vertex id) and
+/// checkpoint the first `budget`.
+std::vector<std::uint8_t> sorted_top_n(const TaskGraph& graph, CkptStrategy strategy,
+                                       std::size_t budget) {
+  const std::size_t n = graph.task_count();
+  const std::vector<double> out = direct_outweights(graph.dag(), graph.weights_view());
+  std::vector<VertexId> ranked(n);
+  std::iota(ranked.begin(), ranked.end(), 0);
+  std::stable_sort(ranked.begin(), ranked.end(), [&](VertexId a, VertexId b) {
+    switch (strategy) {
+      case CkptStrategy::by_weight: return graph.weight(a) > graph.weight(b);
+      case CkptStrategy::by_cost: return graph.ckpt_cost(a) < graph.ckpt_cost(b);
+      default: return out[a] > out[b];
+    }
+  });
+  std::vector<std::uint8_t> flags(n, 0);
+  for (std::size_t i = 0; i < std::min(budget, n); ++i) flags[ranked[i]] = 1;
+  return flags;
+}
+
+TEST(CkptStrategy, PlacerMatchesEveryBudget) {
+  // The sweep's placer ranks once; each budget's flags must still be the
+  // per-budget definition, for every strategy, order and budget 0..n —
+  // also under the constant cost model, where every CkptC key ties.
+  for (const CostModel cost : {CostModel::proportional(0.1), CostModel::constant(5.0)}) {
+    for (const WorkflowKind kind : {WorkflowKind::montage, WorkflowKind::genome}) {
+      const TaskGraph graph =
+          generate_workflow(kind, {.task_count = 40, .seed = 6, .weight_cv = 0.5,
+                                   .cost_model = cost});
+      const std::size_t n = graph.task_count();
+      for (const LinearizeMethod method : all_linearize_methods()) {
+        const std::vector<VertexId> order =
+            linearize(graph.dag(), graph.weights_view(), method, {.seed = 3});
+        for (const CkptStrategy strategy : all_ckpt_strategies()) {
+          const CheckpointPlacer placer(graph, order, strategy);
+          for (std::size_t budget = 0; budget <= n; ++budget) {
+            const std::vector<std::uint8_t> flags = placer.flags(budget);
+            EXPECT_EQ(flags, place_checkpoints(graph, order, strategy, budget))
+                << to_string(method) << "-" << to_string(strategy) << " N=" << budget;
+            const bool sorting = is_budgeted(strategy) && strategy != CkptStrategy::periodic;
+            if (sorting) {
+              EXPECT_EQ(flags, sorted_top_n(graph, strategy, budget))
+                  << to_string(method) << "-" << to_string(strategy) << " N=" << budget;
+            }
+            if (sorting && budget > 0) {
+              // Consecutive budgets differ in exactly one task.
+              std::vector<std::uint8_t> previous = placer.flags(budget - 1);
+              std::size_t changed = 0;
+              for (std::size_t v = 0; v < n; ++v) changed += previous[v] != flags[v] ? 1 : 0;
+              EXPECT_EQ(changed, budget <= n ? 1u : 0u);
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(CkptStrategy, MakeHeuristicScheduleIsValid) {
